@@ -31,7 +31,7 @@ from .coding import (
     encode,
     matrix_rank,
 )
-from .gf import Field, FieldElement
+from .gf import Field
 from .instance import (
     ClientSpec,
     DmsiInstance,
@@ -61,7 +61,6 @@ __all__ = [
     "DelayReport",
     "DmsiInstance",
     "Field",
-    "FieldElement",
     "FlowNetwork",
     "InstanceError",
     "OracleResult",

@@ -33,6 +33,7 @@ from .coding import (
     construct_code,
     decodability_check,
     decode,
+    default_field_degree,
     encode,
 )
 from .gf import Field
@@ -205,17 +206,31 @@ def _code_from_document(doc: dict, n: int, path: str) -> CodingMatrix:
         raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
 
 
+def _recorded(doc: dict, key: str, path: str) -> Fraction | tuple[Fraction, ...]:
+    """A rational recorded in a plan file; per_packet_delay holds a list of them."""
+    value = doc[key]
+    try:
+        if key != "per_packet_delay":
+            return parse_rational(value, key)
+        if not isinstance(value, list):
+            raise InstanceError(f"{key}: expected a list, got {value!r}")
+        return tuple(parse_rational(v, key) for v in value)
+    except InstanceError as err:
+        raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
+
+
 # ---------------------------------------------------------------- commands
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    field = None
-    if args.field_degree is not None:
-        try:
-            field = Field(args.field_degree)
-        except ValueError as err:
-            raise _CommandError(EXIT_VALIDATION, str(err))
+    degree = default_field_degree(instance.k) if args.field_degree is None else args.field_degree
+    try:
+        field = Field(degree)
+    except ValueError as err:
+        raise _CommandError(
+            EXIT_VALIDATION, f"{err} for {instance.k} clients; GF(2^16) is the largest field"
+        )
     try:
         bundle = build_plan(instance, field=field, seed=args.seed)
     except CodeConstructionError as err:
@@ -264,17 +279,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     report = total_delay(matrix, instance.delays())
     if "per_packet_delay" in doc:
-        recorded = [
-            parse_rational(v, "per_packet_delay") for v in doc["per_packet_delay"]
-        ]
-        if tuple(recorded) != report.per_packet:
+        match = _recorded(doc, "per_packet_delay", args.plan) == report.per_packet
+        if not match:
             problems.append("per-packet delays in file do not match recomputation")
-        print(
-            "per-packet delays:           "
-            + ("ok" if tuple(recorded) == report.per_packet else "FAIL")
-        )
+        print("per-packet delays:           " + ("ok" if match else "FAIL"))
     if "total_delay" in doc:
-        recorded_total = parse_rational(doc["total_delay"], "total_delay")
+        recorded_total = _recorded(doc, "total_delay", args.plan)
         match = recorded_total == report.total
         if not match:
             problems.append(
@@ -283,8 +293,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         print("total delay:                 " + ("ok" if match else "FAIL"))
     if "closed_form_delay" in doc:
-        recorded_cf = parse_rational(doc["closed_form_delay"], "closed_form_delay")
-        match = recorded_cf == closed_form_delay(instance)
+        match = _recorded(doc, "closed_form_delay", args.plan) == closed_form_delay(instance)
         if not match:
             problems.append("closed-form delay in file does not match recomputation")
         print("closed-form delay:           " + ("ok" if match else "FAIL"))
@@ -431,7 +440,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"final clock: {_rational_text(sim.final_clock)}")
     print(f"closed form: {_rational_text(closed)}")
     if "total_delay" in doc:
-        recorded = parse_rational(doc["total_delay"], "total_delay")
+        recorded = _recorded(doc, "total_delay", args.plan)
         if recorded != sim.final_clock:
             print(
                 f"plan total {_rational_text(recorded)} != simulated clock "

@@ -7,6 +7,12 @@ its missing coordinates, have full rank w_j; decodability_check tests exactly
 that, and decode performs the recovery by subtracting the known side-info
 contribution and solving the remaining square system.
 
+Rank and solve share one elimination kernel, _eliminate, and encode and decode
+one dot product, _dot.  Neither checks elements: CodingMatrix, encode, decode
+and matrix_rank check them once on entry.  For e <= 8 the kernel packs a row
+into an int, one byte per element, so adding rows is one XOR and scaling is
+one bytes.translate; for e > 8 a row is a list scaled through exp/log tables.
+
 construct_code draws coefficients uniformly at random (seeded, so plans are
 reproducible) and keeps the first draw that verifies for every client.  Over
 a field with q >= k a valid draw exists whenever the assignment is feasible,
@@ -19,7 +25,7 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .assignment import AssignmentMatrix, is_feasible
 from .gf import Field
@@ -65,58 +71,65 @@ class ClientView:
     received: tuple[tuple[int, int], ...]  # (broadcast row index, symbol)
 
 
-def matrix_rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the field, by forward elimination."""
+def _eliminate(field: Field, rows: Sequence[Sequence[int]], width: int) -> tuple[int, list]:
+    """Forward elimination of valid field rows, with no per-element checks.
+
+    Pivots come from the first `width` columns; the rest (a solve's right-hand
+    side) ride along.  Returns the rank and the rows in echelon form: row
+    i < rank has a leading 1, and rows from rank on are zero in those columns.
+    """
+    exp, log, order = field._exp, field._log, field.q - 1
+    rank = 0
+    if field.e <= 8:
+        size = len(rows[0]) if rows else 0
+        scale = field._byte_products
+        work = [int.from_bytes(bytes(row), "little") for row in rows]
+        for shift in range(0, 8 * width, 8):
+            pivot = next((i for i in range(rank, len(work)) if work[i] >> shift & 255), None)
+            if pivot is None:
+                continue
+            lead, work[pivot] = work[pivot], work[rank]
+            lead = lead.to_bytes(size, "little").translate(
+                scale[exp[order - log[lead >> shift & 255]]]
+            )
+            work[rank] = int.from_bytes(lead, "little")
+            for i in range(rank + 1, len(work)):
+                c = work[i] >> shift & 255
+                if c:
+                    work[i] ^= int.from_bytes(lead.translate(scale[c]), "little")
+            rank += 1
+        return rank, [row.to_bytes(size, "little") for row in work]
     work = [list(row) for row in rows]
-    width = len(work[0]) if work else 0
-    rank = 0
     for col in range(width):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if pivot is None:
             continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = field.inv(work[rank][col])
-        work[rank] = [field.mul(inv, v) for v in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [
-                    field.add(v, field.mul(factor, p))
-                    for v, p in zip(work[i], work[rank])
-                ]
+        lead, work[pivot] = work[pivot], work[rank]
+        inv_log = order - log[lead[col]]
+        lead = work[rank] = [exp[inv_log + log[v]] if v else 0 for v in lead]
+        for i in range(rank + 1, len(work)):
+            row = work[i]
+            if row[col]:
+                c_log = log[row[col]]
+                work[i] = [a ^ exp[c_log + log[b]] if b else a for a, b in zip(row, lead)]
         rank += 1
-    return rank
+    return rank, work
 
 
-def _solve_square(
-    field: Field, rows: list[list[int]], rhs: list[int], width: int
-) -> list[int]:
-    """Solve for width unknowns; extra rows must be consistent."""
-    augmented = [row + [b] for row, b in zip(rows, rhs)]
-    rank = 0
-    for col in range(width):
-        pivot = next(
-            (i for i in range(rank, len(augmented)) if augmented[i][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        augmented[rank], augmented[pivot] = augmented[pivot], augmented[rank]
-        inv = field.inv(augmented[rank][col])
-        augmented[rank] = [field.mul(inv, v) for v in augmented[rank]]
-        for i in range(len(augmented)):
-            if i != rank and augmented[i][col] != 0:
-                factor = augmented[i][col]
-                augmented[i] = [
-                    field.add(v, field.mul(factor, p))
-                    for v, p in zip(augmented[i], augmented[rank])
-                ]
-        rank += 1
-    if rank < width:
-        raise ValueError("singular system: received symbols do not pin down the unknowns")
-    for i in range(rank, len(augmented)):
-        if augmented[i][width] != 0:
-            raise ValueError("inconsistent received symbols")
-    return [augmented[i][width] for i in range(width)]
+def _dot(field: Field, coeffs: Iterable[int], values: Iterable[int]) -> int:
+    """sum_i coeffs[i] * values[i] over valid field elements, unchecked."""
+    exp, log = field._exp, field._log
+    acc = 0
+    for c, v in zip(coeffs, values):
+        if c and v:
+            acc ^= exp[log[c] + log[v]]
+    return acc
+
+
+def matrix_rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the field; the rows are checked once, as a CodingMatrix's are."""
+    checked = CodingMatrix(field=field, n=len(rows[0]) if rows else 0, rows=rows)
+    return _eliminate(field, checked.rows, checked.n)[0]
 
 
 def _missing(instance: DmsiInstance, client: int) -> list[int]:
@@ -142,7 +155,7 @@ def decodability_check(
             for h in range(matrix.m)
             if matrix.rows[h][j]
         ]
-        verdicts.append(matrix_rank(code.field, sub) == len(missing))
+        verdicts.append(_eliminate(code.field, sub, len(missing))[0] == len(missing))
     return tuple(verdicts)
 
 
@@ -193,13 +206,7 @@ def encode(code: CodingMatrix, payload: Sequence[int]) -> tuple[int, ...]:
         raise ValueError(f"payload has {len(payload)} symbols, expected {code.n}")
     for value in payload:
         code.field._check(value)
-    out = []
-    for row in code.rows:
-        acc = 0
-        for coeff, value in zip(row, payload):
-            acc = code.field.add(acc, code.field.mul(coeff, value))
-        out.append(acc)
-    return tuple(out)
+    return tuple(_dot(code.field, row, payload) for row in code.rows)
 
 
 def client_view(
@@ -242,15 +249,26 @@ def decode(
         raise ValueError("received rows do not match the assignment")
 
     field = code.field
+    for _, value in [*view.side_info, *view.received]:
+        field._check(value)
     side = dict(view.side_info)
     missing = _missing(instance, j)
-    rows = []
-    rhs = []
+    # per received symbol: its coefficients on the missing packets, then the
+    # symbol less what the side information contributes to it
+    augmented = []
     for h, symbol in view.received:
-        rows.append([code.rows[h][x] for x in missing])
-        known = 0
-        for x, value in side.items():
-            known = field.add(known, field.mul(code.rows[h][x], value))
-        rhs.append(field.sub(symbol, known))
-    solution = _solve_square(field, rows, rhs, len(missing))
+        coeffs = code.rows[h]
+        known = _dot(field, [coeffs[x] for x in side], side.values())
+        augmented.append([coeffs[x] for x in missing] + [symbol ^ known])
+    width = len(missing)
+    rank, echelon = _eliminate(field, augmented, width)
+    if rank < width:
+        raise ValueError("singular system: received symbols do not pin down the unknowns")
+    if any(row[width] for row in echelon[rank:]):
+        raise ValueError("inconsistent received symbols")
+    # full rank: row i pivots on column i, so back-substitute from the last
+    solution = [0] * width
+    for i in reversed(range(width)):
+        row = echelon[i]
+        solution[i] = row[width] ^ _dot(field, row[i + 1 : width], solution[i + 1 :])
     return dict(zip(missing, solution))

@@ -18,11 +18,14 @@ Products and inverses go through log/antilog tables built on a multiplicative
 generator found by search at construction time.  For most degrees x itself
 (the int 2) generates the multiplicative group; the familiar degree-8 modulus
 above is the exception, where the search settles on 3.
+
+add/mul/inv/div check every operand.  coding.py checks elements once on entry,
+then reads the tables directly, and for e <= 8 _byte_products as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 _REDUCTION_POLY = {
     1: 0x3,
@@ -88,6 +91,18 @@ class Field:
             return exp, log, g
         raise AssertionError("no generator found; reduction polynomial not irreducible?")
 
+    @cached_property
+    def _byte_products(self) -> list[bytes]:
+        """For e <= 8: table a maps each byte b < q to a*b, for bytes.translate."""
+        order = self.q - 1
+        # log of each byte, with 0 and the bytes >= q sent to the window's zero tail
+        logs = bytes([order]) + bytes(self._log[1:]) + bytes([order]) * (256 - self.q)
+        exp = bytes(self._exp)
+        return [bytes(256)] + [
+            logs.translate(exp[self._log[a] : self._log[a] + order] + bytes(256 - order))
+            for a in range(1, self.q)
+        ]
+
     def _check(self, a: int) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element of {self}")
@@ -117,9 +132,6 @@ class Field:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(self, value)
-
     def elements(self) -> range:
         return range(self.q)
 
@@ -131,42 +143,3 @@ class Field:
 
     def __repr__(self) -> str:
         return f"GF(2^{self.e})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element bound to its field; mixing fields raises instead of coercing."""
-
-    field: Field
-    value: int
-
-    def __post_init__(self) -> None:
-        self.field._check(self.value)
-
-    def _coerced(self, other: FieldElement) -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-        return other.value
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.field, self.field.add(self.value, self._coerced(other)))
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.field, self.field.sub(self.value, self._coerced(other)))
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.field, self.field.mul(self.value, self._coerced(other)))
-
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        return FieldElement(self.field, self.field.div(self.value, self._coerced(other)))
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value}@GF(2^{self.field.e})"

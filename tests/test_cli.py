@@ -1,8 +1,10 @@
 """End-to-end runs of every subcommand through main(), plus the exit-code
 contract: 0 ok, 2 validation, 3 disagreement, 4 construction failure."""
 
+import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,7 +15,8 @@ import pytest
 
 import dmsiplan
 from conftest import DEMO_DOC, HAND_PLAN_ROWS, OPTIMAL_PLAN_ROWS, IMPOSSIBLE_GF2_DOC
-from dmsiplan.cli import main
+from dmsiplan import Field, parse_instance
+from dmsiplan.cli import build_plan, main, plan_json
 
 
 def write_json(path, doc):
@@ -193,6 +196,33 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("verify", "per_packet_delay", [0.5]),
+        ("verify", "per_packet_delay", 5),
+        ("verify", "total_delay", 0.5),
+        ("verify", "closed_form_delay", [1]),
+        ("simulate", "total_delay", 0.5),
+    ],
+)
+def test_malformed_recorded_delay_exits_2(tmp_path, capsys, command, key, value):
+    inst, out = make_plan(tmp_path, capsys)
+    doc = json.loads(out.read_text())
+    doc[key] = value
+    tampered = write_json(tmp_path / "tampered.json", doc)
+    assert main([command, inst, tampered]) == 2
+    assert f"error: {tampered}: {key}" in capsys.readouterr().err
+
+
+def test_plan_beyond_the_largest_field_exits_2(tmp_path, capsys):
+    """65,537 clients need q >= 65,537, one degree past GF(2^16)."""
+    doc = {"n": 1, "clients": [{"has": [], "delay": 1}] * 65_537}
+    inst = write_json(tmp_path / "instance.json", doc)
+    assert main(["plan", inst]) == 2
+    assert "GF(2^16) is the largest field" in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path, capsys):
     assert main(["plan", str(tmp_path / "nope.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -207,6 +237,38 @@ def test_plan_exits_4_when_no_code_exists(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     # the default field is large enough and the same instance plans fine
     assert main(["plan", inst]) == 0
+
+
+def _seeded_instance(seed, n, k):
+    rng = random.Random(seed)
+    clients = [
+        {
+            "has": sorted(rng.sample(range(1, n + 1), rng.randint(0, n - 1))),
+            "delay": f"{rng.randint(1, 16)}/{rng.randint(1, 3)}",
+        }
+        for _ in range(k)
+    ]
+    return parse_instance(json.dumps({"n": n, "clients": clients}))
+
+
+# sha256 of plan_json, taken before the elimination kernel was rewritten: a
+# faster kernel must draw and accept exactly the same code rows
+@pytest.mark.parametrize(
+    "case, degree, seed, digest",
+    [
+        ("demo", None, 0, "f946dc17781f5a8d6bb1f9be599ee37260cb1ea3b10150bd3d0f312175dab07b"),
+        ("demo", None, 1, "6e4f276822eaf2d2bfd19b18fdda9f2925aca54df4bd5afe026970be5a31a4ac"),
+        ("demo", None, 2, "d0ed19de7022d1d5ea567a36e6935da728cb856baf647cbdba597818d3d8b476"),
+        ((8, 10, 6), 8, 3, "f56fb787a274a79b851b13fe44b57dd4b1e7b59d0e515b7df7984776eca69acd"),
+        ((12, 8, 5), 12, 4, "e00b3ba5bee75d18b9b887a2069caae4480db3605656143e3bcc5e55194e2372"),
+    ],
+)
+def test_seeded_plan_bytes_are_pinned(case, degree, seed, digest):
+    instance = parse_instance(json.dumps(DEMO_DOC)) if case == "demo" else _seeded_instance(*case)
+    field = Field(degree) if degree else None
+    bundle = build_plan(instance, field=field, seed=seed)
+    assert all(bundle.decodable)
+    assert hashlib.sha256(plan_json(bundle).encode()).hexdigest() == digest
 
 
 def _declared_console_script(name):

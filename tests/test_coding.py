@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     IMPOSSIBLE_GF2_DOC,
@@ -195,3 +197,105 @@ def test_codes_exist_for_random_feasible_instances():
         code = construct_code(inst, matrix, seed=rng.randrange(2**30))
         assert all(decodability_check(inst, matrix, code))
         assert code.field.q >= max(inst.k, 2)
+
+
+# ---------------------------------------------------------------- kernel vs reference
+
+# both row representations of the elimination kernel: packed bytes up to
+# e = 8 (e = 8 fills every byte value), int lists above
+DEGREES = (1, 2, 4, 8, 9, 12)
+FIELDS = {e: Field(e) for e in DEGREES}
+
+
+def reference_rank(f, rows):
+    """Forward elimination with the checked Field.add/mul/inv."""
+    work = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = f.inv(work[rank][col])
+        work[rank] = [f.mul(inv, v) for v in work[rank]]
+        for i in range(rank + 1, len(work)):
+            factor = work[i][col]
+            work[i] = [f.add(v, f.mul(factor, p)) for v, p in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def reference_dot(f, coeffs, values):
+    acc = 0
+    for c, v in zip(coeffs, values):
+        acc = f.add(acc, f.mul(c, v))
+    return acc
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """(field, rows): combinations of a few random base rows, so that rank
+    deficiency is common even over large fields."""
+    f = FIELDS[draw(st.sampled_from(DEGREES))]
+    element = st.integers(0, f.q - 1)
+    width = draw(st.integers(1, 7))
+    base = draw(st.lists(st.lists(element, min_size=width, max_size=width), max_size=width))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [0] * width
+        for b in base:
+            c = draw(element)
+            row = [f.add(r, f.mul(c, v)) for r, v in zip(row, b)]
+        rows.append(row)
+    return f, rows
+
+
+@given(low_rank_matrices())
+@settings(max_examples=300, deadline=None)
+def test_matrix_rank_matches_reference(case):
+    f, rows = case
+    assert matrix_rank(f, rows) == reference_rank(f, rows)
+
+
+@given(st.data(), st.sampled_from(DEGREES))
+@settings(max_examples=200, deadline=None)
+def test_encode_and_decode_match_reference(data, e):
+    f = FIELDS[e]
+    element = st.integers(0, f.q - 1)
+    n = data.draw(st.integers(1, 6))
+    has = data.draw(st.frozensets(st.integers(0, n - 1)))
+    missing = [x for x in range(n) if x not in has]
+    m = len(missing) + data.draw(st.integers(0, 2))
+    rows = data.draw(st.lists(st.lists(element, min_size=n, max_size=n), min_size=m, max_size=m))
+    payload = data.draw(st.lists(element, min_size=n, max_size=n))
+    inst = make_instance(n, [has], [1])
+    matrix = AssignmentMatrix(rows=((1,),) * m, k=1)
+    code = CodingMatrix(field=f, n=n, rows=rows)
+
+    broadcast = encode(code, payload)
+    assert broadcast == tuple(reference_dot(f, row, payload) for row in rows)
+    view = client_view(inst, matrix, 0, payload, broadcast)
+    if reference_rank(f, [[row[x] for x in missing] for row in rows]) == len(missing):
+        assert decode(view, inst, matrix, code) == {x: payload[x] for x in missing}
+    else:
+        with pytest.raises(ValueError, match="singular"):
+            decode(view, inst, matrix, code)
+
+
+@pytest.mark.parametrize("bad", [[[4]], [[-1]], [[True]], [[1], [1, 0]]])
+def test_matrix_rank_checks_its_input(bad):
+    with pytest.raises(ValueError):
+        matrix_rank(Field(2), bad)
+
+
+def test_decode_rejects_values_outside_the_field(demo_instance, optimal_plan_matrix):
+    code = CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS)
+    payload = (1, 2, 0, 3, 1, 2)
+    good = client_view(demo_instance, optimal_plan_matrix, 0, payload, encode(code, payload))
+    (h, _), *rest = good.received
+    big_symbol = ClientView(client=0, side_info=good.side_info, received=((h, 4), *rest))
+    (x, _), *known = good.side_info
+    big_side = ClientView(client=0, side_info=((x, 4), *known), received=good.received)
+    for view in (big_symbol, big_side):
+        with pytest.raises(ValueError, match="not an element"):
+            decode(view, demo_instance, optimal_plan_matrix, code)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from dmsiplan.gf import _REDUCTION_POLY, Field, FieldElement
+from dmsiplan.gf import _REDUCTION_POLY, Field
 
 
 def _poly_mul(a: int, b: int) -> int:
@@ -118,8 +118,6 @@ def test_out_of_range_values_rejected(bad):
     f = Field(3)
     with pytest.raises(ValueError):
         f.mul(bad, 1)
-    with pytest.raises(ValueError):
-        f.element(bad)
 
 
 @pytest.mark.parametrize("bad", [0, 17, -2, "8", True, 2.5])
@@ -133,25 +131,3 @@ def test_field_equality_and_hash():
     assert hash(Field(5)) == hash(Field(5))
     assert Field(5) != Field(6)
     assert Field(5) != "GF(2^5)"
-
-
-def test_element_arithmetic():
-    f = Field(2)
-    a = f.element(2)
-    b = f.element(3)
-    assert (a + b).value == 1
-    assert (a - b).value == 1
-    assert (a * b).value == 1
-    assert (a / b).value == f.mul(2, f.inv(3))
-    assert a.inverse().value == 3
-    assert int(a) == 2
-    assert a == FieldElement(Field(2), 2)
-
-
-def test_element_field_mismatch():
-    a = Field(2).element(1)
-    b = Field(3).element(1)
-    with pytest.raises(ValueError, match="mismatch"):
-        a + b
-    with pytest.raises(TypeError):
-        a * 1
