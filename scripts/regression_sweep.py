@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Random-instance sweep: on every draw the closed form, the constructed
-optimal plan, and the exhaustive enumeration must agree exactly, and the
-weight and max-flow feasibility tests must give the same verdict on a random
-matrix.  Exits nonzero on the first disagreement."""
+optimal plan, and the exhaustive enumeration must agree exactly; a code built
+for the plan (default field) must pass decodability_check and let every
+client decode a random payload; and the weight and max-flow feasibility tests
+must give the same verdict on a random matrix.  Exits nonzero on the first
+failure."""
 
 import argparse
 import random
@@ -13,9 +15,15 @@ from fractions import Fraction
 from dmsiplan import (
     AssignmentMatrix,
     ClientSpec,
+    CodeConstructionError,
     DmsiInstance,
     brute_force_optimum,
+    client_view,
     closed_form_delay,
+    construct_code,
+    decodability_check,
+    decode,
+    encode,
     is_solvable,
     optimal_assignment,
     total_delay,
@@ -37,6 +45,23 @@ def draw_matrix(rng: random.Random, instance: DmsiInstance) -> AssignmentMatrix:
         tuple(rng.randint(0, 1) for _ in range(instance.k)) for _ in range(m)
     )
     return AssignmentMatrix(rows=rows, k=instance.k)
+
+
+def certify_code(instance: DmsiInstance, matrix: AssignmentMatrix, seed: int) -> str | None:
+    """Build a code for the plan and decode one payload at every client."""
+    code = construct_code(instance, matrix, seed=seed)
+    if not all(decodability_check(instance, matrix, code)):
+        return "decodability_check fails on the constructed code"
+    # a stream of its own, so the instance draws stay those of the seed
+    payload_rng = random.Random(seed)
+    payload = [payload_rng.randrange(code.field.q) for _ in range(instance.n)]
+    broadcast = encode(code, payload)
+    for j, spec in enumerate(instance.clients):
+        view = client_view(instance, matrix, j, payload, broadcast)
+        truth = {x: payload[x] for x in range(instance.n) if x not in spec.has}
+        if decode(view, instance, matrix, code) != truth:
+            return f"client {j + 1} decodes the wrong payload"
+    return None
 
 
 def main() -> int:
@@ -71,6 +96,14 @@ def main() -> int:
                 f"  enumerated {result.best_total}, closed {closed}, "
                 f"constructed {constructed}"
             )
+            return 1
+
+        try:
+            problem = certify_code(instance, star, seed=i)
+        except (CodeConstructionError, ValueError) as err:
+            problem = f"{type(err).__name__}: {err}"
+        if problem:
+            print(f"CODE FAILURE on draw {i}: {instance}: {problem}")
             return 1
 
         matrix = draw_matrix(rng, instance)

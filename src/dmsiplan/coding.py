@@ -7,17 +7,18 @@ its missing coordinates, have full rank w_j; decodability_check tests exactly
 that, and decode performs the recovery by subtracting the known side-info
 contribution and solving the remaining square system.
 
-Rank and solve share one elimination kernel, _eliminate, and encode and decode
-one dot product, _dot.  Neither checks elements: CodingMatrix, encode, decode
-and matrix_rank check them once on entry.  For e <= 8 the kernel packs a row
-into an int, one byte per element, so adding rows is one XOR and scaling is
-one bytes.translate; for e > 8 a row is a list scaled through exp/log tables.
+One incremental kernel, _reduce, serves rank, solve and construction: it
+reduces a row against an echelon basis and returns a new basis entry or the
+remainder.  encode and decode share one dot product, _dot.  Neither checks
+elements: CodingMatrix, encode, decode and matrix_rank check them once on
+entry.  For e <= 8 a row is packed into an int, one byte per element, so
+adding rows is one XOR and scaling is one bytes.translate; for e > 8 a row is
+a list scaled through exp/log tables.
 
-construct_code draws coefficients uniformly at random (seeded, so plans are
-reproducible) and keeps the first draw that verifies for every client.  Over
-a field with q >= k a valid draw exists whenever the assignment is feasible,
-so the retry cap of 64 is generous; with q < k existence is not guaranteed,
-which is warned about and then honestly attempted.
+construct_code builds the code row by row (Jaggi, Sanders et al., 2005), one
+basis per client over its missing packets, redrawing a row at most 64 times.
+Rejected rows form a proper subspace per client, so with q >= k a good row
+always exists; with q < k it may not, which is warned about and attempted.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ class CodingMatrix:
         for i, row in enumerate(self.rows):
             if len(row) != self.n:
                 raise ValueError(f"row {i} has length {len(row)}, expected n={self.n}")
-            for value in row:
-                self.field._check(value)
+            if set(map(type, row)) - {int} or row and not 0 <= min(row) <= max(row) < self.field.q:
+                for value in row:
+                    self.field._check(value)
 
     @property
     def m(self) -> int:
@@ -71,49 +73,54 @@ class ClientView:
     received: tuple[tuple[int, int], ...]  # (broadcast row index, symbol)
 
 
-def _eliminate(field: Field, rows: Sequence[Sequence[int]], width: int) -> tuple[int, list]:
-    """Forward elimination of valid field rows, with no per-element checks.
+def _reduce(field: Field, basis: list, row, width: int, size: int) -> tuple:
+    """Reduce one row of valid elements against an echelon basis, unchecked.
 
-    Pivots come from the first `width` columns; the rest (a solve's right-hand
-    side) ride along.  Returns the rank and the rows in echelon form: row
-    i < rank has a leading 1, and rows from rank on are zero in those columns.
+    A basis entry (pivot, row) is 1 on its pivot, one of the first `width`
+    columns, and 0 on the pivots of earlier entries.  Returns a new entry or
+    (None, remainder) when nothing is left in those columns; later columns (a
+    solve's right-hand side) ride along.  For e <= 8 the row is packed into an
+    int of `size` bytes and entries hold bytes; above that both are lists.
     """
     exp, log, order = field._exp, field._log, field.q - 1
-    rank = 0
     if field.e <= 8:
-        size = len(rows[0]) if rows else 0
         scale = field._byte_products
-        work = [int.from_bytes(bytes(row), "little") for row in rows]
-        for shift in range(0, 8 * width, 8):
-            pivot = next((i for i in range(rank, len(work)) if work[i] >> shift & 255), None)
-            if pivot is None:
-                continue
-            lead, work[pivot] = work[pivot], work[rank]
-            lead = lead.to_bytes(size, "little").translate(
-                scale[exp[order - log[lead >> shift & 255]]]
-            )
-            work[rank] = int.from_bytes(lead, "little")
-            for i in range(rank + 1, len(work)):
-                c = work[i] >> shift & 255
-                if c:
-                    work[i] ^= int.from_bytes(lead.translate(scale[c]), "little")
-            rank += 1
-        return rank, [row.to_bytes(size, "little") for row in work]
-    work = [list(row) for row in rows]
-    for col in range(width):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if pivot is None:
-            continue
-        lead, work[pivot] = work[pivot], work[rank]
-        inv_log = order - log[lead[col]]
-        lead = work[rank] = [exp[inv_log + log[v]] if v else 0 for v in lead]
-        for i in range(rank + 1, len(work)):
-            row = work[i]
-            if row[col]:
-                c_log = log[row[col]]
-                work[i] = [a ^ exp[c_log + log[b]] if b else a for a, b in zip(row, lead)]
-        rank += 1
-    return rank, work
+        for pivot, entry in basis:
+            c = row >> 8 * pivot & 255
+            if c:
+                row ^= int.from_bytes(entry.translate(scale[c]), "little")
+        lead = row & ((1 << 8 * width) - 1)
+        row = row.to_bytes(size, "little")
+        if not lead:
+            return None, row
+        pivot = ((lead & -lead).bit_length() - 1) >> 3
+        return pivot, row.translate(scale[exp[order - log[row[pivot]]]])
+    for pivot, entry in basis:
+        if row[pivot]:
+            c_log = log[row[pivot]]
+            row = [a ^ exp[c_log + log[b]] if b else a for a, b in zip(row, entry)]
+    pivot = next((i for i in range(width) if row[i]), None)
+    if pivot is None:
+        return None, row
+    inv_log = order - log[row[pivot]]
+    return pivot, [exp[inv_log + log[v]] if v else 0 for v in row]
+
+
+def _pack(field: Field, values: Iterable[int]) -> int | list[int]:
+    """A row in the form _reduce takes for this field."""
+    return int.from_bytes(bytes(values), "little") if field.e <= 8 else list(values)
+
+
+def _rank(field: Field, rows: Iterable[Iterable[int]], width: int) -> int:
+    """Rank of rows of `width` valid elements, inserting until it is full."""
+    basis: list = []
+    for row in rows:
+        if len(basis) == width:
+            break
+        pivot, entry = _reduce(field, basis, _pack(field, row), width, width)
+        if pivot is not None:
+            basis.append((pivot, entry))
+    return len(basis)
 
 
 def _dot(field: Field, coeffs: Iterable[int], values: Iterable[int]) -> int:
@@ -129,7 +136,7 @@ def _dot(field: Field, coeffs: Iterable[int], values: Iterable[int]) -> int:
 def matrix_rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
     """Rank over the field; the rows are checked once, as a CodingMatrix's are."""
     checked = CodingMatrix(field=field, n=len(rows[0]) if rows else 0, rows=rows)
-    return _eliminate(field, checked.rows, checked.n)[0]
+    return _rank(field, checked.rows, checked.n)
 
 
 def _missing(instance: DmsiInstance, client: int) -> list[int]:
@@ -150,12 +157,8 @@ def decodability_check(
     verdicts = []
     for j in range(instance.k):
         missing = _missing(instance, j)
-        sub = [
-            [code.rows[h][x] for x in missing]
-            for h in range(matrix.m)
-            if matrix.rows[h][j]
-        ]
-        verdicts.append(_eliminate(code.field, sub, len(missing))[0] == len(missing))
+        sub = (map(row.__getitem__, missing) for row, a in zip(code.rows, matrix.rows) if a[j])
+        verdicts.append(_rank(code.field, sub, len(missing)) == len(missing))
     return tuple(verdicts)
 
 
@@ -166,10 +169,10 @@ def construct_code(
     seed: int = 0,
     max_attempts: int = 64,
 ) -> CodingMatrix:
-    """Draw random coefficient rows until every client verifies.
+    """Draw rows one at a time, each raising every short assigned client's rank.
 
     The draw sequence is fully determined by the seed.  Requires a feasible
-    assignment; raises CodeConstructionError after max_attempts full redraws.
+    assignment; raises CodeConstructionError after max_attempts draws of a row.
     """
     if field is None:
         field = Field(default_field_degree(instance.k))
@@ -183,21 +186,32 @@ def construct_code(
             stacklevel=2,
         )
     rng = random.Random(seed)
-    failing: tuple[int, ...] = ()
-    for _ in range(max_attempts):
-        rows = tuple(
-            tuple(rng.randrange(field.q) for _ in range(instance.n))
-            for _ in range(matrix.m)
-        )
-        code = CodingMatrix(field=field, n=instance.n, rows=rows)
-        verdicts = decodability_check(instance, matrix, code)
-        if all(verdicts):
-            return code
-        failing = tuple(j + 1 for j, ok in enumerate(verdicts) if not ok)
-    raise CodeConstructionError(
-        f"no verified code after {max_attempts} draws over {field}; "
-        f"clients {list(failing)} still lack full rank"
-    )
+    mask = bytes(b & (field.q - 1) for b in range(256))  # uniform: q divides 256
+    bases: list = [(_missing(instance, j), []) for j in range(instance.k)]
+    rows = []
+    for h, assigned in enumerate(matrix.rows):
+        short = [(j, missing, basis) for j, (missing, basis) in enumerate(bases)
+                 if assigned[j] and len(basis) < len(missing)]
+        for _ in range(max_attempts):
+            row = (rng.randbytes(instance.n).translate(mask) if field.e <= 8
+                   else [rng.getrandbits(field.e) for _ in range(instance.n)])
+            entries = [
+                _reduce(field, basis, _pack(field, map(row.__getitem__, missing)),
+                        len(missing), len(missing))
+                for _, missing, basis in short
+            ]
+            if all(pivot is not None for pivot, _ in entries):
+                break
+        else:
+            failing = [j + 1 for (j, _, _), (pivot, _) in zip(short, entries) if pivot is None]
+            raise CodeConstructionError(
+                f"no verified code after {max_attempts} draws of row {h + 1} over "
+                f"{field}; clients {failing} still lack full rank"
+            )
+        for (_, _, basis), entry in zip(short, entries):
+            basis.append(entry)
+        rows.append(row)
+    return CodingMatrix(field=field, n=instance.n, rows=rows)
 
 
 def encode(code: CodingMatrix, payload: Sequence[int]) -> tuple[int, ...]:
@@ -255,20 +269,24 @@ def decode(
     missing = _missing(instance, j)
     # per received symbol: its coefficients on the missing packets, then the
     # symbol less what the side information contributes to it
-    augmented = []
+    width = len(missing)
+    basis: list = []
+    inconsistent = False
     for h, symbol in view.received:
         coeffs = code.rows[h]
         known = _dot(field, [coeffs[x] for x in side], side.values())
-        augmented.append([coeffs[x] for x in missing] + [symbol ^ known])
-    width = len(missing)
-    rank, echelon = _eliminate(field, augmented, width)
-    if rank < width:
+        row = _pack(field, [coeffs[x] for x in missing] + [symbol ^ known])
+        pivot, entry = _reduce(field, basis, row, width, width + 1)
+        if pivot is None:
+            inconsistent = inconsistent or entry[width] != 0
+        else:
+            basis.append((pivot, entry))
+    if len(basis) < width:
         raise ValueError("singular system: received symbols do not pin down the unknowns")
-    if any(row[width] for row in echelon[rank:]):
+    if inconsistent:
         raise ValueError("inconsistent received symbols")
-    # full rank: row i pivots on column i, so back-substitute from the last
+    # every column is a pivot, and an entry is 0 on earlier pivots: solve backwards
     solution = [0] * width
-    for i in reversed(range(width)):
-        row = echelon[i]
-        solution[i] = row[width] ^ _dot(field, row[i + 1 : width], solution[i + 1 :])
+    for pivot, entry in reversed(basis):
+        solution[pivot] = entry[width] ^ _dot(field, entry[:width], solution)
     return dict(zip(missing, solution))

