@@ -162,17 +162,22 @@ def reduce_to_exact_weights(
     want = instance.want_counts()
     delays = instance.delays()
     rows = [list(row) for row in matrix.rows]
+
+    def row_delay(row: list[int]) -> Fraction:
+        return max((delays[c] for c, a in enumerate(row) if a), default=Fraction(0))
+
+    row_delays = [row_delay(row) for row in rows]
     for j, w in enumerate(want):
         weight = sum(row[j] for row in rows)
         if weight < w:
             raise ValueError(f"column {j + 1} has weight {weight} < w={w}; infeasible")
         while weight > w:
-            current = AssignmentMatrix(rows=tuple(tuple(r) for r in rows), k=matrix.k)
             i = max(
                 (i for i in range(len(rows)) if rows[i][j]),
-                key=lambda i: (packet_delay(current, i, delays), -i),
+                key=lambda i: (row_delays[i], -i),
             )
             rows[i][j] = 0
+            row_delays[i] = row_delay(rows[i])
             weight -= 1
     return AssignmentMatrix(rows=tuple(tuple(r) for r in rows), k=matrix.k)
 

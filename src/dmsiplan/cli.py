@@ -15,6 +15,7 @@ import random
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .assignment import (
@@ -117,8 +118,41 @@ def plan_document(bundle: PlanBundle) -> dict:
     }
 
 
+def _indented_json(value: object, pad: str = "") -> str:
+    """json.dumps(value, indent=2) for a document with str keys, faster.
+
+    With indent set, json.dumps runs its pure-Python encoder.  Here lists of
+    plain ints, the bulk of a plan document, are joined in one go, and
+    strings go through the C string encoder json.dumps itself uses.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{encode_basestring_ascii(key)}: {_indented_json(item, inner)}"
+            for key, item in value.items()
+        )
+        return "{\n" + items + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {int}:
+            items = inner + (",\n" + inner).join(map(str, value))
+        else:
+            items = ",\n".join(inner + _indented_json(item, inner) for item in value)
+        return "[\n" + items + "\n" + pad + "]"
+    if type(value) is int:
+        return str(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is bool:
+        return "true" if value else "false"
+    return json.dumps(value)
+
+
 def plan_json(bundle: PlanBundle) -> str:
-    return json.dumps(plan_document(bundle), indent=2) + "\n"
+    return _indented_json(plan_document(bundle)) + "\n"
 
 
 def _render_matrix_table(

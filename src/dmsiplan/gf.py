@@ -14,10 +14,12 @@ across runs and platforms:
     e=7:  x^7 + x^3 + 1            e=15:  x^15 + x + 1
     e=8:  x^8 + x^4 + x^3 + x + 1  e=16:  x^16 + x^12 + x^3 + x + 1
 
-Products and inverses go through log/antilog tables built on a multiplicative
-generator found by search at construction time.  For most degrees x itself
-(the int 2) generates the multiplicative group; the familiar degree-8 modulus
-above is the exception, where the search settles on 3.
+Products and inverses go through log/antilog tables built on a fixed
+multiplicative generator: x itself (the int 2) for every degree but two.  The
+familiar degree-8 modulus above is the exception, where x + 1 (the int 3)
+generates, and in GF(2) the group is {1}.  Building the tables asserts that
+the generator has order 2^e - 1.  The tables are built once per degree per
+process and shared, read-only, by every Field of that degree.
 
 add/mul/inv/div check every operand.  coding.py checks elements once on entry,
 then reads the tables directly, and for e <= 8 _byte_products as well.
@@ -25,7 +27,7 @@ then reads the tables directly, and for e <= 8 _byte_products as well.
 
 from __future__ import annotations
 
-from functools import cached_property
+import functools
 
 _REDUCTION_POLY = {
     1: 0x3,
@@ -47,6 +49,58 @@ _REDUCTION_POLY = {
 }
 
 
+_GENERATOR = {1: 1, 8: 3}  # every other degree: 2
+
+
+def _mul_raw(a: int, b: int, e: int) -> int:
+    """Carry-less shift-and-add product, reduced on overflow past degree e."""
+    q, poly = 1 << e, _REDUCTION_POLY[e]
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        b >>= 1
+        a <<= 1
+        if a & q:
+            a ^= poly
+    return result
+
+
+@functools.cache
+def _tables(e: int) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[bytes, ...]]:
+    """(exp, log, generator, byte products) for GF(2^e), built once per degree.
+
+    exp has its upper half duplicated so mul can skip a modular reduction.
+    For e <= 8, byte products[a] maps each byte b < q to a*b, for
+    bytes.translate; above that it is empty.
+    """
+    q = 1 << e
+    order = q - 1
+    g = _GENERATOR.get(e, 2)
+    exp = [0] * (2 * order)
+    log = [0] * q
+    value = 1
+    for i in range(order):
+        if value == 1 and i > 0:
+            raise AssertionError(f"generator {g} of GF(2^{e}) has order {i}, not {order}")
+        exp[i] = value
+        log[value] = i
+        value = _mul_raw(value, g, e)
+    if value != 1:
+        raise AssertionError(f"reduction polynomial of GF(2^{e}) is not irreducible")
+    exp[order:] = exp[:order]
+    products: tuple[bytes, ...] = ()
+    if e <= 8:
+        # log of each byte, with 0 and the bytes >= q sent to the window's zero tail
+        logs = bytes([order]) + bytes(log[1:]) + bytes([order]) * (256 - q)
+        exp_bytes = bytes(exp)
+        products = (bytes(256),) + tuple(
+            logs.translate(exp_bytes[log[a] : log[a] + order] + bytes(256 - order))
+            for a in range(1, q)
+        )
+    return tuple(exp), tuple(log), g, products
+
+
 class Field:
     """GF(2^e) with int-valued elements and table-driven multiplication."""
 
@@ -56,52 +110,7 @@ class Field:
         self.e = e
         self.q = 1 << e
         self.reduction_polynomial = _REDUCTION_POLY[e]
-        self._exp, self._log, self.generator = self._build_tables()
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        # carry-less shift-and-add, reduced on overflow past degree e
-        result = 0
-        while b:
-            if b & 1:
-                result ^= a
-            b >>= 1
-            a <<= 1
-            if a & self.q:
-                a ^= self.reduction_polynomial
-        return result
-
-    def _build_tables(self) -> tuple[list[int], list[int], int]:
-        order = self.q - 1
-        for g in range(1, self.q):
-            exp = [0] * (2 * order)
-            log = [0] * self.q
-            value = 1
-            hit_one_early = False
-            for i in range(order):
-                if value == 1 and i > 0:
-                    hit_one_early = True
-                    break
-                exp[i] = value
-                log[value] = i
-                value = self._mul_raw(value, g)
-            if hit_one_early or value != 1:
-                continue
-            # duplicated upper half lets mul skip a modular reduction
-            exp[order:] = exp[:order]
-            return exp, log, g
-        raise AssertionError("no generator found; reduction polynomial not irreducible?")
-
-    @cached_property
-    def _byte_products(self) -> list[bytes]:
-        """For e <= 8: table a maps each byte b < q to a*b, for bytes.translate."""
-        order = self.q - 1
-        # log of each byte, with 0 and the bytes >= q sent to the window's zero tail
-        logs = bytes([order]) + bytes(self._log[1:]) + bytes([order]) * (256 - self.q)
-        exp = bytes(self._exp)
-        return [bytes(256)] + [
-            logs.translate(exp[self._log[a] : self._log[a] + order] + bytes(256 - order))
-            for a in range(1, self.q)
-        ]
+        self._exp, self._log, self.generator, self._byte_products = _tables(e)
 
     def _check(self, a: int) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:

@@ -3,13 +3,19 @@
 For an instance with n packets and an m x k assignment matrix, the layered
 network has a source s, one node x_i per original packet, a pair u_h -> v_h
 per broadcast packet (the unit edge between them models that each broadcast
-carries one symbol), and one sink t_j per client:
+carries one symbol), one sink t_j per client, and a hub through which every
+packet reaches every encoder:
 
     s -> x_i            capacity 1
     x_i -> t_j          unlimited, iff client j already holds packet i
-    x_i -> u_h          unlimited, every pair (the encoder may mix anything)
+    x_i -> hub          unlimited
+    hub -> u_h          unlimited (the encoder may mix anything)
     u_h -> v_h          capacity 1
     v_h -> t_j          capacity 1, iff a[h][j] = 1
+
+The hub stands in for the complete x_i -> u_h bipartite graph with n + m
+edges instead of n * m.  It admits the same flows: every x_i still reaches
+every u_h with unlimited capacity.
 
 The matrix admits a feasible coded broadcast exactly when every sink can
 receive n units of flow.  "Unlimited" is capacity n, which no s-side cut can
@@ -44,10 +50,14 @@ class FlowNetwork:
         if not self.adjacency:
             self.adjacency = [[] for _ in range(self.num_nodes)]
 
-    # node numbering: s, then x_1..x_n, u_1..u_m, v_1..v_m, t_1..t_k
+    # node numbering: s, then x_1..x_n, u_1..u_m, v_1..v_m, t_1..t_k, hub
     @property
     def source(self) -> int:
         return 0
+
+    @property
+    def hub(self) -> int:
+        return 1 + self.n + 2 * self.m + self.k
 
     def packet_node(self, i: int) -> int:
         return 1 + i
@@ -78,6 +88,8 @@ class FlowNetwork:
             return f"u{node - self.n}"
         if node <= self.n + 2 * self.m:
             return f"v{node - self.n - self.m}"
+        if node == self.hub:
+            return "hub"
         return f"t{node - self.n - 2 * self.m}"
 
 
@@ -85,7 +97,7 @@ def build_network(instance: DmsiInstance, matrix: AssignmentMatrix) -> FlowNetwo
     if matrix.k != instance.k:
         raise ValueError(f"matrix has {matrix.k} columns for {instance.k} clients")
     n, m, k = instance.n, matrix.m, instance.k
-    net = FlowNetwork(n=n, m=m, k=k, num_nodes=1 + n + 2 * m + k)
+    net = FlowNetwork(n=n, m=m, k=k, num_nodes=2 + n + 2 * m + k)
     unlimited = n  # total supply is n, so this cap never binds
     for i in range(n):
         net.add_edge(net.source, net.packet_node(i), 1)
@@ -94,8 +106,9 @@ def build_network(instance: DmsiInstance, matrix: AssignmentMatrix) -> FlowNetwo
             if i in instance.clients[j].has:
                 net.add_edge(net.packet_node(i), net.sink(j), unlimited)
     for i in range(n):
-        for h in range(m):
-            net.add_edge(net.packet_node(i), net.encoder_node(h), unlimited)
+        net.add_edge(net.packet_node(i), net.hub, unlimited)
+    for h in range(m):
+        net.add_edge(net.hub, net.encoder_node(h), unlimited)
     for h in range(m):
         net.add_edge(net.encoder_node(h), net.broadcast_node(h), 1)
     for h in range(m):

@@ -13,6 +13,12 @@ return identical results, matrices_examined included.
 The budget is checked before enumerating, against the unquotiented
 per-column count sum_m prod_j C(m, w_j); the walked multiset space is far
 smaller, but the formula is cheap and monotone, which is what a guard needs.
+
+Totals stay exact without Fraction arithmetic in the walk: every delay is
+multiplied by scale, the lcm of the delay denominators, which makes it an
+int, and the search adds ints.  The best total is divided by scale once, at
+the end, back into a Fraction.  Scaling by a positive constant keeps the
+order of totals, so the search and its tie-break are unchanged.
 """
 
 from __future__ import annotations
@@ -52,12 +58,13 @@ def search_space_size(want: Sequence[int], m_range: tuple[int, int]) -> int:
 
 
 def _row_patterns(
-    want: Sequence[int], delays: Sequence[Fraction]
-) -> list[tuple[int, tuple[int, ...], Fraction]]:
+    want: Sequence[int], delays: Sequence[int]
+) -> list[tuple[int, tuple[int, ...], int, tuple[int, ...]]]:
     """Nonzero 0/1 rows in descending order, skipping zero-weight columns.
 
-    A pattern touching a column with w_j = 0 can never appear in an
-    exact-weight matrix, so those are dropped up front.
+    Each pattern is (mask, row, delay, set columns).  A pattern touching a
+    column with w_j = 0 can never appear in an exact-weight matrix, so those
+    are dropped up front.
     """
     k = len(want)
     zero_mask = 0
@@ -69,8 +76,8 @@ def _row_patterns(
         if mask & zero_mask:
             continue
         bits = tuple((mask >> (k - 1 - j)) & 1 for j in range(k))
-        delay = max(delays[j] for j in range(k) if bits[j])
-        patterns.append((mask, bits, delay))
+        cols = tuple(j for j in range(k) if bits[j])
+        patterns.append((mask, bits, max(delays[j] for j in cols), cols))
     return patterns
 
 
@@ -87,20 +94,26 @@ def _explore(
     only candidates using the first pattern exactly that often are walked.
     """
     k = len(want)
-    patterns = _row_patterns(want, delays)
+    scale = math.lcm(*(d.denominator for d in delays))
+    patterns = _row_patterns(
+        want, [d.numerator * (scale // d.denominator) for d in delays]
+    )
     colbit = [1 << (k - 1 - j) for j in range(k)]
     suffix_cover = [0] * (len(patterns) + 1)
     for t in range(len(patterns) - 1, -1, -1):
         suffix_cover[t] = suffix_cover[t + 1] | patterns[t][0]
 
-    best: _SearchKey | None = None
+    # (scaled int total, row count, rows) while walking
+    best: tuple[int, int, tuple[tuple[int, ...], ...]] | None = None
     examined = 0
     chosen: list[tuple[int, int]] = []
     rem = list(want)
 
-    def note_complete(total: Fraction, rows_used: int) -> None:
+    def note_complete(total: int, rows_used: int) -> None:
         nonlocal best, examined
         examined += 1
+        if best is not None and (total, rows_used) > best[:2]:
+            return
         rows: list[tuple[int, ...]] = []
         for t, count in chosen:
             rows.extend([patterns[t][1]] * count)
@@ -108,7 +121,7 @@ def _explore(
         if best is None or key < best:
             best = key
 
-    def dfs(t: int, rows_left: int, total: Fraction, rows_used: int) -> None:
+    def dfs(t: int, rows_left: int, total: int, rows_used: int) -> None:
         largest = max(rem, default=0)
         if largest == 0:
             note_complete(total, rows_used)
@@ -122,33 +135,36 @@ def _explore(
         if need & ~suffix_cover[t]:
             return
         for p in range(t, len(patterns)):
-            mask, bits, delay = patterns[p]
+            _, _, delay, cols = patterns[p]
             cmax = rows_left
-            for j in range(k):
-                if bits[j] and rem[j] < cmax:
+            for j in cols:
+                if rem[j] < cmax:
                     cmax = rem[j]
             if cmax == 0:
                 continue
             chosen.append((p, 0))
             for count in range(1, cmax + 1):
-                for j in range(k):
-                    rem[j] -= bits[j]
+                for j in cols:
+                    rem[j] -= 1
                 chosen[-1] = (p, count)
                 dfs(p + 1, rows_left - count, total + count * delay, rows_used + count)
-            for j in range(k):
-                rem[j] += cmax * bits[j]
+            for j in cols:
+                rem[j] += cmax
             chosen.pop()
 
     if first_count is None:
-        dfs(0, m_cap, Fraction(0), 0)
+        dfs(0, m_cap, 0, 0)
     else:
-        _, bits, delay = patterns[0]
-        for j in range(k):
-            rem[j] -= first_count * bits[j]
+        _, _, delay, cols = patterns[0]
+        for j in cols:
+            rem[j] -= first_count
         if first_count:
             chosen.append((0, first_count))
         dfs(1, m_cap - first_count, first_count * delay, first_count)
-    return best, examined
+    if best is None:
+        return None, examined
+    total, rows_used, rows = best
+    return (Fraction(total, scale), rows_used, rows), examined
 
 
 def _explore_task(

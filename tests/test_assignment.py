@@ -214,6 +214,47 @@ def test_reduce_rejects_underweight(demo_instance, optimal_plan_matrix):
         reduce_to_exact_weights(short, demo_instance)
 
 
+def _reduce_by_rebuilding(matrix, instance):
+    """The first reduce_to_exact_weights: re-derives every row's delay from a
+    freshly validated matrix before each cleared 1 (quadratic, kept as the
+    reference for the incremental version)."""
+    want = instance.want_counts()
+    delays = instance.delays()
+    rows = [list(row) for row in matrix.rows]
+    for j, w in enumerate(want):
+        weight = sum(row[j] for row in rows)
+        while weight > w:
+            current = AssignmentMatrix(rows=tuple(tuple(r) for r in rows), k=matrix.k)
+            i = max(
+                (i for i in range(len(rows)) if rows[i][j]),
+                key=lambda i: (packet_delay(current, i, delays), -i),
+            )
+            rows[i][j] = 0
+            weight -= 1
+    return AssignmentMatrix(rows=tuple(tuple(r) for r in rows), k=matrix.k)
+
+
+def test_reduce_matches_the_rebuilding_reference():
+    rng = random.Random(6007)
+    for _ in range(400):
+        n = rng.randint(0, 7)
+        k = rng.randint(1, 5)
+        has = [rng.sample(range(n), rng.randint(0, n)) for _ in range(k)]
+        # few distinct delays, so ties on the largest row delay are common
+        delays = [Fraction(rng.randint(0, 4), rng.randint(1, 2)) for _ in range(k)]
+        inst = make_instance(n, has, delays)
+        want = inst.want_counts()
+        m = max(want, default=0) + rng.randint(0, 3)
+        rows = [[0] * k for _ in range(m)]
+        for j, w in enumerate(want):
+            for i in rng.sample(range(m), min(m, w + rng.randint(0, 3))):
+                rows[i][j] = 1
+        padded = AssignmentMatrix(rows=tuple(tuple(r) for r in rows), k=k)
+        reduced = reduce_to_exact_weights(padded, inst)
+        assert reduced == _reduce_by_rebuilding(padded, inst)
+        assert reduced.column_weights() == want
+
+
 @given(instance_with_exact_matrix())
 def test_reduce_then_transform_from_padded(case):
     inst, matrix = case

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import dmsiplan
 from conftest import DEMO_DOC, HAND_PLAN_ROWS, OPTIMAL_PLAN_ROWS, IMPOSSIBLE_GF2_DOC
 from dmsiplan import Field, parse_instance
-from dmsiplan.cli import build_plan, main, plan_document, plan_json
+from dmsiplan.cli import _indented_json, build_plan, main, plan_document, plan_json
 
 
 def write_json(path, doc):
@@ -344,6 +344,40 @@ def test_seeded_plan_bytes_are_pinned(case, degree, seed, digest):
     bundle = build_plan(instance, field=field, seed=seed)
     assert all(bundle.decodable)
     assert hashlib.sha256(plan_json(bundle).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        {"rows": [], "code": {"field_degree": 1, "rows": []}},
+        {"assignment": [[], [1, 0]], "empty": {}, "nested": [[[]], [{}]]},
+        {"decodable": [True, False], "flags": [True, 1, 0, False]},
+        {"delay": "7/3", "per_packet_delay": [8, "13/2", "0"], "total_delay": "41/6"},
+        {"big": [2**70, -1, 0], "text": ['quote " and \\ and é', ""], "none": None},
+        ["p/q", 3, [4, 5], {"k": 0}],
+    ],
+)
+def test_plan_writer_matches_json_dumps(doc):
+    assert _indented_json(doc) == json.dumps(doc, indent=2)
+
+
+def test_plan_json_matches_json_dumps_on_edge_plans():
+    sated = parse_instance(json.dumps({"n": 2, "clients": [{"has": [1, 2], "delay": 3}]}))
+    no_clients = parse_instance(json.dumps({"n": 3, "clients": []}))
+    bandwidth = parse_instance(
+        json.dumps(
+            {
+                "n": 3,
+                "packet_size": "5/2",
+                "clients": [{"has": [1], "bandwidth": "3/4"}, {"has": [], "bandwidth": 7}],
+            }
+        )
+    )
+    for instance in (sated, no_clients, bandwidth, parse_instance(json.dumps(DEMO_DOC))):
+        bundle = build_plan(instance)
+        assert plan_json(bundle) == json.dumps(plan_document(bundle), indent=2) + "\n"
 
 
 def _declared_console_script(name):

@@ -131,3 +131,10 @@ def test_field_equality_and_hash():
     assert hash(Field(5)) == hash(Field(5))
     assert Field(5) != Field(6)
     assert Field(5) != "GF(2^5)"
+
+
+def test_tables_are_built_once_per_degree():
+    assert Field(12)._exp is Field(12)._exp
+    assert Field(4)._byte_products is Field(4)._byte_products
+    # the generators a search from 1 upward finds first, now fixed
+    assert [Field(e).generator for e in range(1, 17)] == [1] + [2] * 6 + [3] + [2] * 8

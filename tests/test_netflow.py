@@ -18,17 +18,18 @@ from dmsiplan import (
 
 def test_demo_network_shape(demo_instance, optimal_plan_matrix):
     net = build_network(demo_instance, optimal_plan_matrix)
-    assert net.num_nodes == 1 + 6 + 5 + 5 + 4
+    assert net.num_nodes == 1 + 6 + 5 + 5 + 4 + 1
     forward_edges = len(net.edge_head) // 2
     side_info = sum(len(c.has) for c in demo_instance.clients)
     ones = sum(sum(row) for row in optimal_plan_matrix.rows)
     assert side_info == 13
-    assert forward_edges == 6 + side_info + 6 * 5 + 5 + ones
+    assert forward_edges == 6 + side_info + 6 + 5 + 5 + ones
     assert net.node_label(0) == "s"
     assert net.node_label(net.packet_node(0)) == "x1"
     assert net.node_label(net.encoder_node(0)) == "u1"
     assert net.node_label(net.broadcast_node(4)) == "v5"
     assert net.node_label(net.sink(3)) == "t4"
+    assert net.node_label(net.hub) == "hub"
 
 
 def test_demo_network_flows(demo_instance, hand_plan_matrix, optimal_plan_matrix):

@@ -2,11 +2,13 @@
 unquotiented enumeration on random instances, and the budget guard."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import OPTIMAL_PLAN_ROWS, instances, make_instance, random_instance
 from dmsiplan import (
@@ -14,6 +16,7 @@ from dmsiplan import (
     brute_force_optimum,
     check_theorem,
     closed_form_delay,
+    parse_instance,
     search_space_size,
     total_delay,
 )
@@ -21,12 +24,15 @@ from dmsiplan import (
 DEMO_BUDGET = 10**8
 
 
-def naive_minimum(instance, m_cap):
-    """Minimum total delay by per-column subset enumeration.
+def naive_optimum(instance, m_cap):
+    """(total, row count, rows) of the canonical optimum, by per-column
+    subset enumeration.
 
     Picks a w_j-subset of row slots for every column independently, with no
     multiset quotienting and no pruning, so it shares nothing with the
-    search it cross-checks beyond the problem statement.
+    search it cross-checks beyond the problem statement.  All-zero rows are
+    dropped and the rest sorted descending; ties in total break toward fewer
+    rows, then the smallest rows.
     """
     want = instance.want_counts()
     delays = instance.delays()
@@ -35,13 +41,21 @@ def naive_minimum(instance, m_cap):
         choices = [itertools.combinations(range(m), w) for w in want]
         for cols in itertools.product(*choices):
             total = Fraction(0)
+            rows = []
             for i in range(m):
-                hit = [delays[j] for j, rows in enumerate(cols) if i in rows]
+                row = tuple(int(i in slots) for slots in cols)
+                hit = [delays[j] for j, a in enumerate(row) if a]
                 if hit:
                     total += max(hit)
-            if best is None or total < best:
-                best = total
+                    rows.append(row)
+            key = (total, len(rows), tuple(sorted(rows, reverse=True)))
+            if best is None or key < best:
+                best = key
     return best
+
+
+def naive_minimum(instance, m_cap):
+    return naive_optimum(instance, m_cap)[0]
 
 
 def test_demo_frozen_result(demo_instance):
@@ -104,6 +118,7 @@ def test_agrees_with_naive_enumeration():
         m_cap = max(instance.want_counts(), default=0) + 1
         result = brute_force_optimum(instance, m_cap=m_cap)
         assert result.best_total == naive_minimum(instance, m_cap)
+        assert result.best_matrix.rows == naive_optimum(instance, m_cap)[2]
         # the witness must itself be an exact-weight plan at that cost
         weights = [
             sum(row[j] for row in result.best_matrix.rows)
@@ -158,4 +173,61 @@ def test_check_theorem_on_demo(demo_instance):
 def test_closed_form_matches_search(instance):
     m_cap = max(instance.want_counts(), default=0) + 1
     result = brute_force_optimum(instance, m_cap=m_cap)
+    assert result.best_total == closed_form_delay(instance)
+
+
+@st.composite
+def bandwidth_instances(draw, max_n=4, max_k=3):
+    """Delays packet_size / bandwidth with unlike denominators, parsed from JSON.
+
+    Small numerators and denominators make equal delays, and so ties between
+    candidates, common.
+    """
+    n = draw(st.integers(0, max_n))
+    rational = st.tuples(st.integers(1, 6), st.integers(1, 5)).map(lambda pq: f"{pq[0]}/{pq[1]}")
+    clients = [
+        {
+            "has": sorted(draw(st.frozensets(st.integers(1, n)))) if n else [],
+            "bandwidth": draw(rational),
+        }
+        for _ in range(draw(st.integers(1, max_k)))
+    ]
+    return parse_instance(
+        json.dumps({"n": n, "packet_size": draw(rational), "clients": clients})
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(bandwidth_instances())
+def test_fractional_delays_match_naive_and_parallel(instance):
+    m_cap = max(instance.want_counts(), default=0) + 1
+    serial = brute_force_optimum(instance, m_cap=m_cap)
+    total, _, rows = naive_optimum(instance, m_cap)
+    assert serial.best_total == total
+    assert serial.best_matrix.rows == rows
+    parallel = brute_force_optimum(instance, m_cap=m_cap, workers=2)
+    assert parallel.best_total == serial.best_total
+    assert parallel.best_matrix == serial.best_matrix
+    assert parallel.matrices_examined == serial.matrices_examined
+    assert parallel.m_range == serial.m_range
+
+
+# (n, 0-based held sets, delays, m_cap, best_total, matrices_examined), taken
+# from the search while it still summed Fractions
+PINNED_SEARCHES = [
+    (4, [[2], [], []], ["1/6", "4/11", "8"], 6, Fraction(32), 18),
+    (5, [[1], [1], [], []], ["28/3", "3/7", "4", "11"], 7, Fraction(55), 264),
+    (4, [[3], [1], [], [0, 2]], ["26/5", "1/4", "19/11", "1/11"], 6, Fraction(953, 55), 202),
+    (4, [[], [2], [2], [3]], ["3", "7", "28/3", "23/4"], 6, Fraction(31), 256),
+    (5, [[3], [], [4], []], ["5/7", "1/3", "28/3", "5/2"], 7, Fraction(239, 6), 264),
+    (5, [[0, 1, 2], [0, 3], [1, 2], [0, 1, 2]], ["13/12", "9", "10", "30/7"], 5, Fraction(30), 107),
+]
+
+
+@pytest.mark.parametrize("n, has, delays, m_cap, best_total, examined", PINNED_SEARCHES)
+def test_pinned_fractional_searches(n, has, delays, m_cap, best_total, examined):
+    instance = make_instance(n, has, [Fraction(d) for d in delays])
+    result = brute_force_optimum(instance, m_cap=m_cap, budget=10**12)
+    assert result.best_total == best_total
+    assert result.matrices_examined == examined
     assert result.best_total == closed_form_delay(instance)
