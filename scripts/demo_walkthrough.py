@@ -11,10 +11,11 @@ from dmsiplan import (
     brute_force_optimum,
     closed_form_delay,
     parse_instance,
+    run_simulation,
     total_delay,
     transform_to_optimal,
 )
-from dmsiplan.cli import _rational_text, build_plan, render_plan, run_simulation
+from dmsiplan.cli import _rational_text, build_plan, render_plan
 
 # feasible by inspection, but pays for packet 3 twice at the slow client
 HAND_PLAN = ((1, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 1))

@@ -18,14 +18,12 @@ from dmsiplan import (
     CodeConstructionError,
     DmsiInstance,
     brute_force_optimum,
-    client_view,
     closed_form_delay,
     construct_code,
     decodability_check,
-    decode,
-    encode,
     is_solvable,
     optimal_assignment,
+    run_simulation,
     total_delay,
 )
 
@@ -52,16 +50,10 @@ def certify_code(instance: DmsiInstance, matrix: AssignmentMatrix, seed: int) ->
     code = construct_code(instance, matrix, seed=seed)
     if not all(decodability_check(instance, matrix, code)):
         return "decodability_check fails on the constructed code"
-    # a stream of its own, so the instance draws stay those of the seed
-    payload_rng = random.Random(seed)
-    payload = [payload_rng.randrange(code.field.q) for _ in range(instance.n)]
-    broadcast = encode(code, payload)
-    for j, spec in enumerate(instance.clients):
-        view = client_view(instance, matrix, j, payload, broadcast)
-        truth = {x: payload[x] for x in range(instance.n) if x not in spec.has}
-        if decode(view, instance, matrix, code) != truth:
-            return f"client {j + 1} decodes the wrong payload"
-    return None
+    # a payload stream of its own, so the instance draws stay those of the seed
+    decoded = run_simulation(instance, matrix, code, payload_seed=seed).decoded_ok
+    failed = [j + 1 for j, ok in enumerate(decoded) if not ok]
+    return f"clients {failed} do not decode the payload" if failed else None
 
 
 def main() -> int:

@@ -2,7 +2,8 @@
 
 Workflow: parse or build a DmsiInstance, take optimal_assignment /
 closed_form_delay for the plan and its cost, construct_code for a concrete
-linear code realizing it, and keep the independent checks close by
+linear code realizing it, run_simulation to broadcast a payload and decode it
+at every client, and keep the independent checks close by
 (netflow.is_solvable, oracle.brute_force_optimum) when results matter.
 """
 
@@ -23,6 +24,7 @@ from .coding import (
     ClientView,
     CodeConstructionError,
     CodingMatrix,
+    SimulationResult,
     client_view,
     construct_code,
     decodability_check,
@@ -30,6 +32,7 @@ from .coding import (
     default_field_degree,
     encode,
     matrix_rank,
+    run_simulation,
 )
 from .gf import Field
 from .instance import (
@@ -42,12 +45,11 @@ from .instance import (
     parse_rational,
     serialize_instance,
 )
-from .netflow import FlowNetwork, build_network, is_solvable, max_flow, to_dot
+from .netflow import FlowNetwork, build_network, is_solvable, max_flow
 from .oracle import (
     BudgetExceededError,
     OracleResult,
     brute_force_optimum,
-    check_theorem,
     search_space_size,
 )
 
@@ -64,11 +66,11 @@ __all__ = [
     "FlowNetwork",
     "InstanceError",
     "OracleResult",
+    "SimulationResult",
     "TransformStep",
     "TransformTrace",
     "brute_force_optimum",
     "build_network",
-    "check_theorem",
     "client_view",
     "closed_form_delay",
     "construct_code",
@@ -87,9 +89,9 @@ __all__ = [
     "parse_instance",
     "parse_rational",
     "reduce_to_exact_weights",
+    "run_simulation",
     "search_space_size",
     "serialize_instance",
-    "to_dot",
     "total_delay",
     "transform_to_optimal",
 ]

@@ -65,7 +65,6 @@ class AssignmentMatrix:
 class DelayReport:
     per_packet: tuple[Fraction, ...]
     total: Fraction
-    closed_form: Fraction | None = None
 
 
 def packet_delay(matrix: AssignmentMatrix, i: int, delays: Sequence[Fraction]) -> Fraction:

@@ -1,7 +1,8 @@
 """Command-line front end: plan, verify, oracle, simulate, transform.
 
-Exit codes: 0 success, 2 validation/limit failures (bad documents, budget),
-3 a check or cross-verification disagreed, 4 code construction failure.
+Exit codes: 0 success, 2 validation/limit failures (bad documents, budget,
+a plan too large to build), 3 a check or cross-verification disagreed, 4 code
+construction failure.
 All file formats are JSON; rationals appear as bare ints when integral and
 "p/q" strings otherwise, and packet indices are 1-based on disk.
 """
@@ -11,9 +12,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -23,7 +23,6 @@ from .assignment import (
     DelayReport,
     closed_form_delay,
     optimal_assignment,
-    packet_delay,
     reduce_to_exact_weights,
     total_delay,
     transform_to_optimal,
@@ -31,12 +30,10 @@ from .assignment import (
 from .coding import (
     CodeConstructionError,
     CodingMatrix,
-    client_view,
     construct_code,
     decodability_check,
-    decode,
     default_field_degree,
-    encode,
+    run_simulation,
 )
 from .gf import Field
 from .instance import (
@@ -54,6 +51,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DISAGREEMENT = 3
 EXIT_CONSTRUCTION = 4
+
+PLAN_CELL_BUDGET = 10**7  # m* x (n + k) cells of assignment and code
 
 
 class _CommandError(Exception):
@@ -79,8 +78,8 @@ class PlanBundle:
     ranking: tuple[int, ...]
     matrix: AssignmentMatrix
     report: DelayReport
+    closed_form: Fraction
     code: CodingMatrix
-    decodable: tuple[bool, ...]
 
 
 def build_plan(
@@ -88,17 +87,13 @@ def build_plan(
 ) -> PlanBundle:
     """Optimal assignment plus a code whose construction proves every client decodes."""
     ranking, matrix = optimal_assignment(instance)
-    report = replace(
-        total_delay(matrix, instance.delays()), closed_form=closed_form_delay(instance)
-    )
-    code = construct_code(instance, matrix, field=field, seed=seed)
     return PlanBundle(
         instance=instance,
         ranking=ranking,
         matrix=matrix,
-        report=report,
-        code=code,
-        decodable=(True,) * instance.k,
+        report=total_delay(matrix, instance.delays()),
+        closed_form=closed_form_delay(instance),
+        code=construct_code(instance, matrix, field=field, seed=seed),
     )
 
 
@@ -109,12 +104,12 @@ def plan_document(bundle: PlanBundle) -> dict:
         "assignment": [list(row) for row in bundle.matrix.rows],
         "per_packet_delay": [format_rational(d) for d in bundle.report.per_packet],
         "total_delay": format_rational(bundle.report.total),
-        "closed_form_delay": format_rational(bundle.report.closed_form),
+        "closed_form_delay": format_rational(bundle.closed_form),
         "code": {
             "field_degree": bundle.code.field.e,
             "rows": [list(row) for row in bundle.code.rows],
         },
-        "decodable": list(bundle.decodable),
+        "decodable": [True] * bundle.instance.k,
     }
 
 
@@ -183,10 +178,9 @@ def render_plan(bundle: PlanBundle) -> str:
     lines = [
         f"clients by delay: {order}",
         _render_matrix_table(bundle.matrix, bundle.report.per_packet, bundle.report.total),
-        f"closed form: {_rational_text(bundle.report.closed_form)}"
-        + (" (matches)" if bundle.report.closed_form == bundle.report.total else " (MISMATCH)"),
-        f"code: GF(2^{bundle.code.field.e}), {bundle.code.m} rows; "
-        + ("all clients decodable" if all(bundle.decodable) else "DECODING GAPS"),
+        f"closed form: {_rational_text(bundle.closed_form)}"
+        + (" (matches)" if bundle.closed_form == bundle.report.total else " (MISMATCH)"),
+        f"code: GF(2^{bundle.code.field.e}), {bundle.code.m} rows; all clients decodable",
     ]
     return "\n".join(lines)
 
@@ -225,17 +219,25 @@ def _matrix_from_document(doc: object, k: int, path: str) -> AssignmentMatrix:
         raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
 
 
-def _code_from_document(doc: dict, n: int, path: str) -> CodingMatrix:
-    code_doc = doc.get("code")
+def _load_plan(
+    path: str, instance: DmsiInstance
+) -> tuple[dict, AssignmentMatrix, CodingMatrix | None]:
+    """A plan file's document, its matrix, and its code if it records one."""
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise _CommandError(EXIT_VALIDATION, f"{path}: top level must be an object")
+    matrix = _matrix_from_document(doc, instance.k, path)
+    if "code" not in doc:
+        return doc, matrix, None
+    code_doc = doc["code"]
     if not isinstance(code_doc, dict) or "field_degree" not in code_doc or "rows" not in code_doc:
         raise _CommandError(
             EXIT_VALIDATION, f"{path}: 'code' must hold 'field_degree' and 'rows'"
         )
     try:
         field = Field(code_doc["field_degree"])
-        return CodingMatrix(
-            field=field, n=n, rows=tuple(tuple(r) for r in code_doc["rows"])
-        )
+        rows = tuple(tuple(r) for r in code_doc["rows"])
+        return doc, matrix, CodingMatrix(field=field, n=instance.n, rows=rows)
     except (TypeError, ValueError) as err:
         raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
 
@@ -258,6 +260,11 @@ def _recorded(doc: dict, key: str, path: str) -> Fraction | tuple[Fraction, ...]
 
 def cmd_plan(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
+    cells = max(instance.want_counts(), default=0) * (instance.n + instance.k)
+    if cells > PLAN_CELL_BUDGET:
+        raise _CommandError(
+            EXIT_VALIDATION, f"plan needs {cells} cells, above the limit of {PLAN_CELL_BUDGET}"
+        )
     degree = default_field_degree(instance.k) if args.field_degree is None else args.field_degree
     try:
         field = Field(degree)
@@ -278,10 +285,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    doc = _load_json(args.plan)
-    if not isinstance(doc, dict):
-        raise _CommandError(EXIT_VALIDATION, f"{args.plan}: top level must be an object")
-    matrix = _matrix_from_document(doc, instance.k, args.plan)
+    doc, matrix, code = _load_plan(args.plan, instance)
     want = instance.want_counts()
     problems: list[str] = []
 
@@ -332,8 +336,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             problems.append("closed-form delay in file does not match recomputation")
         print("closed-form delay:           " + ("ok" if match else "FAIL"))
 
-    if "code" in doc:
-        code = _code_from_document(doc, instance.n, args.plan)
+    if code is not None:
         if code.m != matrix.m:
             problems.append(f"code has {code.m} rows for {matrix.m} broadcast packets")
             print("decodability:                FAIL (row count mismatch)")
@@ -389,68 +392,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if agrees else EXIT_DISAGREEMENT
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    payload: tuple[int, ...]
-    broadcast: tuple[int, ...]
-    clock: tuple[Fraction, ...]
-    completion: tuple[Fraction, ...]
-    decoded_ok: tuple[bool, ...]
-    final_clock: Fraction
-
-
-def run_simulation(
-    instance: DmsiInstance,
-    matrix: AssignmentMatrix,
-    code: CodingMatrix,
-    payload_seed: int = 0,
-) -> SimulationResult:
-    """Draw a payload, broadcast sequentially, decode at each completion time."""
-    rng = random.Random(payload_seed)
-    payload = tuple(rng.randrange(code.field.q) for _ in range(instance.n))
-    broadcast = encode(code, payload)
-    delays = instance.delays()
-    clock: list[Fraction] = []
-    now = Fraction(0)
-    for i in range(matrix.m):
-        now += packet_delay(matrix, i, delays)
-        clock.append(now)
-    completion = []
-    decoded_ok = []
-    for j in range(instance.k):
-        assigned = [h for h in range(matrix.m) if matrix.rows[h][j]]
-        completion.append(clock[assigned[-1]] if assigned else Fraction(0))
-        view = client_view(instance, matrix, j, payload, broadcast)
-        try:
-            recovered = decode(view, instance, matrix, code)
-        except ValueError:
-            decoded_ok.append(False)
-            continue
-        truth = {
-            x: payload[x]
-            for x in range(instance.n)
-            if x not in instance.clients[j].has
-        }
-        decoded_ok.append(recovered == truth)
-    return SimulationResult(
-        payload=payload,
-        broadcast=broadcast,
-        clock=tuple(clock),
-        completion=tuple(completion),
-        decoded_ok=tuple(decoded_ok),
-        final_clock=now,
-    )
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    doc = _load_json(args.plan)
-    if not isinstance(doc, dict) or "code" not in doc:
+    doc, matrix, code = _load_plan(args.plan, instance)
+    if code is None:
         raise _CommandError(
             EXIT_VALIDATION, f"{args.plan}: simulation needs a plan with a 'code'"
         )
-    matrix = _matrix_from_document(doc, instance.k, args.plan)
-    code = _code_from_document(doc, instance.n, args.plan)
     if code.m != matrix.m:
         raise _CommandError(
             EXIT_VALIDATION,

@@ -19,6 +19,9 @@ construct_code builds the code row by row (Jaggi, Sanders et al., 2005), one
 basis per client over its missing packets, redrawing a row at most 64 times.
 Rejected rows form a proper subspace per client, so with q >= k a good row
 always exists; with q < k it may not, which is warned about and attempted.
+
+run_simulation plays one broadcast end to end: a seeded payload, encode, each
+client's view, and decode, on the clock of the plan's per-packet delays.
 """
 
 from __future__ import annotations
@@ -26,9 +29,11 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .assignment import AssignmentMatrix, is_feasible
+from .assignment import AssignmentMatrix, is_feasible, total_delay
 from .gf import Field
 from .instance import DmsiInstance
 
@@ -290,3 +295,48 @@ def decode(
     for pivot, entry in reversed(basis):
         solution[pivot] = entry[width] ^ _dot(field, entry[:width], solution)
     return dict(zip(missing, solution))
+
+
+@dataclass(frozen=True)
+class SimulationResult:
+    payload: tuple[int, ...]
+    broadcast: tuple[int, ...]
+    clock: tuple[Fraction, ...]
+    completion: tuple[Fraction, ...]
+    decoded_ok: tuple[bool, ...]
+    final_clock: Fraction
+
+
+def run_simulation(
+    instance: DmsiInstance,
+    matrix: AssignmentMatrix,
+    code: CodingMatrix,
+    payload_seed: int = 0,
+) -> SimulationResult:
+    """Draw a payload, broadcast sequentially, decode at each completion time."""
+    rng = random.Random(payload_seed)
+    payload = tuple(rng.randrange(code.field.q) for _ in range(instance.n))
+    broadcast = encode(code, payload)
+    report = total_delay(matrix, instance.delays())
+    clock = tuple(accumulate(report.per_packet))
+    completion = []
+    decoded_ok = []
+    for j in range(instance.k):
+        assigned = [h for h in range(matrix.m) if matrix.rows[h][j]]
+        completion.append(clock[assigned[-1]] if assigned else Fraction(0))
+        view = client_view(instance, matrix, j, payload, broadcast)
+        try:
+            recovered = decode(view, instance, matrix, code)
+        except ValueError:
+            decoded_ok.append(False)
+            continue
+        truth = {x: payload[x] for x in _missing(instance, j)}
+        decoded_ok.append(recovered == truth)
+    return SimulationResult(
+        payload=payload,
+        broadcast=broadcast,
+        clock=clock,
+        completion=tuple(completion),
+        decoded_ok=tuple(decoded_ok),
+        final_clock=report.total,
+    )

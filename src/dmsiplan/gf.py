@@ -21,7 +21,7 @@ generates, and in GF(2) the group is {1}.  Building the tables asserts that
 the generator has order 2^e - 1.  The tables are built once per degree per
 process and shared, read-only, by every Field of that degree.
 
-add/mul/inv/div check every operand.  coding.py checks elements once on entry,
+add/mul/inv check every operand.  coding.py checks elements once on entry,
 then reads the tables directly, and for e <= 8 _byte_products as well.
 """
 
@@ -121,10 +121,6 @@ class Field:
         self._check(b)
         return a ^ b
 
-    def sub(self, a: int, b: int) -> int:
-        """Identical to add: every element is its own additive inverse."""
-        return self.add(a, b)
-
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
@@ -137,12 +133,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self._exp[self.q - 1 - self._log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.e == self.e

@@ -79,19 +79,6 @@ class FlowNetwork:
         self.edge_head.append(tail)
         self.edge_cap.append(0)
 
-    def node_label(self, node: int) -> str:
-        if node == 0:
-            return "s"
-        if node <= self.n:
-            return f"x{node}"
-        if node <= self.n + self.m:
-            return f"u{node - self.n}"
-        if node <= self.n + 2 * self.m:
-            return f"v{node - self.n - self.m}"
-        if node == self.hub:
-            return "hub"
-        return f"t{node - self.n - 2 * self.m}"
-
 
 def build_network(instance: DmsiInstance, matrix: AssignmentMatrix) -> FlowNetwork:
     if matrix.k != instance.k:
@@ -163,16 +150,3 @@ def is_solvable(instance: DmsiInstance, matrix: AssignmentMatrix) -> bool:
     return all(
         max_flow(network, network.sink(j)) >= instance.n for j in range(instance.k)
     )
-
-
-def to_dot(network: FlowNetwork) -> str:
-    """Graphviz rendering of the forward edges, capacities as labels."""
-    lines = ["digraph broadcast {", "  rankdir=LR;"]
-    for node in range(network.num_nodes):
-        lines.append(f'  n{node} [label="{network.node_label(node)}"];')
-    for edge in range(0, len(network.edge_head), 2):
-        tail = network.edge_head[edge ^ 1]
-        head = network.edge_head[edge]
-        lines.append(f'  n{tail} -> n{head} [label="{network.edge_cap[edge]}"];')
-    lines.append("}")
-    return "\n".join(lines)

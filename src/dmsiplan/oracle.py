@@ -13,6 +13,9 @@ return identical results, matrices_examined included.
 The budget is checked before enumerating, against the unquotiented
 per-column count sum_m prod_j C(m, w_j); the walked multiset space is far
 smaller, but the formula is cheap and monotone, which is what a guard needs.
+Its terms never shrink as m grows, so the sum stops at the first m where
+the sum so far plus that term for every m left passes the budget: a huge
+m_cap is refused at once rather than summed to the end.
 
 Totals stay exact without Fraction arithmetic in the walk: every delay is
 multiplied by scale, the lcm of the delay denominators, which makes it an
@@ -27,9 +30,10 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Sequence
 
-from .assignment import AssignmentMatrix, closed_form_delay
+from .assignment import AssignmentMatrix
 from .instance import DmsiInstance
 
 DEFAULT_BUDGET = 10**7
@@ -167,13 +171,6 @@ def _explore(
     return (Fraction(total, scale), rows_used, rows), examined
 
 
-def _explore_task(
-    args: tuple[tuple[int, ...], tuple[Fraction, ...], int, int],
-) -> tuple[_SearchKey | None, int]:
-    want, delays, m_cap, first_count = args
-    return _explore(want, delays, m_cap, first_count)
-
-
 def brute_force_optimum(
     instance: DmsiInstance,
     m_cap: int | None = None,
@@ -194,18 +191,24 @@ def brute_force_optimum(
         m_cap = max(m_star, min(sum(want), 12))
     if m_cap < m_star:
         raise ValueError(f"m_cap={m_cap} is below the {m_star} rows feasibility needs")
-    size = search_space_size(want, (m_star, m_cap))
-    if size > budget:
-        raise BudgetExceededError(
-            f"search space {size} exceeds budget {budget}; "
-            "raise the budget or lower m_cap"
-        )
+    size = 0
+    for m in range(m_star, m_cap + 1):
+        term = math.prod(math.comb(m, w) for w in want)
+        size += term
+        # no later term is smaller, so this bounds the full sum from below
+        if size + term * (m_cap - m) > budget:
+            raise BudgetExceededError(
+                f"search space for m in [{m_star}, {m_cap}] exceeds budget {budget}; "
+                "raise the budget or lower m_cap"
+            )
 
     if workers is not None and workers > 1 and any(want):
         c0_max = min(m_cap, min(w for w in want if w > 0))
-        tasks = [(want, delays, m_cap, c0) for c0 in range(c0_max + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            branches = list(pool.map(_explore_task, tasks))
+        # forked workers all start at the first submit: no more than branches
+        with ProcessPoolExecutor(max_workers=min(workers, c0_max + 1)) as pool:
+            branches = list(pool.map(
+                _explore, repeat(want), repeat(delays), repeat(m_cap), range(c0_max + 1)
+            ))
         examined = sum(found for _, found in branches)
         keys = [key for key, _ in branches if key is not None]
         best = min(keys) if keys else None
@@ -220,14 +223,3 @@ def brute_force_optimum(
         matrices_examined=examined,
         m_range=(m_star, m_cap),
     )
-
-
-def check_theorem(
-    instance: DmsiInstance,
-    m_cap: int | None = None,
-    budget: int = DEFAULT_BUDGET,
-    workers: int | None = None,
-) -> bool:
-    """Does the closed form match the enumerated minimum on this instance?"""
-    result = brute_force_optimum(instance, m_cap=m_cap, budget=budget, workers=workers)
-    return result.best_total == closed_form_delay(instance)

@@ -33,11 +33,12 @@ from dmsiplan import (
     max_flow,
     optimal_assignment,
     parse_rational,
+    run_simulation,
     serialize_instance,
     total_delay,
     transform_to_optimal,
 )
-from dmsiplan.cli import main, run_simulation
+from dmsiplan.cli import main
 
 CORPUS_SEED = 20260815
 CORPUS_SIZE = 200

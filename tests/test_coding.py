@@ -344,5 +344,5 @@ def test_constructed_code_decodes_for_every_client(case, seed, rng):
 def test_plan_decodability_matches_an_independent_check(e, instance, seed):
     f = FIELDS[e] if FIELDS[e].q >= instance.k else None
     bundle = build_plan(instance, field=f, seed=seed)
-    assert bundle.decodable == decodability_check(instance, bundle.matrix, bundle.code)
+    assert all(decodability_check(instance, bundle.matrix, bundle.code))
     assert bundle.code == build_plan(instance, field=f, seed=seed).code

@@ -43,7 +43,7 @@ def test_all_reduction_polynomials_are_irreducible():
 @pytest.mark.parametrize("e", [1, 2, 3, 4])
 def test_field_axioms_exhaustive(e):
     f = Field(e)
-    elems = list(f.elements())
+    elems = list(range(f.q))
     for a, b in itertools.product(elems, repeat=2):
         assert f.add(a, b) == f.add(b, a)
         assert f.mul(a, b) == f.mul(b, a)
@@ -68,9 +68,7 @@ def test_field_axioms_sampled(e):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     for _ in range(1_000):
         a = rng.randrange(1, f.q)
-        b = rng.randrange(f.q)
         assert f.mul(a, f.inv(a)) == 1
-        assert f.div(f.mul(a, b), a) == b
 
 
 def test_gf4_value_table():
@@ -108,9 +106,6 @@ def test_division_and_inverse_errors():
     f = Field(3)
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        f.div(5, 0)
-    assert f.div(0, 5) == 0
 
 
 @pytest.mark.parametrize("bad", [-1, 8, "3", True, None, 2.0])

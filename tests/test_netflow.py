@@ -12,7 +12,6 @@ from dmsiplan import (
     is_feasible,
     is_solvable,
     max_flow,
-    to_dot,
 )
 
 
@@ -24,12 +23,6 @@ def test_demo_network_shape(demo_instance, optimal_plan_matrix):
     ones = sum(sum(row) for row in optimal_plan_matrix.rows)
     assert side_info == 13
     assert forward_edges == 6 + side_info + 6 + 5 + 5 + ones
-    assert net.node_label(0) == "s"
-    assert net.node_label(net.packet_node(0)) == "x1"
-    assert net.node_label(net.encoder_node(0)) == "u1"
-    assert net.node_label(net.broadcast_node(4)) == "v5"
-    assert net.node_label(net.sink(3)) == "t4"
-    assert net.node_label(net.hub) == "hub"
 
 
 def test_demo_network_flows(demo_instance, hand_plan_matrix, optimal_plan_matrix):
@@ -118,11 +111,3 @@ def test_adding_an_assignment_never_lowers_flow():
             assert max_flow(after, after.sink(sink_client)) >= max_flow(
                 before, before.sink(sink_client)
             )
-
-
-def test_dot_export(demo_instance, optimal_plan_matrix):
-    dot = to_dot(build_network(demo_instance, optimal_plan_matrix))
-    assert dot.startswith("digraph")
-    for label in ("s", "x1", "x6", "u1", "v5", "t4"):
-        assert f'label="{label}"' in dot
-    assert dot.count("->") == len(build_network(demo_instance, optimal_plan_matrix).edge_head) // 2

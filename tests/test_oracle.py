@@ -3,6 +3,7 @@ unquotiented enumeration on random instances, and the budget guard."""
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -10,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OPTIMAL_PLAN_ROWS, instances, make_instance, random_instance
+import dmsiplan.oracle
+from conftest import DEMO_DOC, OPTIMAL_PLAN_ROWS, instances, make_instance, random_instance
 from dmsiplan import (
     BudgetExceededError,
     brute_force_optimum,
-    check_theorem,
     closed_form_delay,
     parse_instance,
     search_space_size,
@@ -69,6 +70,24 @@ def test_demo_frozen_result(demo_instance):
 def test_demo_exceeds_default_budget(demo_instance):
     with pytest.raises(BudgetExceededError, match="budget"):
         brute_force_optimum(demo_instance)
+
+
+@pytest.mark.parametrize("doc", [DEMO_DOC, {"n": 2, "clients": [{"has": [1, 2], "delay": 1}]}])
+def test_budget_guard_refuses_a_huge_m_cap_at_once(doc, monkeypatch):
+    """Summing every m up to 10^8 would take minutes; the guard stops early,
+    also where every term is 1 and the running sum alone grows slowly."""
+    calls = []
+    comb = math.comb
+
+    def counted_comb(m, w):
+        calls.append(m)
+        assert len(calls) < 1000, "the guard kept summing past the budget"
+        return comb(m, w)
+
+    monkeypatch.setattr(math, "comb", counted_comb)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        brute_force_optimum(parse_instance(json.dumps(doc)), m_cap=10**8)
+    assert max(calls) < 20
 
 
 def test_search_space_size_terms():
@@ -146,6 +165,29 @@ def test_parallel_partition_matches_serial(demo_instance):
     assert parallel == serial
 
 
+def test_pool_never_outnumbers_the_branches(demo_instance, monkeypatch):
+    """The demo's smallest positive want is 1: two branches, so two workers."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(dmsiplan.oracle, "ProcessPoolExecutor", InlinePool)
+    result = brute_force_optimum(demo_instance, budget=DEMO_BUDGET, workers=10**6)
+    assert sizes == [2]
+    assert result == brute_force_optimum(demo_instance, budget=DEMO_BUDGET)
+
+
 def test_client_order_does_not_matter():
     rng = random.Random(5150)
     for _ in range(25):
@@ -162,10 +204,6 @@ def test_client_order_does_not_matter():
         b = brute_force_optimum(shuffled, m_cap=m_cap)
         assert a.best_total == b.best_total
         assert a.matrices_examined == b.matrices_examined
-
-
-def test_check_theorem_on_demo(demo_instance):
-    assert check_theorem(demo_instance, budget=DEMO_BUDGET)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,0 +1,31 @@
+"""The scripts under scripts/ run end to end against the library in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import dmsiplan
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(dmsiplan.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+
+
+def test_demo_walkthrough_runs():
+    proc = run_script("demo_walkthrough.py")
+    assert proc.returncode == 0, proc.stderr
+    assert "final clock 20" in proc.stdout
+    assert proc.stdout.count("decode ok") == 4
+
+
+def test_regression_sweep_runs():
+    proc = run_script("regression_sweep.py", "--count", "40")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "40 draws agreed" in proc.stdout
