@@ -45,7 +45,7 @@ from .instance import (
     parse_rational,
     serialize_instance,
 )
-from .netflow import FlowNetwork, build_network, is_solvable, max_flow
+from .netflow import FlowNetwork, build_network, is_solvable, max_flow, sink_flows
 from .oracle import (
     BudgetExceededError,
     OracleResult,
@@ -92,6 +92,7 @@ __all__ = [
     "run_simulation",
     "search_space_size",
     "serialize_instance",
+    "sink_flows",
     "total_delay",
     "transform_to_optimal",
 ]

@@ -44,7 +44,7 @@ from .instance import (
     parse_instance,
     parse_rational,
 )
-from .netflow import build_network, max_flow
+from .netflow import sink_flows
 from .oracle import DEFAULT_BUDGET, BudgetExceededError, brute_force_optimum
 
 EXIT_OK = 0
@@ -220,15 +220,21 @@ def _matrix_from_document(doc: object, k: int, path: str) -> AssignmentMatrix:
 
 
 def _load_plan(
-    path: str, instance: DmsiInstance
-) -> tuple[dict, AssignmentMatrix, CodingMatrix | None]:
-    """A plan file's document, its matrix, and its code if it records one."""
+    path: str, instance: DmsiInstance, recorded_keys: tuple[str, ...]
+) -> tuple[dict[str, Fraction | tuple[Fraction, ...]], AssignmentMatrix, CodingMatrix | None]:
+    """A plan file's recorded rationals under recorded_keys, its matrix, and
+    its code if it records one.
+
+    The recorded values are parsed here, with the rest of the file, so that a
+    malformed one stops the command before it prints anything.
+    """
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise _CommandError(EXIT_VALIDATION, f"{path}: top level must be an object")
     matrix = _matrix_from_document(doc, instance.k, path)
+    recorded = {key: _recorded(doc, key, path) for key in recorded_keys if key in doc}
     if "code" not in doc:
-        return doc, matrix, None
+        return recorded, matrix, None
     code_doc = doc["code"]
     if not isinstance(code_doc, dict) or "field_degree" not in code_doc or "rows" not in code_doc:
         raise _CommandError(
@@ -237,7 +243,7 @@ def _load_plan(
     try:
         field = Field(code_doc["field_degree"])
         rows = tuple(tuple(r) for r in code_doc["rows"])
-        return doc, matrix, CodingMatrix(field=field, n=instance.n, rows=rows)
+        return recorded, matrix, CodingMatrix(field=field, n=instance.n, rows=rows)
     except (TypeError, ValueError) as err:
         raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
 
@@ -285,23 +291,23 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    doc, matrix, code = _load_plan(args.plan, instance)
+    recorded, matrix, code = _load_plan(
+        args.plan, instance, ("per_packet_delay", "total_delay", "closed_form_delay")
+    )
     want = instance.want_counts()
     problems: list[str] = []
 
     weight_short = [
         j for j in range(instance.k) if matrix.column_weight(j) < want[j]
     ]
-    network = build_network(instance, matrix)
-    flow_short = [
-        j
-        for j in range(instance.k)
-        if max_flow(network, network.sink(j)) < instance.n
-    ]
+    flows = sink_flows(instance, matrix)
+    flow_short = [j for j, flow in enumerate(flows) if flow < instance.n]
     for j in weight_short:
         problems.append(
             f"client C{j + 1} under-assigned: weight {matrix.column_weight(j)} < {want[j]}"
         )
+    for j in flow_short:
+        problems.append(f"client C{j + 1} max flow {flows[j]} < {instance.n}")
     print(
         "feasibility (column weights): "
         + ("ok" if not weight_short else f"FAIL ({len(weight_short)} clients)")
@@ -316,22 +322,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
 
     report = total_delay(matrix, instance.delays())
-    if "per_packet_delay" in doc:
-        match = _recorded(doc, "per_packet_delay", args.plan) == report.per_packet
+    if "per_packet_delay" in recorded:
+        match = recorded["per_packet_delay"] == report.per_packet
         if not match:
             problems.append("per-packet delays in file do not match recomputation")
         print("per-packet delays:           " + ("ok" if match else "FAIL"))
-    if "total_delay" in doc:
-        recorded_total = _recorded(doc, "total_delay", args.plan)
-        match = recorded_total == report.total
+    if "total_delay" in recorded:
+        match = recorded["total_delay"] == report.total
         if not match:
             problems.append(
-                f"total delay in file is {_rational_text(recorded_total)}, "
+                f"total delay in file is {_rational_text(recorded['total_delay'])}, "
                 f"recomputed {_rational_text(report.total)}"
             )
         print("total delay:                 " + ("ok" if match else "FAIL"))
-    if "closed_form_delay" in doc:
-        match = _recorded(doc, "closed_form_delay", args.plan) == closed_form_delay(instance)
+    if "closed_form_delay" in recorded:
+        match = recorded["closed_form_delay"] == closed_form_delay(instance)
         if not match:
             problems.append("closed-form delay in file does not match recomputation")
         print("closed-form delay:           " + ("ok" if match else "FAIL"))
@@ -394,7 +399,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    doc, matrix, code = _load_plan(args.plan, instance)
+    recorded, matrix, code = _load_plan(args.plan, instance, ("total_delay",))
     if code is None:
         raise _CommandError(
             EXIT_VALIDATION, f"{args.plan}: simulation needs a plan with a 'code'"
@@ -421,14 +426,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     closed = closed_form_delay(instance)
     print(f"final clock: {_rational_text(sim.final_clock)}")
     print(f"closed form: {_rational_text(closed)}")
-    if "total_delay" in doc:
-        recorded = _recorded(doc, "total_delay", args.plan)
-        if recorded != sim.final_clock:
-            print(
-                f"plan total {_rational_text(recorded)} != simulated clock "
-                f"{_rational_text(sim.final_clock)}"
-            )
-            ok = False
+    if "total_delay" in recorded and recorded["total_delay"] != sim.final_clock:
+        print(
+            f"plan total {_rational_text(recorded['total_delay'])} != simulated clock "
+            f"{_rational_text(sim.final_clock)}"
+        )
+        ok = False
     return EXIT_OK if ok else EXIT_DISAGREEMENT
 
 

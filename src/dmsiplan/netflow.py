@@ -20,14 +20,33 @@ every u_h with unlimited capacity.
 The matrix admits a feasible coded broadcast exactly when every sink can
 receive n units of flow.  "Unlimited" is capacity n, which no s-side cut can
 exceed.  This is deliberately independent of the column-weight criterion in
-assignment.py so the two can cross-check each other.
+assignment.py so the two can cross-check each other: the network is built
+from the side-information sets and the matrix entries, never from the want
+counts.
+
+Each sink's flow is computed on a network pruned to what can reach it.
+Flow into t_j runs along paths that end at t_j, and the other sinks have no
+out-edges, so a u_h -> v_h pair with a[h][j] = 0 carries none of it: t_j's
+network keeps hub -> u_h -> v_h -> t_j only for the rows with a[h][j] = 1.
+A packet j holds reaches t_j over an unlimited edge, so a unit it sends
+through the hub could take that edge instead; its x_i -> hub edge is
+dropped too.  What is left has 2n + 3r edges, r the rows assigned to j, and
+the same max flow as the full network.  Node numbers are those of the full
+network; the pruned nodes are left without edges.
+
+max_flow is Dinic's algorithm (1970).  A BFS labels each node with its
+distance from s in the residual graph; a depth-first search then saturates
+every shortest augmenting path, advancing a per-node edge pointer past the
+edges it has used up, and the two repeat until s no longer reaches the
+sink.  The search keeps its path in a list rather than recursing, because
+residual paths can run far deeper than the network's six layers.
 
 Network construction is pure; max_flow works on a private residual copy.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .assignment import AssignmentMatrix
@@ -59,15 +78,6 @@ class FlowNetwork:
     def hub(self) -> int:
         return 1 + self.n + 2 * self.m + self.k
 
-    def packet_node(self, i: int) -> int:
-        return 1 + i
-
-    def encoder_node(self, h: int) -> int:
-        return 1 + self.n + h
-
-    def broadcast_node(self, h: int) -> int:
-        return 1 + self.n + self.m + h
-
     def sink(self, j: int) -> int:
         return 1 + self.n + 2 * self.m + j
 
@@ -80,73 +90,124 @@ class FlowNetwork:
         self.edge_cap.append(0)
 
 
-def build_network(instance: DmsiInstance, matrix: AssignmentMatrix) -> FlowNetwork:
+def build_network(
+    instance: DmsiInstance, matrix: AssignmentMatrix, client: int | None = None
+) -> FlowNetwork:
+    """The full network, or with client given, the part that can reach its sink."""
     if matrix.k != instance.k:
         raise ValueError(f"matrix has {matrix.k} columns for {instance.k} clients")
     n, m, k = instance.n, matrix.m, instance.k
-    net = FlowNetwork(n=n, m=m, k=k, num_nodes=2 + n + 2 * m + k)
+    if client is None:
+        sinks, held = range(k), ()
+    elif 0 <= client < k:
+        sinks, held = (client,), instance.clients[client].has
+    else:
+        raise ValueError(f"client index {client} outside [0, {k})")
+    num_nodes = 2 + n + 2 * m + k
+    net = FlowNetwork(n, m, k, num_nodes, [], [], [[] for _ in range(num_nodes)])
+    add = net.add_edge
     unlimited = n  # total supply is n, so this cap never binds
+    x, u, v, t, hub = 1, 1 + n, 1 + n + m, net.sink(0), net.hub  # first x, u, v and t
     for i in range(n):
-        net.add_edge(net.source, net.packet_node(i), 1)
+        add(0, x + i, 1)
+    for j in sinks:
+        for i in instance.clients[j].has:
+            add(x + i, t + j, unlimited)
     for i in range(n):
-        for j in range(k):
-            if i in instance.clients[j].has:
-                net.add_edge(net.packet_node(i), net.sink(j), unlimited)
-    for i in range(n):
-        net.add_edge(net.packet_node(i), net.hub, unlimited)
-    for h in range(m):
-        net.add_edge(net.hub, net.encoder_node(h), unlimited)
-    for h in range(m):
-        net.add_edge(net.encoder_node(h), net.broadcast_node(h), 1)
-    for h in range(m):
-        for j in range(k):
-            if matrix.rows[h][j]:
-                net.add_edge(net.broadcast_node(h), net.sink(j), 1)
+        if i not in held:
+            add(x + i, hub, unlimited)
+    for h, row in enumerate(matrix.rows):
+        if client is None or row[client]:
+            add(hub, u + h, unlimited)
+            add(u + h, v + h, 1)
+            for j in sinks:
+                if row[j]:
+                    add(v + h, t + j, 1)
     return net
 
 
 def max_flow(network: FlowNetwork, sink: int) -> int:
-    """Edmonds-Karp from the source to the given node index."""
-    if not 0 <= sink < network.num_nodes:
-        raise ValueError(f"sink index {sink} outside [0, {network.num_nodes})")
-    residual = list(network.edge_cap)
+    """Dinic's max flow from the source to the given node index."""
+    num_nodes = network.num_nodes
+    if not 0 <= sink < num_nodes:
+        raise ValueError(f"sink index {sink} outside [0, {num_nodes})")
     source = network.source
     if sink == source:
         return 0
+    heads = network.edge_head
+    adjacency = network.adjacency
+    residual = list(network.edge_cap)
     flow = 0
     while True:
-        # BFS for the shortest augmenting path, remembering arrival edges
-        arrived_by: list[int] = [-1] * network.num_nodes
-        arrived_by[source] = -2
-        queue = deque([source])
-        while queue and arrived_by[sink] == -1:
-            node = queue.popleft()
-            for edge in network.adjacency[node]:
-                head = network.edge_head[edge]
-                if residual[edge] > 0 and arrived_by[head] == -1:
-                    arrived_by[head] = edge
+        # BFS levels; it stops once the sink has one, since every node nearer
+        # than the sink is labelled by then and no other node at its level
+        # lies on a shortest path
+        level = [-1] * num_nodes
+        level[source] = 0
+        queue = [source]
+        for node in queue:  # the list grows while it is walked: a FIFO queue
+            below = level[node] + 1
+            for edge in adjacency[node]:
+                head = heads[edge]
+                if residual[edge] and level[head] < 0:
+                    level[head] = below
                     queue.append(head)
-        if arrived_by[sink] == -1:
+            if level[sink] >= 0:
+                break
+        else:
             return flow
-        bottleneck = None
-        node = sink
-        while node != source:
-            edge = arrived_by[node]
-            if bottleneck is None or residual[edge] < bottleneck:
-                bottleneck = residual[edge]
-            node = network.edge_head[edge ^ 1]
-        node = sink
-        while node != source:
-            edge = arrived_by[node]
-            residual[edge] -= bottleneck
-            residual[edge ^ 1] += bottleneck
-            node = network.edge_head[edge ^ 1]
-        flow += bottleneck
+        # blocking flow; path holds the edges from the source to node
+        pointer = [0] * num_nodes
+        path: list[int] = []
+        node = source
+        while True:
+            if node == sink:
+                pushed = min(map(residual.__getitem__, path))
+                flow += pushed
+                depth = -1
+                for d, edge in enumerate(path):
+                    residual[edge] -= pushed
+                    residual[edge ^ 1] += pushed
+                    if depth < 0 and not residual[edge]:
+                        depth = d
+                # go on from the tail of the first edge the push saturated
+                node = heads[path[depth] ^ 1]
+                del path[depth:]
+                continue
+            edges = adjacency[node]
+            p = pointer[node]
+            below = level[node] + 1
+            end = len(edges)
+            while p < end:
+                edge = edges[p]
+                if residual[edge] and level[heads[edge]] == below:
+                    break
+                p += 1
+            pointer[node] = p
+            if p < end:
+                path.append(edge)
+                node = heads[edge]
+            elif node == source:
+                break
+            else:  # dead end: back up and skip the edge that led here
+                node = heads[path.pop() ^ 1]
+                pointer[node] += 1
+
+
+def _sink_flows(instance: DmsiInstance, matrix: AssignmentMatrix) -> Iterator[int]:
+    # checked here as well, since with no clients no network is built
+    if matrix.k != instance.k:
+        raise ValueError(f"matrix has {matrix.k} columns for {instance.k} clients")
+    for j in range(instance.k):
+        network = build_network(instance, matrix, j)
+        yield max_flow(network, network.sink(j))
+
+
+def sink_flows(instance: DmsiInstance, matrix: AssignmentMatrix) -> tuple[int, ...]:
+    """Max flow into each client's sink, each on its own pruned network."""
+    return tuple(_sink_flows(instance, matrix))
 
 
 def is_solvable(instance: DmsiInstance, matrix: AssignmentMatrix) -> bool:
     """True iff every client's sink can absorb n units of flow."""
-    network = build_network(instance, matrix)
-    return all(
-        max_flow(network, network.sink(j)) >= instance.n for j in range(instance.k)
-    )
+    return all(flow >= instance.n for flow in _sink_flows(instance, matrix))

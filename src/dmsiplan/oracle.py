@@ -125,18 +125,18 @@ def _explore(
         if best is None or key < best:
             best = key
 
-    def dfs(t: int, rows_left: int, total: int, rows_used: int) -> None:
-        largest = max(rem, default=0)
-        if largest == 0:
+    # hist[r]: columns with r rows still to place.  The largest such r and
+    # the mask of columns still needing rows are passed down and updated as
+    # counts change, not recomputed over all k columns at every node.
+    hist = [0] * (max(want, default=0) + 1)
+
+    def dfs(
+        t: int, rows_left: int, total: int, rows_used: int, largest: int, need: int
+    ) -> None:
+        if not need:
             note_complete(total, rows_used)
             return
-        if rows_left < largest:
-            return
-        need = 0
-        for j in range(k):
-            if rem[j]:
-                need |= colbit[j]
-        if need & ~suffix_cover[t]:
+        if rows_left < largest or need & ~suffix_cover[t]:
             return
         for p in range(t, len(patterns)):
             _, _, delay, cols = patterns[p]
@@ -147,24 +147,40 @@ def _explore(
             if cmax == 0:
                 continue
             chosen.append((p, 0))
+            top, still = largest, need
             for count in range(1, cmax + 1):
                 for j in cols:
-                    rem[j] -= 1
+                    r = rem[j]
+                    rem[j] = r - 1
+                    hist[r] -= 1
+                    hist[r - 1] += 1
+                    if r == 1:
+                        still ^= colbit[j]
+                # each column dropped by one, so the largest drops by at most one
+                if not hist[top]:
+                    top -= 1
                 chosen[-1] = (p, count)
-                dfs(p + 1, rows_left - count, total + count * delay, rows_used + count)
+                dfs(p + 1, rows_left - count, total + count * delay, rows_used + count, top, still)
             for j in cols:
+                hist[rem[j]] -= 1
                 rem[j] += cmax
+                hist[rem[j]] += 1
             chosen.pop()
 
-    if first_count is None:
-        dfs(0, m_cap, 0, 0)
-    else:
+    start, first, first_total = 0, 0, 0
+    if first_count is not None:
         _, _, delay, cols = patterns[0]
         for j in cols:
             rem[j] -= first_count
         if first_count:
             chosen.append((0, first_count))
-        dfs(1, m_cap - first_count, first_count * delay, first_count)
+        start, first, first_total = 1, first_count, first_count * delay
+    need = 0
+    for j in range(k):
+        hist[rem[j]] += 1
+        if rem[j]:
+            need |= colbit[j]
+    dfs(start, m_cap - first, first_total, first, max(rem, default=0), need)
     if best is None:
         return None, examined
     total, rows_used, rows = best

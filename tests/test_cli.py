@@ -108,6 +108,8 @@ def test_verify_flags_dropped_assignment_row(tmp_path, capsys):
     assert "under-assigned" in shown
     assert "feasibility (column weights): FAIL" in shown
     assert "feasibility (max flow):      FAIL" in shown
+    # C4 holds one of six packets and keeps four of the five rows it needs
+    assert "client C4 max flow 5 < 6" in shown
     # both criteria must flag the same clients
     assert "criteria disagree" not in shown
     assert "verdict: FAIL" in shown
@@ -246,7 +248,10 @@ def test_malformed_recorded_delay_exits_2(tmp_path, capsys, command, key, value)
     doc[key] = value
     tampered = write_json(tmp_path / "tampered.json", doc)
     assert main([command, inst, tampered]) == 2
-    assert f"error: {tampered}: {key}" in capsys.readouterr().err
+    shown = capsys.readouterr()
+    assert f"error: {tampered}: {key}" in shown.err
+    # the value is read before anything is checked or broadcast
+    assert shown.out == ""
 
 
 def test_plan_beyond_the_largest_field_exits_2(tmp_path, capsys):
