@@ -53,7 +53,7 @@ from .assignment import AssignmentMatrix
 from .instance import DmsiInstance
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowNetwork:
     """Edge-list digraph; edge 2t and 2t+1 are a forward/backward pair."""
 
@@ -94,9 +94,9 @@ def build_network(
     instance: DmsiInstance, matrix: AssignmentMatrix, client: int | None = None
 ) -> FlowNetwork:
     """The full network, or with client given, the part that can reach its sink."""
-    if matrix.k != instance.k:
-        raise ValueError(f"matrix has {matrix.k} columns for {instance.k} clients")
-    n, m, k = instance.n, matrix.m, instance.k
+    n, m, k = instance.n, len(matrix.rows), len(instance.clients)
+    if matrix.k != k:
+        raise ValueError(f"matrix has {matrix.k} columns for {k} clients")
     if client is None:
         sinks, held = range(k), ()
     elif 0 <= client < k:
@@ -107,7 +107,8 @@ def build_network(
     net = FlowNetwork(n, m, k, num_nodes, [], [], [[] for _ in range(num_nodes)])
     add = net.add_edge
     unlimited = n  # total supply is n, so this cap never binds
-    x, u, v, t, hub = 1, 1 + n, 1 + n + m, net.sink(0), net.hub  # first x, u, v and t
+    x, u, v, t = 1, 1 + n, 1 + n + m, 1 + n + 2 * m  # first x, u, v and t
+    hub = t + k
     for i in range(n):
         add(0, x + i, 1)
     for j in sinks:
@@ -196,9 +197,10 @@ def max_flow(network: FlowNetwork, sink: int) -> int:
 
 def _sink_flows(instance: DmsiInstance, matrix: AssignmentMatrix) -> Iterator[int]:
     # checked here as well, since with no clients no network is built
-    if matrix.k != instance.k:
-        raise ValueError(f"matrix has {matrix.k} columns for {instance.k} clients")
-    for j in range(instance.k):
+    k = len(instance.clients)
+    if matrix.k != k:
+        raise ValueError(f"matrix has {matrix.k} columns for {k} clients")
+    for j in range(k):
         network = build_network(instance, matrix, j)
         yield max_flow(network, network.sink(j))
 
@@ -210,4 +212,5 @@ def sink_flows(instance: DmsiInstance, matrix: AssignmentMatrix) -> tuple[int, .
 
 def is_solvable(instance: DmsiInstance, matrix: AssignmentMatrix) -> bool:
     """True iff every client's sink can absorb n units of flow."""
-    return all(flow >= instance.n for flow in _sink_flows(instance, matrix))
+    n = instance.n
+    return all(flow >= n for flow in _sink_flows(instance, matrix))
