@@ -13,15 +13,25 @@ client j the topmost w_j rows, and its cost has a closed form evaluated in
 non-increasing delay order.  transform_to_optimal makes the optimality
 argument executable: it rewrites any exact-weight matrix into the optimal one
 through k + 1 steps, none of which increases the total delay.
+
+Totals are exact without Fraction arithmetic: instance.scaled_delays turns
+the delays into ints by the lcm of their denominators, every max, sum and
+comparison runs on those ints, and a total is divided by the scale once, at
+the end, back into a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
-from .instance import DmsiInstance
+from .instance import DmsiInstance, scaled_delays
+
+_BIT_TYPES = {int}
+_BITS = {0, 1}
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -32,12 +42,15 @@ class AssignmentMatrix:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
             raise ValueError(f"k must be a nonnegative int, got {self.k!r}")
         for i, row in enumerate(self.rows):
             if len(row) != self.k:
                 raise ValueError(f"row {i} has length {len(row)}, expected k={self.k}")
+            # whole row at once; the entry loop only runs to name a bad entry
+            if set(map(type, row)) <= _BIT_TYPES and set(row) <= _BITS:
+                continue
             for j, a in enumerate(row):
                 if not isinstance(a, int) or isinstance(a, bool) or a not in (0, 1):
                     raise ValueError(f"entry ({i}, {j}) is {a!r}, expected 0 or 1")
@@ -76,8 +89,18 @@ def packet_delay(matrix: AssignmentMatrix, i: int, delays: Sequence[Fraction]) -
 
 
 def total_delay(matrix: AssignmentMatrix, delays: Sequence[Fraction]) -> DelayReport:
-    per_packet = tuple(packet_delay(matrix, i, delays) for i in range(matrix.m))
-    return DelayReport(per_packet=per_packet, total=sum(per_packet, Fraction(0)))
+    """Every packet_delay and their sum, computed on scaled ints."""
+    if len(delays) != matrix.k:
+        raise ValueError(f"{len(delays)} delays for k={matrix.k} columns")
+    scale, ints = scaled_delays(delays)
+    row_ints = [max(compress(ints, row), default=0) for row in matrix.rows]
+    # each row's delay is its slowest recipient's own Fraction
+    as_fraction = {0: _ZERO}
+    as_fraction.update(zip(ints, delays))
+    return DelayReport(
+        per_packet=tuple(map(as_fraction.__getitem__, row_ints)),
+        total=Fraction(sum(row_ints), scale),
+    )
 
 
 def is_feasible(matrix: AssignmentMatrix, instance: DmsiInstance) -> bool:
@@ -114,13 +137,13 @@ def closed_form_delay(instance: DmsiInstance) -> Fraction:
     sum_j d_j * max(0, w_j - max(w_1..w_{j-1}, 0)).
     """
     want = instance.want_counts()
-    delays = instance.delays()
+    scale, ints = scaled_delays(instance.delays())
     covered = 0
-    total = Fraction(0)
+    total = 0
     for j in instance.delay_ranking():
-        total += delays[j] * max(0, want[j] - covered)
+        total += ints[j] * max(0, want[j] - covered)
         covered = max(covered, want[j])
-    return total
+    return Fraction(total, scale)
 
 
 @dataclass(frozen=True)
@@ -159,11 +182,11 @@ def reduce_to_exact_weights(
     if matrix.k != instance.k:
         raise ValueError(f"matrix has {matrix.k} columns for {instance.k} clients")
     want = instance.want_counts()
-    delays = instance.delays()
+    _, ints = scaled_delays(instance.delays())
     rows = [list(row) for row in matrix.rows]
 
-    def row_delay(row: list[int]) -> Fraction:
-        return max((delays[c] for c, a in enumerate(row) if a), default=Fraction(0))
+    def row_delay(row: list[int]) -> int:
+        return max(compress(ints, row), default=0)
 
     row_delays = [row_delay(row) for row in rows]
     for j, w in enumerate(want):
@@ -205,15 +228,18 @@ def transform_to_optimal(
             "reduce_to_exact_weights first"
         )
     ranking = instance.delay_ranking()
-    delays = instance.delays()
-    ranked_delays = [delays[j] for j in ranking]
+    scale, ints = scaled_delays(instance.delays())
+    ranked_ints = [ints[j] for j in ranking]
     k = instance.k
 
     rows = [[row[j] for j in ranking] for row in matrix.rows]
+    scaled_totals: list[int] = []
 
     def snapshot(label: str) -> TransformStep:
-        snap = AssignmentMatrix(rows=tuple(tuple(r) for r in rows), k=k)
-        return TransformStep(label, snap, total_delay(snap, ranked_delays).total)
+        snap = AssignmentMatrix(rows=tuple(map(tuple, rows)), k=k)
+        total = sum(max(compress(ranked_ints, row), default=0) for row in snap.rows)
+        scaled_totals.append(total)
+        return TransformStep(label, snap, Fraction(total, scale))
 
     steps = [snapshot("initial")]
 
@@ -252,6 +278,6 @@ def transform_to_optimal(
     final = steps[-1]
     assert final.matrix == target, "rewrite did not reach the optimal matrix"
     assert all(
-        steps[s].total >= steps[s + 1].total for s in range(len(steps) - 1)
+        a >= b for a, b in zip(scaled_totals, scaled_totals[1:])
     ), "a rewrite step increased the total delay"
     return TransformTrace(ranking=ranking, steps=tuple(steps))

@@ -52,7 +52,10 @@ EXIT_VALIDATION = 2
 EXIT_DISAGREEMENT = 3
 EXIT_CONSTRUCTION = 4
 
-PLAN_CELL_BUDGET = 10**7  # m* x (n + k) cells of assignment and code
+# m* x (n + k) cells of assignment and code.  This bounds memory, not time:
+# construction grows about as n^2.6, and 5 clients holding nothing took
+# 11.5 s at n = 1,000, so a plan near the limit (n about 3,160) runs minutes.
+PLAN_CELL_BUDGET = 10**7
 
 
 class _CommandError(Exception):
@@ -219,6 +222,9 @@ def _matrix_from_document(doc: object, k: int, path: str) -> AssignmentMatrix:
         raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
 
 
+_RECORDED_KEYS = ("per_packet_delay", "total_delay", "closed_form_delay")
+
+
 def _load_plan(
     path: str, instance: DmsiInstance, recorded_keys: tuple[str, ...]
 ) -> tuple[dict[str, Fraction | tuple[Fraction, ...]], AssignmentMatrix, CodingMatrix | None]:
@@ -291,9 +297,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    recorded, matrix, code = _load_plan(
-        args.plan, instance, ("per_packet_delay", "total_delay", "closed_form_delay")
-    )
+    recorded, matrix, code = _load_plan(args.plan, instance, _RECORDED_KEYS)
     want = instance.want_counts()
     problems: list[str] = []
 
@@ -399,7 +403,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    recorded, matrix, code = _load_plan(args.plan, instance, ("total_delay",))
+    # all three are read, though simulate uses one: a file that verify
+    # refuses as malformed is refused here too
+    recorded, matrix, code = _load_plan(args.plan, instance, _RECORDED_KEYS)
     if code is None:
         raise _CommandError(
             EXIT_VALIDATION, f"{args.plan}: simulation needs a plan with a 'code'"

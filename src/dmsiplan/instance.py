@@ -13,9 +13,12 @@ Packets are 0-based inside the library and 1-based in JSON documents.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Sequence
 
 
 class InstanceError(ValueError):
@@ -89,16 +92,44 @@ class DmsiInstance:
     def k(self) -> int:
         return len(self.clients)
 
-    def delays(self) -> tuple[Fraction, ...]:
+    # Derived tuples are computed on first use and kept: the instance is
+    # frozen, so they cannot go stale, and parsing pays nothing for them.
+    @cached_property
+    def _delays(self) -> tuple[Fraction, ...]:
         return tuple(client.delay for client in self.clients)
+
+    @cached_property
+    def _want_counts(self) -> tuple[int, ...]:
+        return tuple(self.n - len(client.has) for client in self.clients)
+
+    @cached_property
+    def _delay_ranking(self) -> tuple[int, ...]:
+        # a stable sort: reverse=True keeps equal delays in input order
+        return tuple(sorted(range(self.k), key=self._delays.__getitem__, reverse=True))
+
+    def delays(self) -> tuple[Fraction, ...]:
+        return self._delays
 
     def want_counts(self) -> tuple[int, ...]:
         """w_j = number of packets client j is missing."""
-        return tuple(self.n - len(client.has) for client in self.clients)
+        return self._want_counts
 
     def delay_ranking(self) -> tuple[int, ...]:
         """Client indices sorted by non-increasing delay; ties keep input order."""
-        return tuple(sorted(range(self.k), key=lambda j: -self.clients[j].delay))
+        return self._delay_ranking
+
+
+def scaled_delays(delays: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(scale, ints) with scale the lcm of the delay denominators and
+    ints[j] = delays[j] * scale, an exact int.
+
+    Sums, maxima and comparisons of the ints are those of the delays times
+    scale > 0, so exact delay arithmetic can run on ints and divide by scale
+    once, at the end.  With no delays, scale is 1.
+    """
+    denominators = [d.denominator for d in delays]
+    scale = math.lcm(*denominators)
+    return scale, tuple([d.numerator * (scale // q) for d, q in zip(delays, denominators)])
 
 
 def _parse_side_info(doc: object, where: str, n: int) -> frozenset[int]:

@@ -17,11 +17,11 @@ Its terms never shrink as m grows, so the sum stops at the first m where
 the sum so far plus that term for every m left passes the budget: a huge
 m_cap is refused at once rather than summed to the end.
 
-Totals stay exact without Fraction arithmetic in the walk: every delay is
-multiplied by scale, the lcm of the delay denominators, which makes it an
-int, and the search adds ints.  The best total is divided by scale once, at
-the end, back into a Fraction.  Scaling by a positive constant keeps the
-order of totals, so the search and its tie-break are unchanged.
+Totals stay exact without Fraction arithmetic in the walk: the delays are
+scaled to ints by instance.scaled_delays, the helper the assignment layer
+uses too, and the search adds ints.  The best total is divided by the scale
+once, at the end, back into a Fraction.  Scaling by a positive constant
+keeps the order of totals, so the search and its tie-break are unchanged.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from itertools import repeat
 from typing import Sequence
 
 from .assignment import AssignmentMatrix
-from .instance import DmsiInstance
+from .instance import DmsiInstance, scaled_delays
 
 DEFAULT_BUDGET = 10**7
 
@@ -98,10 +98,8 @@ def _explore(
     only candidates using the first pattern exactly that often are walked.
     """
     k = len(want)
-    scale = math.lcm(*(d.denominator for d in delays))
-    patterns = _row_patterns(
-        want, [d.numerator * (scale // d.denominator) for d in delays]
-    )
+    scale, ints = scaled_delays(delays)
+    patterns = _row_patterns(want, ints)
     colbit = [1 << (k - 1 - j) for j in range(k)]
     suffix_cover = [0] * (len(patterns) + 1)
     for t in range(len(patterns) - 1, -1, -1):

@@ -1,7 +1,9 @@
 """Delay accounting, the optimal plan, the closed form, and the step-by-step
 rewrite that proves it optimal."""
 
+import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from dmsiplan import (
     is_feasible,
     optimal_assignment,
     packet_delay,
+    parse_instance,
     reduce_to_exact_weights,
     total_delay,
     transform_to_optimal,
@@ -48,15 +51,30 @@ def test_packet_delay_of_unassigned_row_is_zero():
         packet_delay(matrix, 0, (Fraction(1),))
 
 
+def test_total_delay_checks_the_delay_count_without_rows():
+    with pytest.raises(ValueError, match="1 delays for k=3 columns"):
+        total_delay(AssignmentMatrix(rows=(), k=3), [Fraction(1)])
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError):
         AssignmentMatrix(rows=((1, 0), (1,)), k=2)
     with pytest.raises(ValueError):
-        AssignmentMatrix(rows=((2, 0),), k=2)
-    with pytest.raises(ValueError):
-        AssignmentMatrix(rows=((True, 0),), k=2)
-    with pytest.raises(ValueError):
         AssignmentMatrix(rows=(), k=-1)
+
+
+@pytest.mark.parametrize("bad", [True, 2, -1, 1.0])
+def test_matrix_names_the_bad_entry(bad):
+    with pytest.raises(ValueError, match=re.escape(f"entry (1, 1) is {bad!r}, expected 0 or 1")):
+        AssignmentMatrix(rows=((1, 0), (0, bad)), k=2)
+
+
+def test_matrix_accepts_int_subclass_entries():
+    class Bit(int):
+        pass
+
+    matrix = AssignmentMatrix(rows=((Bit(1), 0),), k=2)
+    assert matrix.column_weights() == (1, 0)
 
 
 def test_column_weights(hand_plan_matrix, optimal_plan_matrix):
@@ -107,6 +125,66 @@ def test_closed_form_with_equal_delays():
     inst = make_instance(3, [set(), {0}, {0, 1}], [4, 4, 4])
     # all delays equal: cost is max want times the common delay
     assert closed_form_delay(inst) == 3 * 4
+
+
+def _closed_form_by_fractions(instance):
+    """closed_form_delay as first written, summing Fractions: the reference
+    for the scaled-int version."""
+    want = instance.want_counts()
+    delays = instance.delays()
+    covered = 0
+    total = Fraction(0)
+    for j in instance.delay_ranking():
+        total += delays[j] * max(0, want[j] - covered)
+        covered = max(covered, want[j])
+    return total
+
+
+@st.composite
+def _delay_docs(draw):
+    """A client's delay as an instance file gives it: a "p/q" delay with a
+    large denominator, a bandwidth under a large packet size, or zero."""
+    kind = draw(st.sampled_from(["ratio", "bandwidth", "zero"]))
+    if kind == "ratio":
+        return {"delay": f"{draw(st.integers(0, 10**6))}/{draw(st.integers(1, 10**9))}"}
+    if kind == "bandwidth":
+        return {"bandwidth": f"{draw(st.integers(1, 10**9))}/{draw(st.integers(1, 10**6))}"}
+    return {"delay": draw(st.sampled_from([0, "0/7"]))}
+
+
+@st.composite
+def _parsed_instance_with_matrix(draw):
+    """An instance parsed from a document, and any 0/1 matrix of its width."""
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, 5))
+    specs: list[dict] = []
+    for _ in range(k):
+        if specs and draw(st.booleans()):
+            specs.append(draw(st.sampled_from(specs)))  # a tie
+        else:
+            specs.append(draw(_delay_docs()))
+    clients = [
+        {"has": sorted(draw(st.frozensets(st.integers(1, n)))) if n else [], **spec}
+        for spec in specs
+    ]
+    doc = {"n": n, "packet_size": str(draw(st.integers(1, 10**12))), "clients": clients}
+    inst = parse_instance(json.dumps(doc))
+    m = draw(st.integers(0, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 1)] * k), min_size=m, max_size=m))
+    return inst, AssignmentMatrix(rows=tuple(rows), k=k)
+
+
+@given(_parsed_instance_with_matrix())
+@settings(max_examples=300)
+def test_scaled_int_delays_equal_the_fraction_reference(case):
+    inst, matrix = case
+    delays = inst.delays()
+    report = total_delay(matrix, delays)
+    reference = tuple(packet_delay(matrix, i, delays) for i in range(matrix.m))
+    assert report.per_packet == reference
+    assert all(type(d) is Fraction for d in report.per_packet)
+    assert report.total == sum(reference, Fraction(0))
+    assert closed_form_delay(inst) == _closed_form_by_fractions(inst)
 
 
 @given(instances())

@@ -240,6 +240,8 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
         ("verify", "total_delay", 0.5),
         ("verify", "closed_form_delay", [1]),
         ("simulate", "total_delay", 0.5),
+        ("simulate", "per_packet_delay", 5),
+        ("simulate", "closed_form_delay", [1]),
     ],
 )
 def test_malformed_recorded_delay_exits_2(tmp_path, capsys, command, key, value):

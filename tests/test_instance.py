@@ -18,6 +18,7 @@ from dmsiplan import (
     parse_rational,
     serialize_instance,
 )
+from dmsiplan.instance import scaled_delays
 
 
 def test_demo_document_parses(demo_instance):
@@ -46,6 +47,14 @@ def test_ranking_breaks_ties_by_client_order():
     assert inst.delay_ranking() == (1, 0, 2)
     inst = make_instance(2, [set(), set(), set()], [7, 7, 7])
     assert inst.delay_ranking() == (0, 1, 2)
+
+
+def test_scaled_delays_use_the_lcm_of_the_denominators():
+    assert scaled_delays((Fraction(1, 2), Fraction(2, 3), Fraction(0), Fraction(5))) == (
+        6,
+        (3, 4, 0, 30),
+    )
+    assert scaled_delays(()) == (1, ())
 
 
 def test_zero_delay_is_accepted_and_ranks_last():
