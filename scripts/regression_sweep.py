@@ -63,7 +63,6 @@ def main() -> int:
     parser.add_argument("--max-n", type=int, default=6)
     parser.add_argument("--max-k", type=int, default=4)
     parser.add_argument("--budget", type=int, default=10**13)
-    parser.add_argument("--workers", type=int, default=None)
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
@@ -73,7 +72,7 @@ def main() -> int:
     for i in range(args.count):
         instance = draw_instance(rng, args.max_n, args.max_k)
         t1 = time.perf_counter()
-        result = brute_force_optimum(instance, budget=args.budget, workers=args.workers)
+        result = brute_force_optimum(instance, budget=args.budget)
         dt = time.perf_counter() - t1
         if dt > slowest[0]:
             slowest = (dt, instance)

@@ -226,9 +226,9 @@ _RECORDED_KEYS = ("per_packet_delay", "total_delay", "closed_form_delay")
 
 
 def _load_plan(
-    path: str, instance: DmsiInstance, recorded_keys: tuple[str, ...]
+    path: str, instance: DmsiInstance
 ) -> tuple[dict[str, Fraction | tuple[Fraction, ...]], AssignmentMatrix, CodingMatrix | None]:
-    """A plan file's recorded rationals under recorded_keys, its matrix, and
+    """A plan file's recorded rationals under _RECORDED_KEYS, its matrix, and
     its code if it records one.
 
     The recorded values are parsed here, with the rest of the file, so that a
@@ -238,7 +238,7 @@ def _load_plan(
     if not isinstance(doc, dict):
         raise _CommandError(EXIT_VALIDATION, f"{path}: top level must be an object")
     matrix = _matrix_from_document(doc, instance.k, path)
-    recorded = {key: _recorded(doc, key, path) for key in recorded_keys if key in doc}
+    recorded = {key: _recorded(doc, key, path) for key in _RECORDED_KEYS if key in doc}
     if "code" not in doc:
         return recorded, matrix, None
     code_doc = doc["code"]
@@ -297,7 +297,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    recorded, matrix, code = _load_plan(args.plan, instance, _RECORDED_KEYS)
+    recorded, matrix, code = _load_plan(args.plan, instance)
     want = instance.want_counts()
     problems: list[str] = []
 
@@ -371,12 +371,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     try:
-        result = brute_force_optimum(
-            instance,
-            m_cap=args.m_cap,
-            budget=args.budget,
-            workers=args.parallel,
-        )
+        result = brute_force_optimum(instance, m_cap=args.m_cap, budget=args.budget)
     except (BudgetExceededError, ValueError) as err:
         raise _CommandError(EXIT_VALIDATION, str(err))
     closed = closed_form_delay(instance)
@@ -403,9 +398,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-    # all three are read, though simulate uses one: a file that verify
-    # refuses as malformed is refused here too
-    recorded, matrix, code = _load_plan(args.plan, instance, _RECORDED_KEYS)
+    # every recorded delay is read: a file that verify refuses is refused here too
+    recorded, matrix, code = _load_plan(args.plan, instance)
     if code is None:
         raise _CommandError(
             EXIT_VALIDATION, f"{args.plan}: simulation needs a plan with a 'code'"
@@ -511,7 +505,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--m-cap", type=int, dest="m_cap")
-    p.add_argument("--parallel", type=int, metavar="WORKERS")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(handler=cmd_oracle)
 

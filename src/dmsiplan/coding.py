@@ -37,6 +37,8 @@ from .assignment import AssignmentMatrix, is_feasible, total_delay
 from .gf import Field
 from .instance import DmsiInstance
 
+_ROW_ATTEMPTS = 64  # draws of one row before construct_code gives up
+
 
 class CodeConstructionError(RuntimeError):
     """No verified coding matrix within the retry budget."""
@@ -172,12 +174,11 @@ def construct_code(
     matrix: AssignmentMatrix,
     field: Field | None = None,
     seed: int = 0,
-    max_attempts: int = 64,
 ) -> CodingMatrix:
     """Draw rows one at a time, each raising every short assigned client's rank.
 
     The draw sequence is fully determined by the seed.  Requires a feasible
-    assignment; raises CodeConstructionError after max_attempts draws of a row.
+    assignment; raises CodeConstructionError after _ROW_ATTEMPTS draws of a row.
     """
     if field is None:
         field = Field(default_field_degree(instance.k))
@@ -197,7 +198,7 @@ def construct_code(
     for h, assigned in enumerate(matrix.rows):
         short = [(j, missing, basis) for j, (missing, basis) in enumerate(bases)
                  if assigned[j] and len(basis) < len(missing)]
-        for _ in range(max_attempts):
+        for _ in range(_ROW_ATTEMPTS):
             row = (rng.randbytes(instance.n).translate(mask) if field.e <= 8
                    else [rng.getrandbits(field.e) for _ in range(instance.n)])
             entries = [
@@ -210,7 +211,7 @@ def construct_code(
         else:
             failing = [j + 1 for (j, _, _), (pivot, _) in zip(short, entries) if pivot is None]
             raise CodeConstructionError(
-                f"no verified code after {max_attempts} draws of row {h + 1} over "
+                f"no verified code after {_ROW_ATTEMPTS} draws of row {h + 1} over "
                 f"{field}; clients {failing} still lack full rank"
             )
         for (_, _, basis), entry in zip(short, entries):

@@ -59,7 +59,6 @@ class FlowNetwork:
 
     n: int
     m: int
-    k: int
     num_nodes: int
     edge_head: list[int] = field(default_factory=list)
     edge_cap: list[int] = field(default_factory=list)
@@ -73,10 +72,6 @@ class FlowNetwork:
     @property
     def source(self) -> int:
         return 0
-
-    @property
-    def hub(self) -> int:
-        return 1 + self.n + 2 * self.m + self.k
 
     def sink(self, j: int) -> int:
         return 1 + self.n + 2 * self.m + j
@@ -104,7 +99,7 @@ def build_network(
     else:
         raise ValueError(f"client index {client} outside [0, {k})")
     num_nodes = 2 + n + 2 * m + k
-    net = FlowNetwork(n, m, k, num_nodes, [], [], [[] for _ in range(num_nodes)])
+    net = FlowNetwork(n, m, num_nodes, [], [], [[] for _ in range(num_nodes)])
     add = net.add_edge
     unlimited = n  # total supply is n, so this cap never binds
     x, u, v, t = 1, 1 + n, 1 + n + m, 1 + n + 2 * m  # first x, u, v and t

@@ -7,8 +7,8 @@ change nothing, so they are never enumerated; up to that padding and row
 order the search is complete.  The only prunes are deterministic
 infeasibility prunes (too few rows left for the largest remaining weight; a
 still-needed column that no remaining pattern covers), never objective
-bounds, so serial and parallel runs examine identical candidate sets and
-return identical results, matrices_examined included.
+bounds, so matrices_examined counts every quotiented candidate.  The pinned
+searches in the tests and the benchmark's examined ratio rely on that count.
 
 The budget is checked before enumerating, against the unquotiented
 per-column count sum_m prod_j C(m, w_j); the walked multiset space is far
@@ -27,18 +27,14 @@ keeps the order of totals, so the search and its tie-break are unchanged.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Sequence
 
 from .assignment import AssignmentMatrix
 from .instance import DmsiInstance, scaled_delays
 
 DEFAULT_BUDGET = 10**7
-
-_SearchKey = tuple[Fraction, int, tuple[tuple[int, ...], ...]]
 
 
 class BudgetExceededError(RuntimeError):
@@ -86,20 +82,15 @@ def _row_patterns(
 
 
 def _explore(
-    want: tuple[int, ...],
-    delays: tuple[Fraction, ...],
-    m_cap: int,
-    first_count: int | None = None,
-) -> tuple[_SearchKey | None, int]:
-    """Walk (a branch of) the candidate space; returns (best key, examined).
+    want: tuple[int, ...], delays: tuple[int, ...], m_cap: int
+) -> tuple[tuple[int, int, tuple[tuple[int, ...], ...]] | None, int]:
+    """Walk the candidate space; returns (best key, examined).
 
-    The key (total, row count, rows sorted descending) makes the minimum
-    unique, so branch results merge commutatively.  With first_count given,
-    only candidates using the first pattern exactly that often are walked.
+    The key (scaled total, row count, rows sorted descending) makes the
+    minimum unique, so the witness is canonical.
     """
     k = len(want)
-    scale, ints = scaled_delays(delays)
-    patterns = _row_patterns(want, ints)
+    patterns = _row_patterns(want, delays)
     colbit = [1 << (k - 1 - j) for j in range(k)]
     suffix_cover = [0] * (len(patterns) + 1)
     for t in range(len(patterns) - 1, -1, -1):
@@ -165,41 +156,27 @@ def _explore(
                 hist[rem[j]] += 1
             chosen.pop()
 
-    start, first, first_total = 0, 0, 0
-    if first_count is not None:
-        _, _, delay, cols = patterns[0]
-        for j in cols:
-            rem[j] -= first_count
-        if first_count:
-            chosen.append((0, first_count))
-        start, first, first_total = 1, first_count, first_count * delay
     need = 0
     for j in range(k):
         hist[rem[j]] += 1
         if rem[j]:
             need |= colbit[j]
-    dfs(start, m_cap - first, first_total, first, max(rem, default=0), need)
-    if best is None:
-        return None, examined
-    total, rows_used, rows = best
-    return (Fraction(total, scale), rows_used, rows), examined
+    dfs(0, m_cap, 0, 0, max(rem, default=0), need)
+    return best, examined
 
 
 def brute_force_optimum(
     instance: DmsiInstance,
     m_cap: int | None = None,
     budget: int = DEFAULT_BUDGET,
-    workers: int | None = None,
 ) -> OracleResult:
     """Minimum total delay by enumeration, with the witness matrix.
 
     The witness is canonical: rows sorted descending (column 1 most
     significant); ties in total delay break toward fewer rows, then the
     smallest such matrix.  m_cap defaults to max(m*, min(sum w_j, 12)).
-    workers > 1 partitions the search on the first pattern's multiplicity.
     """
     want = instance.want_counts()
-    delays = instance.delays()
     m_star = max(want, default=0)
     if m_cap is None:
         m_cap = max(m_star, min(sum(want), 12))
@@ -216,23 +193,12 @@ def brute_force_optimum(
                 "raise the budget or lower m_cap"
             )
 
-    if workers is not None and workers > 1 and any(want):
-        c0_max = min(m_cap, min(w for w in want if w > 0))
-        # forked workers all start at the first submit: no more than branches
-        with ProcessPoolExecutor(max_workers=min(workers, c0_max + 1)) as pool:
-            branches = list(pool.map(
-                _explore, repeat(want), repeat(delays), repeat(m_cap), range(c0_max + 1)
-            ))
-        examined = sum(found for _, found in branches)
-        keys = [key for key, _ in branches if key is not None]
-        best = min(keys) if keys else None
-    else:
-        best, examined = _explore(want, delays, m_cap)
-
+    scale, ints = scaled_delays(instance.delays())
+    best, examined = _explore(want, ints, m_cap)
     assert best is not None, "exact-weight candidates always exist"
     total, _, rows = best
     return OracleResult(
-        best_total=total,
+        best_total=Fraction(total, scale),
         best_matrix=AssignmentMatrix(rows=rows, k=instance.k),
         matrices_examined=examined,
         m_range=(m_star, m_cap),

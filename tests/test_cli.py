@@ -443,6 +443,20 @@ def test_console_script_entry_point(tmp_path):
     assert dmsiplan_cli("plan", str(tmp_path / "nope.json")).returncode == 2
 
 
+def test_cli_import_loads_no_process_pool():
+    """The oracle is serial, so the CLI has no use for a process pool."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dmsiplan.__file__).parents[1]))
+    probe = (
+        "import sys, dmsiplan.cli\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.skipif(shutil.which("dmsiplan") is None, reason="dmsiplan is not on PATH")
 def test_installed_console_script(tmp_path):
     exe = shutil.which("dmsiplan")

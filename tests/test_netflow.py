@@ -188,7 +188,7 @@ def test_pruned_dinic_matches_full_edmonds_karp():
 
 def test_max_flow_on_a_path_deeper_than_the_recursion_limit():
     length = 5000
-    net = FlowNetwork(n=0, m=0, k=0, num_nodes=length)
+    net = FlowNetwork(n=0, m=0, num_nodes=length)
     for node in range(length - 1):
         net.add_edge(node, node + 1, 2)
     net.add_edge(0, length - 1, 1)
@@ -199,7 +199,7 @@ def test_max_flow_on_a_path_deeper_than_the_recursion_limit():
 def test_max_flow_undoes_a_shortest_path_that_blocks():
     """s-x-y-t is the only shortest path; the max flow of 2 must take it back."""
     s, x, y, t, z, w, u, v = range(8)
-    net = FlowNetwork(n=0, m=0, k=0, num_nodes=8)
+    net = FlowNetwork(n=0, m=0, num_nodes=8)
     for tail, head in [(s, x), (x, y), (y, t), (x, z), (z, w), (w, t), (s, u), (u, v), (v, y)]:
         net.add_edge(tail, head, 1)
     assert edmonds_karp(net, t) == max_flow(net, t) == 2

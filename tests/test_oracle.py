@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import dmsiplan.oracle
 from conftest import DEMO_DOC, OPTIMAL_PLAN_ROWS, instances, make_instance, random_instance
 from dmsiplan import (
     BudgetExceededError,
@@ -159,35 +158,6 @@ def test_extra_rows_never_help():
         assert tight.best_total == slack.best_total
 
 
-def test_parallel_partition_matches_serial(demo_instance):
-    serial = brute_force_optimum(demo_instance, budget=DEMO_BUDGET)
-    parallel = brute_force_optimum(demo_instance, budget=DEMO_BUDGET, workers=2)
-    assert parallel == serial
-
-
-def test_pool_never_outnumbers_the_branches(demo_instance, monkeypatch):
-    """The demo's smallest positive want is 1: two branches, so two workers."""
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(dmsiplan.oracle, "ProcessPoolExecutor", InlinePool)
-    result = brute_force_optimum(demo_instance, budget=DEMO_BUDGET, workers=10**6)
-    assert sizes == [2]
-    assert result == brute_force_optimum(demo_instance, budget=DEMO_BUDGET)
-
-
 def test_client_order_does_not_matter():
     rng = random.Random(5150)
     for _ in range(25):
@@ -237,17 +207,12 @@ def bandwidth_instances(draw, max_n=4, max_k=3):
 
 @settings(max_examples=25, deadline=None)
 @given(bandwidth_instances())
-def test_fractional_delays_match_naive_and_parallel(instance):
+def test_fractional_delays_match_naive(instance):
     m_cap = max(instance.want_counts(), default=0) + 1
-    serial = brute_force_optimum(instance, m_cap=m_cap)
+    result = brute_force_optimum(instance, m_cap=m_cap)
     total, _, rows = naive_optimum(instance, m_cap)
-    assert serial.best_total == total
-    assert serial.best_matrix.rows == rows
-    parallel = brute_force_optimum(instance, m_cap=m_cap, workers=2)
-    assert parallel.best_total == serial.best_total
-    assert parallel.best_matrix == serial.best_matrix
-    assert parallel.matrices_examined == serial.matrices_examined
-    assert parallel.m_range == serial.m_range
+    assert result.best_total == total
+    assert result.best_matrix.rows == rows
 
 
 # (n, 0-based held sets, delays, m_cap, best_total, matrices_examined), taken
