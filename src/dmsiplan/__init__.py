@@ -15,7 +15,6 @@ from .assignment import (
     closed_form_delay,
     is_feasible,
     optimal_assignment,
-    packet_delay,
     reduce_to_exact_weights,
     total_delay,
     transform_to_optimal,
@@ -43,7 +42,6 @@ from .instance import (
     instance_document,
     parse_instance,
     parse_rational,
-    serialize_instance,
 )
 from .netflow import FlowNetwork, build_network, is_solvable, max_flow, sink_flows
 from .oracle import (
@@ -85,13 +83,11 @@ __all__ = [
     "matrix_rank",
     "max_flow",
     "optimal_assignment",
-    "packet_delay",
     "parse_instance",
     "parse_rational",
     "reduce_to_exact_weights",
     "run_simulation",
     "search_space_size",
-    "serialize_instance",
     "sink_flows",
     "total_delay",
     "transform_to_optimal",

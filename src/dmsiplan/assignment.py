@@ -80,16 +80,9 @@ class DelayReport:
     total: Fraction
 
 
-def packet_delay(matrix: AssignmentMatrix, i: int, delays: Sequence[Fraction]) -> Fraction:
-    """Delay of broadcast packet i: slowest recipient's delay, 0 if unassigned."""
-    if len(delays) != matrix.k:
-        raise ValueError(f"{len(delays)} delays for k={matrix.k} columns")
-    row = matrix.rows[i]
-    return max((delays[j] for j in range(matrix.k) if row[j]), default=Fraction(0))
-
-
 def total_delay(matrix: AssignmentMatrix, delays: Sequence[Fraction]) -> DelayReport:
-    """Every packet_delay and their sum, computed on scaled ints."""
+    """Each row's delay (its slowest recipient's, 0 if unassigned) and their
+    sum, computed on scaled ints."""
     if len(delays) != matrix.k:
         raise ValueError(f"{len(delays)} delays for k={matrix.k} columns")
     scale, ints = scaled_delays(delays)

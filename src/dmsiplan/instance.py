@@ -212,6 +212,3 @@ def instance_document(instance: DmsiInstance) -> dict:
         ],
     }
 
-
-def serialize_instance(instance: DmsiInstance) -> str:
-    return json.dumps(instance_document(instance), indent=2)

@@ -10,6 +10,14 @@ still-needed column that no remaining pattern covers), never objective
 bounds, so matrices_examined counts every quotiented candidate.  The pinned
 searches in the tests and the benchmark's examined ratio rely on that count.
 
+A node checks its children before descending: a complete child is counted
+on the spot, and an infeasible one is never entered.  The count loop stops
+at the first count that leaves fewer rows than the largest remaining
+weight, since each further row lowers that weight by at most one; the
+pattern loop stops at the first pattern p where a still-needed column is
+covered by no pattern from p on.  Both cut only subtrees without a
+candidate, so the candidates are the same as with the checks made on entry.
+
 The budget is checked before enumerating, against the unquotiented
 per-column count sum_m prod_j C(m, w_j); the walked multiset space is far
 smaller, but the formula is cheap and monotone, which is what a guard needs.
@@ -122,12 +130,11 @@ def _explore(
     def dfs(
         t: int, rows_left: int, total: int, rows_used: int, largest: int, need: int
     ) -> None:
-        if not need:
-            note_complete(total, rows_used)
-            return
-        if rows_left < largest or need & ~suffix_cover[t]:
-            return
+        # entered only at a live node: need is nonzero, rows_left >= largest
+        # and patterns from t on cover every needed column
         for p in range(t, len(patterns)):
+            if need & ~suffix_cover[p]:
+                break  # nor does any later pattern
             _, _, delay, cols = patterns[p]
             cmax = rows_left
             for j in cols:
@@ -136,7 +143,7 @@ def _explore(
             if cmax == 0:
                 continue
             chosen.append((p, 0))
-            top, still = largest, need
+            top, still, cover = largest, need, suffix_cover[p + 1]
             for count in range(1, cmax + 1):
                 for j in cols:
                     r = rem[j]
@@ -148,11 +155,18 @@ def _explore(
                 # each column dropped by one, so the largest drops by at most one
                 if not hist[top]:
                     top -= 1
+                left = rows_left - count
+                # a further count takes a row and lowers top by at most one
+                if left < top:
+                    break
                 chosen[-1] = (p, count)
-                dfs(p + 1, rows_left - count, total + count * delay, rows_used + count, top, still)
+                if not still:
+                    note_complete(total + count * delay, rows_used + count)
+                elif not still & ~cover:
+                    dfs(p + 1, left, total + count * delay, rows_used + count, top, still)
             for j in cols:
                 hist[rem[j]] -= 1
-                rem[j] += cmax
+                rem[j] += count
                 hist[rem[j]] += 1
             chosen.pop()
 
@@ -161,7 +175,11 @@ def _explore(
         hist[rem[j]] += 1
         if rem[j]:
             need |= colbit[j]
-    dfs(0, m_cap, 0, 0, max(rem, default=0), need)
+    largest = max(rem, default=0)
+    if not need:
+        note_complete(0, 0)
+    elif m_cap >= largest and not need & ~suffix_cover[0]:
+        dfs(0, m_cap, 0, 0, largest, need)
     return best, examined
 
 

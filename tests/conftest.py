@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from dmsiplan import AssignmentMatrix, ClientSpec, DmsiInstance, parse_instance
+from dmsiplan import AssignmentMatrix, ClientSpec, DmsiInstance, instance_document, parse_instance
 
 DEMO_DOC = {
     "n": 6,
@@ -64,6 +64,11 @@ def hand_plan_matrix():
 @pytest.fixture
 def optimal_plan_matrix():
     return AssignmentMatrix(rows=OPTIMAL_PLAN_ROWS, k=4)
+
+
+def serialize_instance(instance):
+    """The canonical instance document as indented JSON text."""
+    return json.dumps(instance_document(instance), indent=2)
 
 
 def make_instance(n, has_sets, delays):

@@ -16,6 +16,7 @@ from conftest import (
     KNOWN_GF4_ROWS,
     make_instance,
     random_instance,
+    serialize_instance,
 )
 from dmsiplan import (
     AssignmentMatrix,
@@ -34,7 +35,6 @@ from dmsiplan import (
     optimal_assignment,
     parse_rational,
     run_simulation,
-    serialize_instance,
     total_delay,
     transform_to_optimal,
 )

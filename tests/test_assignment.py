@@ -17,7 +17,6 @@ from dmsiplan import (
     closed_form_delay,
     is_feasible,
     optimal_assignment,
-    packet_delay,
     parse_instance,
     reduce_to_exact_weights,
     total_delay,
@@ -42,13 +41,20 @@ def test_optimal_plan_delays(demo_instance, optimal_plan_matrix):
     assert report.total == Fraction(20)
 
 
+def packet_delay(matrix, i, delays):
+    """Fraction reference for one row's delay: its slowest recipient's delay,
+    0 if unassigned."""
+    row = matrix.rows[i]
+    return max((delays[j] for j in range(matrix.k) if row[j]), default=Fraction(0))
+
+
 def test_packet_delay_of_unassigned_row_is_zero():
     matrix = AssignmentMatrix(rows=((0, 0), (1, 0)), k=2)
     delays = (Fraction(3), Fraction(5))
-    assert packet_delay(matrix, 0, delays) == 0
-    assert packet_delay(matrix, 1, delays) == 3
+    assert total_delay(matrix, delays).per_packet == (0, 3)
+    assert (packet_delay(matrix, 0, delays), packet_delay(matrix, 1, delays)) == (0, 3)
     with pytest.raises(ValueError):
-        packet_delay(matrix, 0, (Fraction(1),))
+        total_delay(matrix, (Fraction(1),))
 
 
 def test_total_delay_checks_the_delay_count_without_rows():

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from conftest import DEMO_DOC, instances, make_instance
+from conftest import DEMO_DOC, instances, make_instance, serialize_instance
 from dmsiplan import (
     ClientSpec,
     DmsiInstance,
@@ -16,7 +16,6 @@ from dmsiplan import (
     instance_document,
     parse_instance,
     parse_rational,
-    serialize_instance,
 )
 from dmsiplan.instance import scaled_delays
 

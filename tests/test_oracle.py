@@ -147,6 +147,54 @@ def test_agrees_with_naive_enumeration():
         assert report.total == result.best_total
 
 
+def quotiented_count(want, m_cap):
+    """Candidates of the quotiented space, counted without the search.
+
+    Every multiset of nonzero 0/1 rows that avoid the zero-want columns, with
+    at most m_cap rows and column sums exactly want.
+    """
+    k = len(want)
+    patterns = [
+        row
+        for row in itertools.product((0, 1), repeat=k)
+        if any(row) and all(want[j] or not a for j, a in enumerate(row))
+    ]
+    return sum(
+        tuple(sum(row[j] for row in rows) for j in range(k)) == want
+        for size in range(m_cap + 1)
+        for rows in itertools.combinations_with_replacement(patterns, size)
+    )
+
+
+def test_examined_counts_every_quotiented_candidate():
+    rng = random.Random(6007)
+    for _ in range(80):
+        instance = random_instance(rng, max_n=4, max_k=3, delay_range=(1, 9))
+        want = instance.want_counts()
+        m_star = max(want, default=0)
+        for m_cap in range(m_star, m_star + 3):
+            result = brute_force_optimum(instance, m_cap=m_cap)
+            assert result.matrices_examined == quotiented_count(want, m_cap), (instance, m_cap)
+
+
+@pytest.mark.parametrize(
+    "has, m_cap, examined",
+    [
+        ([{0, 1, 2}, {0, 1, 2}], 0, 1),  # nothing wanted at the root
+        # want (2, 2, 3): {001, 111, 111} and {011, 101, 111}
+        ([{0}, {1}, set()], 3, 2),  # m_cap == m*
+        # want (0, 2, 3): 011 twice and 001; 011, 010 and 001 twice; 010 twice
+        # and 001 three times
+        ([{0, 1, 2}, {0}, set()], 5, 3),  # a zero-want column
+    ],
+)
+def test_examined_count_edge_cases(has, m_cap, examined):
+    instance = make_instance(3, has, [4, 2, 1][: len(has)])
+    result = brute_force_optimum(instance, m_cap=m_cap)
+    assert result.matrices_examined == examined
+    assert examined == quotiented_count(instance.want_counts(), m_cap)
+
+
 def test_extra_rows_never_help():
     rng = random.Random(977)
     for _ in range(40):

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end against the library in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,4 +29,5 @@ def test_demo_walkthrough_runs():
 def test_regression_sweep_runs():
     proc = run_script("regression_sweep.py", "--count", "40")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "40 draws agreed" in proc.stdout
+    first = proc.stdout.splitlines()[0]
+    assert re.fullmatch(r"40 draws agreed; 1921 candidates enumerated in \d+\.\d\ds", first), first
