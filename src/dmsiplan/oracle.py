@@ -130,8 +130,7 @@ def _explore(
     def dfs(
         t: int, rows_left: int, total: int, rows_used: int, largest: int, need: int
     ) -> None:
-        # entered only at a live node: need is nonzero, rows_left >= largest
-        # and patterns from t on cover every needed column
+        # need is nonzero; each child is checked below before it is entered
         for p in range(t, len(patterns)):
             if need & ~suffix_cover[p]:
                 break  # nor does any later pattern
@@ -175,11 +174,10 @@ def _explore(
         hist[rem[j]] += 1
         if rem[j]:
             need |= colbit[j]
-    largest = max(rem, default=0)
-    if not need:
+    if need:
+        dfs(0, m_cap, 0, 0, max(rem), need)
+    else:
         note_complete(0, 0)
-    elif m_cap >= largest and not need & ~suffix_cover[0]:
-        dfs(0, m_cap, 0, 0, largest, need)
     return best, examined
 
 
