@@ -11,14 +11,17 @@ One incremental kernel, _reduce, serves rank, solve and construction: it
 reduces a row against an echelon basis and returns a new basis entry or the
 remainder.  encode and decode share one dot product, _dot.  Neither checks
 elements: CodingMatrix, encode, decode and matrix_rank check them once on
-entry.  For e <= 8 a row is packed into an int, one byte per element, so
-adding rows is one XOR and scaling is one bytes.translate; for e > 8 a row is
-a list scaled through exp/log tables.
+entry.  For e <= 8 a row is an int, one byte per element: adding is one XOR,
+scaling one bytes.translate, and a client's view is one AND with its mask,
+0xFF on each packet it misses and 0 on each it holds; pivots are packet
+coordinates.  A CodingMatrix keeps its packed rows and columns.  For e > 8 a
+row is the list of a client's missing coordinates, scaled via exp/log tables.
 
 construct_code builds the code row by row (Jaggi, Sanders et al., 2005), one
-basis per client over its missing packets, redrawing a row at most 64 times.
-Rejected rows form a proper subspace per client, so with q >= k a good row
-always exists; with q < k it may not, which is warned about and attempted.
+basis per client over its missing packets, redrawing a row at most 64 times;
+a draw is rejected at the first client it fails.  Rejected rows form a proper
+subspace per client, so with q >= k a good row always exists; with q < k it
+may not, which is warned about and attempted.
 
 run_simulation plays one broadcast end to end: a seeded payload, encode, each
 client's view, and decode, on the clock of the plan's per-packet delays.
@@ -29,9 +32,10 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .assignment import AssignmentMatrix, is_feasible, total_delay
 from .gf import Field
@@ -69,6 +73,17 @@ class CodingMatrix:
     @property
     def m(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def _kernel_rows(self) -> tuple:
+        """The rows in _reduce's form: n-byte ints for e <= 8, else as they are."""
+        packed = (int.from_bytes(bytes(row), "little") for row in self.rows)
+        return self.rows if self.field.e > 8 else tuple(packed)
+
+    @cached_property
+    def _packed_columns(self) -> tuple[bytes, ...]:
+        """Column i as m bytes, for e <= 8."""
+        return tuple(map(bytes, zip(*self.rows))) if self.rows else (b"",) * self.n
 
 
 @dataclass(frozen=True)
@@ -113,18 +128,13 @@ def _reduce(field: Field, basis: list, row, width: int, size: int) -> tuple:
     return pivot, [exp[inv_log + log[v]] if v else 0 for v in row]
 
 
-def _pack(field: Field, values: Iterable[int]) -> int | list[int]:
-    """A row in the form _reduce takes for this field."""
-    return int.from_bytes(bytes(values), "little") if field.e <= 8 else list(values)
-
-
-def _rank(field: Field, rows: Iterable[Iterable[int]], width: int) -> int:
-    """Rank of rows of `width` valid elements, inserting until it is full."""
+def _rank(field: Field, rows: Iterable, width: int, full: int) -> int:
+    """Rank of rows in _reduce's form over `width` columns, inserting until it is `full`."""
     basis: list = []
     for row in rows:
-        if len(basis) == width:
+        if len(basis) == full:
             break
-        pivot, entry = _reduce(field, basis, _pack(field, row), width, width)
+        pivot, entry = _reduce(field, basis, row, width, width)
         if pivot is not None:
             basis.append((pivot, entry))
     return len(basis)
@@ -143,12 +153,21 @@ def _dot(field: Field, coeffs: Iterable[int], values: Iterable[int]) -> int:
 def matrix_rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
     """Rank over the field; the rows are checked once, as a CodingMatrix's are."""
     checked = CodingMatrix(field=field, n=len(rows[0]) if rows else 0, rows=rows)
-    return _rank(field, checked.rows, checked.n)
+    return _rank(field, checked._kernel_rows, checked.n, checked.n)
 
 
 def _missing(instance: DmsiInstance, client: int) -> list[int]:
     has = instance.clients[client].has
     return [x for x in range(instance.n) if x not in has]
+
+
+def _projector(field: Field, instance: DmsiInstance, client: int) -> tuple[Sequence, Callable]:
+    """(coords, project): project restricts a packed code row to the client's
+    missing packets, and pivot p of the result is packet coords[p]."""
+    missing = _missing(instance, client)
+    if field.e > 8:
+        return missing, lambda row: [row[x] for x in missing]
+    return range(instance.n), sum(255 << 8 * x for x in missing).__and__
 
 
 def decodability_check(
@@ -162,10 +181,10 @@ def decodability_check(
             f"code is {code.m}x{code.n}, expected {matrix.m}x{instance.n}"
         )
     verdicts = []
-    for j in range(instance.k):
-        missing = _missing(instance, j)
-        sub = (map(row.__getitem__, missing) for row, a in zip(code.rows, matrix.rows) if a[j])
-        verdicts.append(_rank(code.field, sub, len(missing)) == len(missing))
+    for j, want in enumerate(instance.want_counts()):
+        coords, project = _projector(code.field, instance, j)
+        sub = (project(row) for row, a in zip(code._kernel_rows, matrix.rows) if a[j])
+        verdicts.append(_rank(code.field, sub, len(coords), want) == want)
     return tuple(verdicts)
 
 
@@ -192,29 +211,36 @@ def construct_code(
             stacklevel=2,
         )
     rng = random.Random(seed)
-    mask = bytes(b & (field.q - 1) for b in range(256))  # uniform: q divides 256
-    bases: list = [(_missing(instance, j), []) for j in range(instance.k)]
+    mask = bytes(range(field.q)) * (256 // field.q) if field.e <= 8 else None  # b -> b mod q
+    want = instance.want_counts()
+    bases = []  # (client, width, project, basis)
+    for j in range(instance.k):
+        coords, project = _projector(field, instance, j)
+        bases.append((j, len(coords), project, []))
     rows = []
     for h, assigned in enumerate(matrix.rows):
-        short = [(j, missing, basis) for j, (missing, basis) in enumerate(bases)
-                 if assigned[j] and len(basis) < len(missing)]
+        short = [(j, width, project, basis) for j, width, project, basis in bases
+                 if assigned[j] and len(basis) < want[j]]
         for _ in range(_ROW_ATTEMPTS):
             row = (rng.randbytes(instance.n).translate(mask) if field.e <= 8
                    else [rng.getrandbits(field.e) for _ in range(instance.n)])
-            entries = [
-                _reduce(field, basis, _pack(field, map(row.__getitem__, missing)),
-                        len(missing), len(missing))
-                for _, missing, basis in short
-            ]
-            if all(pivot is not None for pivot, _ in entries):
+            packed = int.from_bytes(row, "little") if field.e <= 8 else row
+            entries = []
+            for _, width, project, basis in short:
+                pivot, entry = _reduce(field, basis, project(packed), width, width)
+                if pivot is None:
+                    break
+                entries.append((pivot, entry))
+            else:
                 break
         else:
-            failing = [j + 1 for (j, _, _), (pivot, _) in zip(short, entries) if pivot is None]
+            failing = [j + 1 for j, width, project, basis in short
+                       if _reduce(field, basis, project(packed), width, width)[0] is None]
             raise CodeConstructionError(
                 f"no verified code after {_ROW_ATTEMPTS} draws of row {h + 1} over "
                 f"{field}; clients {failing} still lack full rank"
             )
-        for (_, _, basis), entry in zip(short, entries):
+        for (_, _, _, basis), entry in zip(short, entries):
             basis.append(entry)
         rows.append(row)
     return CodingMatrix(field=field, n=instance.n, rows=rows)
@@ -271,31 +297,40 @@ def decode(
     field = code.field
     for _, value in [*view.side_info, *view.received]:
         field._check(value)
-    side = dict(view.side_info)
-    missing = _missing(instance, j)
+    coords, project = _projector(field, instance, j)
+    width = len(coords)
     # per received symbol: its coefficients on the missing packets, then the
-    # symbol less what the side information contributes to it
-    width = len(missing)
+    # symbol less the side information's share, for e <= 8 from packed columns
+    if field.e <= 8:
+        columns, scale, share = code._packed_columns, field._byte_products, 0
+        for x, value in view.side_info:
+            share ^= int.from_bytes(columns[x].translate(scale[value]), "little")
+        known = share.to_bytes(code.m, "little")
+        rows = [project(code._kernel_rows[h]) | (symbol ^ known[h]) << 8 * width
+                for h, symbol in view.received]
+    else:
+        side = dict(view.side_info)
+        rows = [project(row) + [symbol ^ _dot(field, map(row.__getitem__, side), side.values())]
+                for row, symbol in ((code.rows[h], symbol) for h, symbol in view.received)]
     basis: list = []
     inconsistent = False
-    for h, symbol in view.received:
-        coeffs = code.rows[h]
-        known = _dot(field, [coeffs[x] for x in side], side.values())
-        row = _pack(field, [coeffs[x] for x in missing] + [symbol ^ known])
+    for row in rows:
         pivot, entry = _reduce(field, basis, row, width, width + 1)
         if pivot is None:
             inconsistent = inconsistent or entry[width] != 0
         else:
             basis.append((pivot, entry))
-    if len(basis) < width:
+    if len(basis) < instance.want_counts()[j]:
         raise ValueError("singular system: received symbols do not pin down the unknowns")
     if inconsistent:
         raise ValueError("inconsistent received symbols")
-    # every column is a pivot, and an entry is 0 on earlier pivots: solve backwards
-    solution = [0] * width
+    # each missing packet is a pivot, and an entry is 0 on earlier pivots and
+    # held packets: solve backwards, reading entries at the solved pivots
+    solution: dict[int, int] = {}
     for pivot, entry in reversed(basis):
-        solution[pivot] = entry[width] ^ _dot(field, entry[:width], solution)
-    return dict(zip(missing, solution))
+        known = _dot(field, map(entry.__getitem__, solution), solution.values())
+        solution[pivot] = entry[width] ^ known
+    return {coords[p]: solution[p] for p in sorted(solution)}
 
 
 @dataclass(frozen=True)

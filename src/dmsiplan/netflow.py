@@ -68,11 +68,7 @@ class FlowNetwork:
         if not self.adjacency:
             self.adjacency = [[] for _ in range(self.num_nodes)]
 
-    # node numbering: s, then x_1..x_n, u_1..u_m, v_1..v_m, t_1..t_k, hub
-    @property
-    def source(self) -> int:
-        return 0
-
+    # node numbering: s = 0, then x_1..x_n, u_1..u_m, v_1..v_m, t_1..t_k, hub
     def sink(self, j: int) -> int:
         return 1 + self.n + 2 * self.m + j
 
@@ -123,12 +119,11 @@ def build_network(
 
 
 def max_flow(network: FlowNetwork, sink: int) -> int:
-    """Dinic's max flow from the source to the given node index."""
+    """Dinic's max flow from the source, node 0, to the given node index."""
     num_nodes = network.num_nodes
     if not 0 <= sink < num_nodes:
         raise ValueError(f"sink index {sink} outside [0, {num_nodes})")
-    source = network.source
-    if sink == source:
+    if sink == 0:
         return 0
     heads = network.edge_head
     adjacency = network.adjacency
@@ -139,8 +134,8 @@ def max_flow(network: FlowNetwork, sink: int) -> int:
         # than the sink is labelled by then and no other node at its level
         # lies on a shortest path
         level = [-1] * num_nodes
-        level[source] = 0
-        queue = [source]
+        level[0] = 0
+        queue = [0]
         for node in queue:  # the list grows while it is walked: a FIFO queue
             below = level[node] + 1
             for edge in adjacency[node]:
@@ -155,7 +150,7 @@ def max_flow(network: FlowNetwork, sink: int) -> int:
         # blocking flow; path holds the edges from the source to node
         pointer = [0] * num_nodes
         path: list[int] = []
-        node = source
+        node = 0
         while True:
             if node == sink:
                 pushed = min(map(residual.__getitem__, path))
@@ -183,7 +178,7 @@ def max_flow(network: FlowNetwork, sink: int) -> int:
             if p < end:
                 path.append(edge)
                 node = heads[edge]
-            elif node == source:
+            elif node == 0:
                 break
             else:  # dead end: back up and skip the edge that led here
                 node = heads[path.pop() ^ 1]

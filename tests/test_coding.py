@@ -97,6 +97,23 @@ def test_construction_fails_honestly_when_no_code_exists():
     assert all(decodability_check(inst, matrix, code))
 
 
+@pytest.mark.parametrize(
+    "seed, failing",
+    [(0, [1]), (1, [3, 4, 5, 6]), (30, [1, 2, 3, 4, 5, 6])],
+)
+def test_construction_failure_names_every_failing_client(seed, failing):
+    # the last draw is rejected at its first failing client, yet the message
+    # still names every client that draw leaves short
+    inst = parse_instance(json.dumps(IMPOSSIBLE_GF2_DOC))
+    _, matrix = optimal_assignment(inst)
+    with pytest.warns(RuntimeWarning), pytest.raises(CodeConstructionError) as info:
+        construct_code(inst, matrix, field=Field(1), seed=seed)
+    assert str(info.value) == (
+        f"no verified code after 64 draws of row 2 over GF(2^1); "
+        f"clients {failing} still lack full rank"
+    )
+
+
 def test_construction_rejects_infeasible_assignment(demo_instance, optimal_plan_matrix):
     short = AssignmentMatrix(rows=optimal_plan_matrix.rows[:-1], k=4)
     with pytest.raises(ValueError, match="infeasible"):
@@ -214,8 +231,8 @@ def test_codes_exist_for_random_feasible_instances():
 # ---------------------------------------------------------------- kernel vs reference
 
 # both row representations of the elimination kernel: packed bytes up to
-# e = 8 (e = 8 fills every byte value), int lists above
-DEGREES = (1, 2, 4, 8, 9, 12)
+# e = 8 (e = 8 fills every byte value), int lists above, up to the top degree
+DEGREES = (1, 2, 4, 8, 9, 12, 16)
 FIELDS = {e: Field(e) for e in DEGREES}
 
 
@@ -346,3 +363,76 @@ def test_plan_decodability_matches_an_independent_check(e, instance, seed):
     bundle = build_plan(instance, field=f, seed=seed)
     assert all(decodability_check(instance, bundle.matrix, bundle.code))
     assert bundle.code == build_plan(instance, field=f, seed=seed).code
+
+
+# ---------------------------------------------------------------- realistic size and packed view
+
+
+@pytest.mark.parametrize("e", [4, 8, 12])
+def test_kernel_at_forty_packets_and_ten_clients(e):
+    """Held and missing packets interleave; a damaged copy of the code leaves
+    some clients short, and every verdict matches the reference rank."""
+    f = FIELDS[e]
+    rng = random.Random(4010 + e)
+    inst = make_instance(
+        40, [set(rng.sample(range(40), rng.randrange(5, 36))) for _ in range(10)],
+        [rng.randint(1, 16) for _ in range(10)],
+    )
+    _, matrix = optimal_assignment(inst)
+    code = construct_code(inst, matrix, field=f, seed=e)
+    assert code == construct_code(inst, matrix, field=f, seed=e)
+    # the last row repeats the one before it: only clients that need both fall short
+    damaged = CodingMatrix(field=f, n=40, rows=code.rows[:-1] + code.rows[-2:-1])
+    payload = [rng.randrange(f.q) for _ in range(40)]
+    for candidate in (code, damaged):
+        verdicts = decodability_check(inst, matrix, candidate)
+        broadcast = encode(candidate, payload)
+        for j in range(inst.k):
+            missing = [x for x in range(40) if x not in inst.clients[j].has]
+            sub = [[row[x] for x in missing] for row, a in zip(candidate.rows, matrix.rows) if a[j]]
+            assert verdicts[j] == (reference_rank(f, sub) == len(missing))
+            view = client_view(inst, matrix, j, payload, broadcast)
+            if verdicts[j]:
+                assert decode(view, inst, matrix, candidate) == {x: payload[x] for x in missing}
+            else:
+                with pytest.raises(ValueError, match="singular"):
+                    decode(view, inst, matrix, candidate)
+        assert set(verdicts) == ({True} if candidate is code else {True, False})
+
+
+def test_packed_view_leaves_equality_and_hash_alone(demo_instance, optimal_plan_matrix):
+    used = CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS)
+    fresh = CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS)
+    payload = (1, 2, 0, 3, 1, 2)
+    broadcast = encode(used, payload)
+    assert all(decodability_check(demo_instance, optimal_plan_matrix, used))
+    for j in range(4):
+        view = client_view(demo_instance, optimal_plan_matrix, j, payload, broadcast)
+        decode(view, demo_instance, optimal_plan_matrix, used)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert {fresh: "plan"}[used] == "plan"
+    assert used != CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS[:-1] + ((0,) * 6,))
+
+
+@pytest.mark.parametrize("e", [2, 12])
+def test_codes_without_rows_or_packets(e):
+    f = Field(e)
+    # m = 0: both clients hold every packet, so nothing is broadcast
+    inst = make_instance(3, [{0, 1, 2}, {0, 1, 2}], [2, 1])
+    matrix = AssignmentMatrix(rows=(), k=2)
+    code = CodingMatrix(field=f, n=3, rows=())
+    assert decodability_check(inst, matrix, code) == (True, True)
+    for j in range(2):
+        view = client_view(inst, matrix, j, (1, 0, 3), ())
+        assert decode(view, inst, matrix, code) == {}
+    # n = 0: rows carry the empty combination, whose symbol must be 0
+    inst = make_instance(0, [set()], [1])
+    matrix = AssignmentMatrix(rows=((1,), (1,)), k=1)
+    code = CodingMatrix(field=f, n=0, rows=((), ()))
+    assert decodability_check(inst, matrix, code) == (True,)
+    assert decode(ClientView(0, (), ((0, 0), (1, 0))), inst, matrix, code) == {}
+    with pytest.raises(ValueError, match="inconsistent"):
+        decode(ClientView(0, (), ((0, 0), (1, 1))), inst, matrix, code)
+    empty = CodingMatrix(field=f, n=0, rows=())
+    assert decodability_check(inst, AssignmentMatrix(rows=(), k=1), empty) == (True,)
+    assert decode(ClientView(0, (), ()), inst, AssignmentMatrix(rows=(), k=1), empty) == {}

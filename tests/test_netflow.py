@@ -21,14 +21,13 @@ from dmsiplan import (
 def edmonds_karp(network, sink):
     """Reference max flow: shortest augmenting paths, one BFS per path."""
     residual = list(network.edge_cap)
-    source = network.source
-    if sink == source:
+    if sink == 0:
         return 0
     flow = 0
     while True:
         arrived_by = [-1] * network.num_nodes
-        arrived_by[source] = -2
-        queue = deque([source])
+        arrived_by[0] = -2
+        queue = deque([0])
         while queue and arrived_by[sink] == -1:
             node = queue.popleft()
             for edge in network.adjacency[node]:
@@ -40,13 +39,13 @@ def edmonds_karp(network, sink):
             return flow
         bottleneck = None
         node = sink
-        while node != source:
+        while node != 0:
             edge = arrived_by[node]
             if bottleneck is None or residual[edge] < bottleneck:
                 bottleneck = residual[edge]
             node = network.edge_head[edge ^ 1]
         node = sink
-        while node != source:
+        while node != 0:
             edge = arrived_by[node]
             residual[edge] -= bottleneck
             residual[edge ^ 1] += bottleneck
