@@ -164,10 +164,13 @@ def _missing(instance: DmsiInstance, client: int) -> list[int]:
 def _projector(field: Field, instance: DmsiInstance, client: int) -> tuple[Sequence, Callable]:
     """(coords, project): project restricts a packed code row to the client's
     missing packets, and pivot p of the result is packet coords[p]."""
-    missing = _missing(instance, client)
     if field.e > 8:
+        missing = _missing(instance, client)
         return missing, lambda row: [row[x] for x in missing]
-    return range(instance.n), sum(255 << 8 * x for x in missing).__and__
+    keep = bytearray(b"\xff") * instance.n  # 0xFF on each missing packet, 0 on each held one
+    for x in instance.clients[client].has:
+        keep[x] = 0
+    return range(instance.n), int.from_bytes(keep, "little").__and__
 
 
 def decodability_check(
@@ -213,13 +216,10 @@ def construct_code(
     rng = random.Random(seed)
     mask = bytes(range(field.q)) * (256 // field.q) if field.e <= 8 else None  # b -> b mod q
     want = instance.want_counts()
-    bases = []  # (client, width, project, basis)
-    for j in range(instance.k):
-        coords, project = _projector(field, instance, j)
-        bases.append((j, len(coords), project, []))
+    bases = [(j, *_projector(field, instance, j), []) for j in range(instance.k)]
     rows = []
     for h, assigned in enumerate(matrix.rows):
-        short = [(j, width, project, basis) for j, width, project, basis in bases
+        short = [(j, len(coords), project, basis) for j, coords, project, basis in bases
                  if assigned[j] and len(basis) < want[j]]
         for _ in range(_ROW_ATTEMPTS):
             row = (rng.randbytes(instance.n).translate(mask) if field.e <= 8
