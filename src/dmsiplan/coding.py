@@ -162,8 +162,8 @@ def _missing(instance: DmsiInstance, client: int) -> list[int]:
 
 
 def _projector(field: Field, instance: DmsiInstance, client: int) -> tuple[Sequence, Callable]:
-    """(coords, project): project restricts a packed code row to the client's
-    missing packets, and pivot p of the result is packet coords[p]."""
+    """(coords, project): project restricts a code row in _reduce's form to the
+    client's missing packets, and pivot p of the result is packet coords[p]."""
     if field.e > 8:
         missing = _missing(instance, client)
         return missing, lambda row: [row[x] for x in missing]
