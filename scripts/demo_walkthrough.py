@@ -20,7 +20,7 @@ from dmsiplan.cli import _rational_text, build_plan, render_plan
 # feasible by inspection, but pays for packet 3 twice at the slow client
 HAND_PLAN = ((1, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 1))
 
-DEFAULT_INSTANCE = Path(__file__).resolve().parent.parent / "data" / "demo_instance.json"
+INSTANCE = Path(__file__).resolve().parent.parent / "data" / "demo_instance.json"
 
 
 def show_matrix(matrix):
@@ -30,14 +30,11 @@ def show_matrix(matrix):
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--instance", type=Path, default=DEFAULT_INSTANCE, help="instance JSON file"
-    )
     parser.add_argument("--budget", type=int, default=10**8)
     parser.add_argument("--payload-seed", type=int, default=0)
     args = parser.parse_args()
 
-    instance = parse_instance(args.instance.read_text())
+    instance = parse_instance(INSTANCE.read_text())
     print(f"{instance.n} packets, {instance.k} clients, wants {instance.want_counts()}")
 
     print("\nhand-built plan:")

@@ -21,6 +21,7 @@ from dmsiplan import (
     closed_form_delay,
     construct_code,
     decodability_check,
+    is_feasible,
     is_solvable,
     optimal_assignment,
     run_simulation,
@@ -98,11 +99,7 @@ def main() -> int:
             return 1
 
         matrix = draw_matrix(rng, instance)
-        weights_ok = all(
-            matrix.column_weight(j) >= w
-            for j, w in enumerate(instance.want_counts())
-        )
-        if is_solvable(instance, matrix) != weights_ok:
+        if is_solvable(instance, matrix) != is_feasible(matrix, instance):
             print(f"FEASIBILITY DISAGREEMENT on draw {i}: {instance} {matrix}")
             return 1
 

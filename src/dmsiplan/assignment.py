@@ -11,8 +11,8 @@ least w_j = n - |has_j| rows (netflow.py provides the independent max-flow
 check of the same property).  The minimum-total-delay plan simply gives
 client j the topmost w_j rows, and its cost has a closed form evaluated in
 non-increasing delay order.  transform_to_optimal makes the optimality
-argument executable: it rewrites any exact-weight matrix into the optimal one
-through k + 1 steps, none of which increases the total delay.
+argument executable: it rewrites any feasible matrix into the optimal one
+through steps none of which increases the total delay.
 
 Totals are exact without Fraction arithmetic: instance.scaled_delays turns
 the delays into ints by the lcm of their denominators, every max, sum and
@@ -200,26 +200,22 @@ def reduce_to_exact_weights(
 def transform_to_optimal(
     matrix: AssignmentMatrix, instance: DmsiInstance
 ) -> TransformTrace:
-    """Rewrite an exact-weight matrix into the optimal one, step by step.
+    """Rewrite a feasible matrix into the optimal one, step by step.
 
     Works in ranked column order (columns sorted by non-increasing client
-    delay).  Step 1 permutes rows so column 1's ones sit on top.  Step j
-    then confines column j's ones to the topmost w_j rows: above the divider
-    u = #rows already carrying a 1 in an earlier column, entries of column j
-    may be rewritten freely (those packets' delays are pinned by faster-
-    ranked columns), and below it, ones may only be cleared or rows permuted.
-    Step k+1 drops the all-zero rows left at the bottom.  No step increases
-    the total delay, which proves the target matrix optimal; the returned
-    trace records every intermediate matrix with its total.
+    delay).  Surplus assignments are cleared first, as a step of their own, by
+    reduce_to_exact_weights, which raises on an under-weight column.  Step 1
+    permutes rows so column 1's ones sit on top.  Step j then confines column
+    j's ones to the topmost w_j rows: above the divider u = #rows already
+    carrying a 1 in an earlier column, entries of column j may be rewritten
+    freely (those packets' delays are pinned by faster-ranked columns), and
+    below it, ones may only be cleared or rows permuted.  Step k+1 drops the
+    all-zero rows left at the bottom.  No step increases the total delay,
+    which proves the target matrix optimal; the returned trace records every
+    intermediate matrix with its total.
     """
     if matrix.k != instance.k:
         raise ValueError(f"matrix has {matrix.k} columns for {instance.k} clients")
-    want = instance.want_counts()
-    if matrix.column_weights() != want:
-        raise ValueError(
-            f"column weights {matrix.column_weights()} != want counts {want}; "
-            "reduce_to_exact_weights first"
-        )
     ranking = instance.delay_ranking()
     scale, ints = scaled_delays(instance.delays())
     ranked_ints = [ints[j] for j in ranking]
@@ -235,6 +231,10 @@ def transform_to_optimal(
         return TransformStep(label, snap, Fraction(total, scale))
 
     steps = [snapshot("initial")]
+    if matrix.column_weights() != instance.want_counts():
+        exact = reduce_to_exact_weights(matrix, instance)
+        rows = [[row[j] for j in ranking] for row in exact.rows]
+        steps.append(snapshot("surplus removed"))
 
     if k > 0:
         # step 1: stable row partition, column 1's ones above its zeros

@@ -23,7 +23,6 @@ from .assignment import (
     DelayReport,
     closed_form_delay,
     optimal_assignment,
-    reduce_to_exact_weights,
     total_delay,
     transform_to_optimal,
 )
@@ -439,24 +438,10 @@ def cmd_transform(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     doc = _load_json(args.matrix)
     matrix = _matrix_from_document(doc, instance.k, args.matrix)
-    want = instance.want_counts()
-    weights = matrix.column_weights()
-    if any(weight < w for weight, w in zip(weights, want)):
-        raise _CommandError(
-            EXIT_VALIDATION,
-            f"matrix is infeasible: column weights {weights} vs needs {want}",
-        )
-    if weights != want:
-        if not args.auto_reduce:
-            raise _CommandError(
-                EXIT_VALIDATION,
-                f"column weights {weights} exceed needs {want}; "
-                "pass --auto-reduce to strip surplus assignments",
-            )
-        matrix = reduce_to_exact_weights(matrix, instance)
-        print("surplus assignments removed:")
-        print(_indent_matrix(matrix))
-    trace = transform_to_optimal(matrix, instance)
+    try:
+        trace = transform_to_optimal(matrix, instance)
+    except ValueError as err:
+        raise _CommandError(EXIT_VALIDATION, f"{args.matrix}: {err}")
     order = " >= ".join(f"C{j + 1}" for j in trace.ranking) or "(no clients)"
     print(f"columns in delay order: {order}")
     for step in trace.steps:
@@ -517,7 +502,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transform", help="rewrite a matrix into the optimal one")
     p.add_argument("instance")
     p.add_argument("matrix", help="JSON rows, or any file with an 'assignment' key")
-    p.add_argument("--auto-reduce", action="store_true")
     p.set_defaults(handler=cmd_transform)
     return parser
 

@@ -248,12 +248,19 @@ def test_transform_reproduces_walkthrough(demo_instance, hand_plan_matrix, optim
     assert trace.final_total == closed_form_delay(demo_instance)
 
 
-def test_transform_requires_exact_weights(demo_instance, optimal_plan_matrix):
+def test_transform_clears_surplus_and_rejects_underweight(demo_instance, optimal_plan_matrix):
     rows = [list(r) for r in optimal_plan_matrix.rows]
     rows[4][0] = 1  # surplus assignment for C1
     heavy = AssignmentMatrix(rows=tuple(tuple(r) for r in rows), k=4)
-    with pytest.raises(ValueError, match="weights"):
-        transform_to_optimal(heavy, demo_instance)
+    trace = transform_to_optimal(heavy, demo_instance)
+    assert [step.label for step in trace.steps[:2]] == ["initial", "surplus removed"]
+    assert trace.ranking == (0, 1, 2, 3)
+    assert trace.steps[1].matrix.column_weights() == demo_instance.want_counts()
+    assert trace.final_matrix == optimal_plan_matrix
+    assert trace.final_total == closed_form_delay(demo_instance)
+    short = AssignmentMatrix(rows=optimal_plan_matrix.rows[:3], k=4)
+    with pytest.raises(ValueError, match="column 4 has weight 3 < w=5"):
+        transform_to_optimal(short, demo_instance)
     with pytest.raises(ValueError):
         transform_to_optimal(AssignmentMatrix(rows=(), k=4), demo_instance)
 
@@ -351,8 +358,17 @@ def test_reduce_then_transform_from_padded(case):
     padded = AssignmentMatrix(rows=tuple(tuple(r) for r in rows), k=inst.k)
     reduced = reduce_to_exact_weights(padded, inst)
     assert reduced.column_weights() == inst.want_counts()
-    trace = transform_to_optimal(reduced, inst)
-    assert trace.final_total == closed_form_delay(inst)
+    exact = transform_to_optimal(reduced, inst)
+    assert exact.final_total == closed_form_delay(inst)
+    trace = transform_to_optimal(padded, inst)
+    if padded == matrix:  # padding added no 1
+        assert trace == exact
+        return
+    assert [step.label for step in trace.steps[:2]] == ["initial", "surplus removed"]
+    assert trace.steps[1].matrix == exact.steps[0].matrix
+    assert [(s.matrix, s.total) for s in trace.steps[2:]] == [
+        (s.matrix, s.total) for s in exact.steps[1:]
+    ]
 
 
 def test_with_column_order_validates(optimal_plan_matrix):

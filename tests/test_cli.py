@@ -6,6 +6,7 @@ import hashlib
 import json
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -20,7 +21,14 @@ from hypothesis import strategies as st
 import dmsiplan
 from conftest import DEMO_DOC, HAND_PLAN_ROWS, OPTIMAL_PLAN_ROWS, IMPOSSIBLE_GF2_DOC
 from dmsiplan import Field, parse_instance
-from dmsiplan.cli import _indented_json, build_plan, main, plan_document, plan_json
+from dmsiplan.cli import (
+    _build_parser,
+    _indented_json,
+    build_plan,
+    main,
+    plan_document,
+    plan_json,
+)
 
 
 def write_json(path, doc):
@@ -204,16 +212,19 @@ def test_transform_walks_to_the_optimum(tmp_path, capsys):
     assert "final total 20; closed form 20 (matches)" in shown
 
 
-def test_transform_needs_flag_for_surplus(tmp_path, capsys):
+def test_transform_strips_surplus_without_a_flag(tmp_path, capsys):
     inst = write_json(tmp_path / "instance.json", DEMO_DOC)
     padded = [list(r) for r in HAND_PLAN_ROWS] + [[1, 1, 1, 1]]
     rows = write_json(tmp_path / "rows.json", padded)
-    assert main(["transform", inst, rows]) == 2
-    assert "--auto-reduce" in capsys.readouterr().err
-    assert main(["transform", inst, rows, "--auto-reduce"]) == 0
+    assert main(["transform", inst, rows]) == 0
     shown = capsys.readouterr().out
-    assert "surplus assignments removed:" in shown
+    assert "initial (total 32):" in shown
+    assert "surplus removed (total 26):" in shown
     assert "final total 20; closed form 20 (matches)" in shown
+    with pytest.raises(SystemExit) as exc:
+        main(["transform", inst, rows, "--auto-reduce"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --auto-reduce" in capsys.readouterr().err
 
 
 def test_transform_rejects_infeasible_matrix(tmp_path, capsys):
@@ -334,7 +345,7 @@ def test_mutated_documents_get_an_exit_code(tmp_path, instance_doc, plan_doc):
         ["plan", inst, "--output", str(tmp_path / "out.json")],
         ["verify", inst, plan],
         ["simulate", inst, plan],
-        ["transform", inst, plan, "--auto-reduce"],
+        ["transform", inst, plan],
     ):
         assert main(argv) in {0, 2, 3, 4}, argv
 
@@ -413,6 +424,19 @@ def _declared_console_script(name):
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     return EntryPoint(name=name, value=scripts[name], group="console_scripts")
+
+
+def test_readme_cli_examples_parse():
+    """Every `dmsiplan` line of README's CLI block is accepted by the parser."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    examples = [shlex.split(line) for line in block.splitlines() if line.startswith("dmsiplan ")]
+    assert examples, "no dmsiplan lines in README's CLI block"
+    for argv in examples:
+        try:
+            _build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 
 
 def test_console_script_entry_point(tmp_path):
