@@ -372,6 +372,9 @@ def _seeded_instance(seed, n, k):
         ("demo", None, 2, "95495ce571e3b501bd06bfa38e2a575d7b5e9345f93b03d62bb4ea7bf13b9c80"),
         ((8, 10, 6), 8, 3, "adad82ba671af9fbdc1f67e11bffab7dc7125439a4069f27c003cf20bc62bd4a"),
         ((12, 8, 5), 12, 4, "34726329cc1cd8f8234b3f3e48a3f6e0af1f089b73aae4c65bd2c0df4bf5736d"),
+        ((9, 14, 7), 9, 5, "6ccdb5bd8af2ba93f5c3b5e09c08da94d61b5dd93475db53450d0b89ed254c98"),
+        ((16, 12, 6), 16, 6, "4f0689b9ccef90b2d8def1711e9a1b5a4f37bf4c466405831d2c18726108a480"),
+        ((24, 26, 10), 12, 7, "8c0e847d1b707cd51f56f14dcd6c8ead35326b4409f2d4891edf4120140871f2"),
     ],
 )
 def test_seeded_plan_bytes_are_pinned(case, degree, seed, digest):
@@ -479,6 +482,21 @@ def test_cli_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("module", ["dmsiplan", "dmsiplan.cli"])
+def test_python_dash_m_runs_the_cli(tmp_path, capsys, module):
+    inst = write_json(tmp_path / "instance.json", DEMO_DOC)
+    assert main(["plan", inst]) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(dmsiplan.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "plan", inst],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    assert "closed form: 20 (matches)" in expected
 
 
 @pytest.mark.skipif(shutil.which("dmsiplan") is None, reason="dmsiplan is not on PATH")
