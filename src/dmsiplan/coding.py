@@ -11,11 +11,12 @@ One incremental kernel, _reduce, serves rank, solve and construction: it
 reduces a row against an echelon basis and returns a new basis entry or the
 remainder.  encode and decode share one dot product, _dot.  Neither checks
 elements: CodingMatrix, encode, decode and matrix_rank check them once on
-entry.  For e <= 8 a row is an int, one byte per element: adding is one XOR,
-scaling one bytes.translate, and a client's view is one AND with its mask,
-0xFF on each packet it misses and 0 on each it holds; pivots are packet
-coordinates.  A CodingMatrix keeps its packed rows and columns.  For e > 8 a
-row is the list of a client's missing coordinates, scaled via exp/log tables.
+entry.  A row is one int with one lane per packet, lane i holding packet i,
+of 8 bits for e <= 8 and 16 above.  Adding is one XOR, and a client's view is
+one AND with its keep-mask, all ones on each packet it misses and 0 on each it
+holds; pivots are packet coordinates.  For e <= 8 scaling is one translate;
+above, a basis entry keeps its row times x^i for i < e, and scaling by c XORs
+the ones at the set bits of c.  A CodingMatrix keeps its packed rows and columns.
 
 construct_code builds the code row by row (Jaggi, Sanders et al., 2005), one
 basis per client over its missing packets, redrawing a row at most 64 times;
@@ -30,6 +31,7 @@ client's view, and decode, on the clock of the plan's per-packet delays.
 from __future__ import annotations
 
 import random
+import struct
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,6 +44,7 @@ from .gf import Field
 from .instance import DmsiInstance
 
 _ROW_ATTEMPTS = 64  # draws of one row before construct_code gives up
+_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))  # set bits of a byte
 
 
 class CodeConstructionError(RuntimeError):
@@ -75,15 +78,15 @@ class CodingMatrix:
         return len(self.rows)
 
     @cached_property
-    def _kernel_rows(self) -> tuple:
-        """The rows in _reduce's form: n-byte ints for e <= 8, else as they are."""
-        packed = (int.from_bytes(bytes(row), "little") for row in self.rows)
-        return self.rows if self.field.e > 8 else tuple(packed)
+    def _kernel_rows(self) -> tuple[int, ...]:
+        """The rows in _reduce's form: ints of n lanes."""
+        return tuple(int.from_bytes(_lane_bytes(self.field, row), "little") for row in self.rows)
 
     @cached_property
     def _packed_columns(self) -> tuple[bytes, ...]:
-        """Column i as m bytes, for e <= 8."""
-        return tuple(map(bytes, zip(*self.rows))) if self.rows else (b"",) * self.n
+        """Column i as the bytes of m lanes."""
+        columns = (_lane_bytes(self.field, column) for column in zip(*self.rows))
+        return tuple(columns) if self.rows else (b"",) * self.n
 
 
 @dataclass(frozen=True)
@@ -95,14 +98,37 @@ class ClientView:
     received: tuple[tuple[int, int], ...]  # (broadcast row index, symbol)
 
 
-def _reduce(field: Field, basis: list, row, width: int, size: int) -> tuple:
-    """Reduce one row of valid elements against an echelon basis, unchecked.
+def _lane_bytes(field: Field, values: Sequence[int]) -> bytes:
+    """Valid elements as the little-endian bytes of one lane each."""
+    return bytes(values) if field.e <= 8 else struct.pack(f"<{len(values)}H", *values)
 
-    A basis entry (pivot, row) is 1 on its pivot, one of the first `width`
-    columns, and 0 on the pivots of earlier entries.  Returns a new entry or
-    (None, remainder) when nothing is left in those columns; later columns (a
-    solve's right-hand side) ride along.  For e <= 8 the row is packed into an
-    int of `size` bytes and entries hold bytes; above that both are lists.
+
+def _lanes(field: Field, row: int, size: int) -> Sequence[int]:
+    """The first `size` lanes of a packed row."""
+    data = row.to_bytes(size if field.e <= 8 else 2 * size, "little")
+    return data if field.e <= 8 else struct.unpack(f"<{size}H", data)
+
+
+def _times_x(field: Field, size: int) -> Callable[[int], int]:
+    """Multiplies a row of `size` 16-bit lanes by x, lane by lane."""
+    top = int.from_bytes((field.q >> 1).to_bytes(2, "little") * size, "little")
+    low, shift = field.reduction_polynomial ^ field.q, field.e - 1
+
+    def times_x(row: int) -> int:
+        over = row & top  # the lanes that overflow
+        return (row ^ over) << 1 ^ (over >> shift) * low
+    return times_x
+
+
+def _reduce(field: Field, basis: list, row: int, width: int, size: int) -> tuple:
+    """Reduce one packed row of valid elements against an echelon basis, unchecked.
+
+    A basis entry is nonzero on its pivot, one of the first `width` lanes, and
+    0 on the pivots of earlier entries.  Returns (pivot, entry) or (None,
+    remainder) when those lanes are 0; later lanes (a solve's right-hand side)
+    ride along, to `size` in all.  For e <= 8 an entry is the row's bytes,
+    scaled to 1 on its pivot; above, (log of the pivot's inverse, [row * x^i
+    for i < e]), and eliminating c XORs in the rows at the bits of c / pivot.
     """
     exp, log, order = field._exp, field._log, field.q - 1
     if field.e <= 8:
@@ -112,20 +138,27 @@ def _reduce(field: Field, basis: list, row, width: int, size: int) -> tuple:
             if c:
                 row ^= int.from_bytes(entry.translate(scale[c]), "little")
         lead = row & ((1 << 8 * width) - 1)
-        row = row.to_bytes(size, "little")
         if not lead:
             return None, row
+        row = row.to_bytes(size, "little")
         pivot = ((lead & -lead).bit_length() - 1) >> 3
         return pivot, row.translate(scale[exp[order - log[row[pivot]]]])
-    for pivot, entry in basis:
-        if row[pivot]:
-            c_log = log[row[pivot]]
-            row = [a ^ exp[c_log + log[b]] if b else a for a, b in zip(row, entry)]
-    pivot = next((i for i in range(width) if row[i]), None)
-    if pivot is None:
+    for pivot, (inv_log, powers) in basis:
+        c = row >> 16 * pivot & 0xFFFF
+        if c:
+            d = exp[log[c] + inv_log]
+            for i in _BITS[d & 255]:
+                row ^= powers[i]
+            for i in _BITS[d >> 8]:
+                row ^= powers[8 + i]
+    lead = row & ((1 << 16 * width) - 1)
+    if not lead:
         return None, row
-    inv_log = order - log[row[pivot]]
-    return pivot, [exp[inv_log + log[v]] if v else 0 for v in row]
+    pivot = ((lead & -lead).bit_length() - 1) >> 4
+    powers, times_x = [row], _times_x(field, size)
+    for _ in range(field.e - 1):
+        powers.append(times_x(powers[-1]))
+    return pivot, (order - log[row >> 16 * pivot & 0xFFFF], powers)
 
 
 def _rank(field: Field, rows: Iterable, width: int, full: int) -> int:
@@ -156,21 +189,14 @@ def matrix_rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
     return _rank(field, checked._kernel_rows, checked.n, checked.n)
 
 
-def _missing(instance: DmsiInstance, client: int) -> list[int]:
-    has = instance.clients[client].has
-    return [x for x in range(instance.n) if x not in has]
-
-
-def _projector(field: Field, instance: DmsiInstance, client: int) -> tuple[Sequence, Callable]:
-    """(coords, project): project restricts a code row in _reduce's form to the
-    client's missing packets, and pivot p of the result is packet coords[p]."""
-    if field.e > 8:
-        missing = _missing(instance, client)
-        return missing, lambda row: [row[x] for x in missing]
+def _projector(field: Field, instance: DmsiInstance, client: int) -> Callable[[int], int]:
+    """Restricts a code row in _reduce's form to the client's missing packets."""
     keep = bytearray(b"\xff") * instance.n  # 0xFF on each missing packet, 0 on each held one
     for x in instance.clients[client].has:
         keep[x] = 0
-    return range(instance.n), int.from_bytes(keep, "little").__and__
+    if field.e <= 8:
+        return int.from_bytes(keep, "little").__and__
+    return (int.from_bytes(_lane_bytes(field, keep), "little") * 257).__and__
 
 
 def decodability_check(
@@ -185,9 +211,9 @@ def decodability_check(
         )
     verdicts = []
     for j, want in enumerate(instance.want_counts()):
-        coords, project = _projector(code.field, instance, j)
+        project = _projector(code.field, instance, j)
         sub = (project(row) for row, a in zip(code._kernel_rows, matrix.rows) if a[j])
-        verdicts.append(_rank(code.field, sub, len(coords), want) == want)
+        verdicts.append(_rank(code.field, sub, instance.n, want) == want)
     return tuple(verdicts)
 
 
@@ -216,31 +242,31 @@ def construct_code(
     rng = random.Random(seed)
     mask = bytes(range(field.q)) * (256 // field.q) if field.e <= 8 else None  # b -> b mod q
     want = instance.want_counts()
-    bases = [(j, *_projector(field, instance, j), []) for j in range(instance.k)]
+    bases = [(j, _projector(field, instance, j), []) for j in range(instance.k)]
     rows = []
     for h, assigned in enumerate(matrix.rows):
-        short = [(j, len(coords), project, basis) for j, coords, project, basis in bases
+        short = [(j, project, basis) for j, project, basis in bases
                  if assigned[j] and len(basis) < want[j]]
         for _ in range(_ROW_ATTEMPTS):
             row = (rng.randbytes(instance.n).translate(mask) if field.e <= 8
                    else [rng.getrandbits(field.e) for _ in range(instance.n)])
-            packed = int.from_bytes(row, "little") if field.e <= 8 else row
+            packed = int.from_bytes(row if field.e <= 8 else _lane_bytes(field, row), "little")
             entries = []
-            for _, width, project, basis in short:
-                pivot, entry = _reduce(field, basis, project(packed), width, width)
+            for _, project, basis in short:
+                pivot, entry = _reduce(field, basis, project(packed), instance.n, instance.n)
                 if pivot is None:
                     break
                 entries.append((pivot, entry))
             else:
                 break
         else:
-            failing = [j + 1 for j, width, project, basis in short
-                       if _reduce(field, basis, project(packed), width, width)[0] is None]
+            failing = [j + 1 for j, project, basis in short
+                       if _reduce(field, basis, project(packed), instance.n, instance.n)[0] is None]
             raise CodeConstructionError(
                 f"no verified code after {_ROW_ATTEMPTS} draws of row {h + 1} over "
                 f"{field}; clients {failing} still lack full rank"
             )
-        for (_, _, _, basis), entry in zip(short, entries):
+        for (_, _, basis), entry in zip(short, entries):
             basis.append(entry)
         rows.append(row)
     return CodingMatrix(field=field, n=instance.n, rows=rows)
@@ -297,27 +323,31 @@ def decode(
     field = code.field
     for _, value in [*view.side_info, *view.received]:
         field._check(value)
-    coords, project = _projector(field, instance, j)
-    width = len(coords)
-    # per received symbol: its coefficients on the missing packets, then the
-    # symbol less the side information's share, for e <= 8 from packed columns
+    # the side information's share of every symbol: per held packet's column
+    columns, exp, log, width = code._packed_columns, field._exp, field._log, instance.n
+    share, lane = 0, 8 if field.e <= 8 else 16
     if field.e <= 8:
-        columns, scale, share = code._packed_columns, field._byte_products, 0
         for x, value in view.side_info:
-            share ^= int.from_bytes(columns[x].translate(scale[value]), "little")
-        known = share.to_bytes(code.m, "little")
-        rows = [project(code._kernel_rows[h]) | (symbol ^ known[h]) << 8 * width
-                for h, symbol in view.received]
+            share ^= int.from_bytes(columns[x].translate(field._byte_products[value]), "little")
     else:
-        side = dict(view.side_info)
-        rows = [project(row) + [symbol ^ _dot(field, map(row.__getitem__, side), side.values())]
-                for row, symbol in ((code.rows[h], symbol) for h, symbol in view.received)]
+        planes, times_x = [0] * field.e, _times_x(field, code.m)
+        for x, value in view.side_info:
+            column = int.from_bytes(columns[x], "little")
+            for i in _BITS[value & 255]:
+                planes[i] ^= column
+            for i in _BITS[value >> 8]:
+                planes[8 + i] ^= column
+        for plane in reversed(planes):  # by bit planes, combined by Horner's rule
+            share = times_x(share) ^ plane
+    # a received symbol's coefficients on the missing packets, less the share in lane `width`
+    known, project = _lanes(field, share, code.m), _projector(field, instance, j)
     basis: list = []
     inconsistent = False
-    for row in rows:
+    for h, symbol in view.received:
+        row = project(code._kernel_rows[h]) | (symbol ^ known[h]) << lane * width
         pivot, entry = _reduce(field, basis, row, width, width + 1)
         if pivot is None:
-            inconsistent = inconsistent or entry[width] != 0
+            inconsistent = inconsistent or entry != 0
         else:
             basis.append((pivot, entry))
     if len(basis) < instance.want_counts()[j]:
@@ -328,9 +358,11 @@ def decode(
     # held packets: solve backwards, reading entries at the solved pivots
     solution: dict[int, int] = {}
     for pivot, entry in reversed(basis):
-        known = _dot(field, map(entry.__getitem__, solution), solution.values())
-        solution[pivot] = entry[width] ^ known
-    return {coords[p]: solution[p] for p in sorted(solution)}
+        inv_log, values = ((0, entry) if field.e <= 8
+                           else (entry[0], _lanes(field, entry[1][0], width + 1)))
+        value = values[width] ^ _dot(field, map(values.__getitem__, solution), solution.values())
+        solution[pivot] = exp[inv_log + log[value]] if value else 0
+    return dict(sorted(solution.items()))
 
 
 @dataclass(frozen=True)
@@ -366,7 +398,7 @@ def run_simulation(
         except ValueError:
             decoded_ok.append(False)
             continue
-        truth = {x: payload[x] for x in _missing(instance, j)}
+        truth = {x: payload[x] for x in range(instance.n) if x not in instance.clients[j].has}
         decoded_ok.append(recovered == truth)
     return SimulationResult(
         payload=payload,

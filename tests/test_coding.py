@@ -31,6 +31,7 @@ from dmsiplan import (
     matrix_rank,
     optimal_assignment,
     parse_instance,
+    run_simulation,
 )
 from dmsiplan.cli import build_plan
 
@@ -230,8 +231,8 @@ def test_codes_exist_for_random_feasible_instances():
 
 # ---------------------------------------------------------------- kernel vs reference
 
-# both row representations of the elimination kernel: packed bytes up to
-# e = 8 (e = 8 fills every byte value), int lists above, up to the top degree
+# both lane widths of the packed rows: 8-bit lanes up to e = 8 (e = 8 fills
+# every byte value), 16-bit lanes with x-power rows above, up to the top degree
 DEGREES = (1, 2, 4, 8, 9, 12, 16)
 FIELDS = {e: Field(e) for e in DEGREES}
 
@@ -398,6 +399,58 @@ def test_kernel_at_forty_packets_and_ten_clients(e):
                 with pytest.raises(ValueError, match="singular"):
                     decode(view, inst, matrix, candidate)
         assert set(verdicts) == ({True} if candidate is code else {True, False})
+
+
+@pytest.mark.parametrize("e", [9, 12, 16])
+def test_wide_lanes_at_forty_packets(e):
+    """16-bit lanes, with elements at and above 2^(e-1) so that making the
+    x-power rows and the bit-plane share overflow lanes.  Every verdict
+    matches the reference rank, decode and run_simulation recover the
+    payload, and a flipped symbol is caught as inconsistent or decodes wrong."""
+    f = FIELDS[e]
+    rng = random.Random(4090 + e)
+    inst = make_instance(
+        40, [set(rng.sample(range(40), rng.randrange(5, 36))) for _ in range(8)],
+        [rng.randint(1, 16) for _ in range(8)],
+    )
+    _, optimal = optimal_assignment(inst)
+    everyone = AssignmentMatrix(rows=((1,) * 8,) * optimal.m, k=8)
+    # odd packets carry values >= 2^(e-1)
+    payload = [rng.randrange(f.q >> 1, f.q) if x % 2 else rng.randrange(f.q) for x in range(40)]
+    outcomes = set()
+    for matrix in (optimal, everyone):
+        code = construct_code(inst, matrix, field=f, seed=e)
+        assert all(run_simulation(inst, matrix, code, payload_seed=e).decoded_ok)
+        high = CodingMatrix(field=f, n=40, rows=[[v | f.q >> 1 for v in row] for row in code.rows])
+        damaged = CodingMatrix(field=f, n=40, rows=code.rows[:-1] + code.rows[-2:-1])
+        for candidate in (code, high, damaged):
+            verdicts = decodability_check(inst, matrix, candidate)
+            assert run_simulation(inst, matrix, candidate, payload_seed=e).decoded_ok == verdicts
+            broadcast = encode(candidate, payload)
+            for j in range(inst.k):
+                missing = [x for x in range(40) if x not in inst.clients[j].has]
+                sub = [[row[x] for x in missing] for row, a in zip(candidate.rows, matrix.rows) if a[j]]
+                assert verdicts[j] == (reference_rank(f, sub) == len(missing))
+                view = client_view(inst, matrix, j, payload, broadcast)
+                if not verdicts[j]:
+                    with pytest.raises(ValueError, match="singular"):
+                        decode(view, inst, matrix, candidate)
+                    continue
+                truth = {x: payload[x] for x in missing}
+                assert decode(view, inst, matrix, candidate) == truth
+                (h, symbol), *rest = view.received
+                flipped = ClientView(j, view.side_info, ((h, symbol ^ 1), *rest))
+                try:
+                    wrong = decode(flipped, inst, matrix, candidate)
+                except ValueError as err:
+                    assert str(err) == "inconsistent received symbols"
+                    outcomes.add("inconsistent")
+                else:
+                    assert wrong != truth
+                    outcomes.add("wrong")
+            outcomes.add(verdicts)
+    assert {"inconsistent", "wrong"} <= outcomes
+    assert (True,) * 8 in outcomes and any(False in v for v in outcomes if isinstance(v, tuple))
 
 
 def test_packed_view_leaves_equality_and_hash_alone(demo_instance, optimal_plan_matrix):
