@@ -109,15 +109,10 @@ def _lanes(field: Field, row: int, size: int) -> Sequence[int]:
     return data if field.e <= 8 else struct.unpack(f"<{size}H", data)
 
 
-def _times_x(field: Field, size: int) -> Callable[[int], int]:
-    """Multiplies a row of `size` 16-bit lanes by x, lane by lane."""
-    top = int.from_bytes((field.q >> 1).to_bytes(2, "little") * size, "little")
-    low, shift = field.reduction_polynomial ^ field.q, field.e - 1
-
-    def times_x(row: int) -> int:
-        over = row & top  # the lanes that overflow
-        return (row ^ over) << 1 ^ (over >> shift) * low
-    return times_x
+def _overflow(field: Field, size: int) -> tuple[int, int]:
+    """(top, low) to multiply `size` 16-bit lanes by x: shift one up, clear top, bit
+    e of each lane, and XOR in low, the polynomial less x^e, where it was set."""
+    return ((1 << 16 * size) - 1) // 0xFFFF << field.e, field.reduction_polynomial ^ field.q
 
 
 def _reduce(field: Field, basis: list, row: int, width: int, size: int) -> tuple:
@@ -155,10 +150,13 @@ def _reduce(field: Field, basis: list, row: int, width: int, size: int) -> tuple
     if not lead:
         return None, row
     pivot = ((lead & -lead).bit_length() - 1) >> 4
-    powers, times_x = [row], _times_x(field, size)
-    for _ in range(field.e - 1):
-        powers.append(times_x(powers[-1]))
-    return pivot, (order - log[row >> 16 * pivot & 0xFFFF], powers)
+    powers, (top, low) = [row], _overflow(field, size)
+    for _ in range(field.e - 1):  # row * x^i from the last
+        row <<= 1
+        over = row & top
+        row ^= over ^ (over >> field.e) * low
+        powers.append(row)
+    return pivot, (order - log[powers[0] >> 16 * pivot & 0xFFFF], powers)
 
 
 def _rank(field: Field, rows: Iterable, width: int, full: int) -> int:
@@ -330,7 +328,7 @@ def decode(
         for x, value in view.side_info:
             share ^= int.from_bytes(columns[x].translate(field._byte_products[value]), "little")
     else:
-        planes, times_x = [0] * field.e, _times_x(field, code.m)
+        planes, (top, low) = [0] * field.e, _overflow(field, code.m)
         for x, value in view.side_info:
             column = int.from_bytes(columns[x], "little")
             for i in _BITS[value & 255]:
@@ -338,7 +336,9 @@ def decode(
             for i in _BITS[value >> 8]:
                 planes[8 + i] ^= column
         for plane in reversed(planes):  # by bit planes, combined by Horner's rule
-            share = times_x(share) ^ plane
+            share <<= 1
+            over = share & top
+            share ^= over ^ (over >> field.e) * low ^ plane
     # a received symbol's coefficients on the missing packets, less the share in lane `width`
     known, project = _lanes(field, share, code.m), _projector(field, instance, j)
     basis: list = []
