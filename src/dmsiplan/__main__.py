@@ -1,4 +1,4 @@
-"""`python -m dmsiplan` runs the command-line interface."""
-
 from .cli import run
-run()
+
+if __name__ == "__main__":
+    run()

@@ -110,8 +110,8 @@ def _lanes(field: Field, row: int, size: int) -> Sequence[int]:
 
 
 def _overflow(field: Field, size: int) -> tuple[int, int]:
-    """(top, low) to multiply `size` 16-bit lanes by x: shift one up, clear top, bit
-    e of each lane, and XOR in low, the polynomial less x^e, where it was set."""
+    """(top, low): `size` 16-bit lanes times x are the row shifted one up, less its
+    bits in top (bit e of each lane), plus low (the polynomial less x^e) where set."""
     return ((1 << 16 * size) - 1) // 0xFFFF << field.e, field.reduction_polynomial ^ field.q
 
 
