@@ -194,7 +194,7 @@ def _projector(field: Field, instance: DmsiInstance, client: int) -> Callable[[i
         keep[x] = 0
     if field.e <= 8:
         return int.from_bytes(keep, "little").__and__
-    return (int.from_bytes(_lane_bytes(field, keep), "little") * 257).__and__
+    return (int.from_bytes(_lane_bytes(field, keep), "little") * 257).__and__  # 0xFF -> 0xFFFF
 
 
 def decodability_check(
