@@ -321,7 +321,7 @@ def decode(
     field = code.field
     for _, value in [*view.side_info, *view.received]:
         field._check(value)
-    # the side information's share of every symbol: per held packet's column
+    # the side information's share of every symbol, from the held packets' columns
     columns, exp, log, width = code._packed_columns, field._exp, field._log, instance.n
     share, lane = 0, 8 if field.e <= 8 else 16
     if field.e <= 8:
@@ -339,7 +339,7 @@ def decode(
             share <<= 1
             over = share & top
             share ^= over ^ (over >> field.e) * low ^ plane
-    # a received symbol's coefficients on the missing packets, less the share in lane `width`
+    # per received symbol: its coefficients on the missing packets, then the symbol less that share
     known, project = _lanes(field, share, code.m), _projector(field, instance, j)
     basis: list = []
     inconsistent = False
