@@ -21,6 +21,8 @@ from dmsiplan.cli import _rational_text, build_plan, render_plan
 HAND_PLAN = ((1, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 1))
 
 INSTANCE = Path(__file__).resolve().parent.parent / "data" / "demo_instance.json"
+BUDGET = 10**8  # bound on the oracle's raw search space
+PAYLOAD_SEED = 0
 
 
 def show_matrix(matrix):
@@ -29,10 +31,7 @@ def show_matrix(matrix):
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--budget", type=int, default=10**8)
-    parser.add_argument("--payload-seed", type=int, default=0)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()  # no options but --help
 
     instance = parse_instance(INSTANCE.read_text())
     print(f"{instance.n} packets, {instance.k} clients, wants {instance.want_counts()}")
@@ -54,7 +53,7 @@ def main() -> None:
     print(render_plan(bundle))
 
     print("\nexhaustive confirmation:")
-    result = brute_force_optimum(instance, budget=args.budget)
+    result = brute_force_optimum(instance, budget=BUDGET)
     print(
         f"   {result.matrices_examined} candidates over m in "
         f"[{result.m_range[0]}, {result.m_range[1]}]; "
@@ -62,7 +61,7 @@ def main() -> None:
     )
 
     print("\nbroadcast simulation:")
-    sim = run_simulation(instance, bundle.matrix, bundle.code, args.payload_seed)
+    sim = run_simulation(instance, bundle.matrix, bundle.code, PAYLOAD_SEED)
     print(f"   payload {sim.payload}")
     print(f"   broadcast {sim.broadcast}")
     for j in range(instance.k):

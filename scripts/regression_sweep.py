@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Random-instance sweep: on every draw the closed form, the constructed
-optimal plan, and the exhaustive enumeration must agree exactly; a code built
-for the plan (default field) must pass decodability_check and let every
-client decode a random payload; and the weight and max-flow feasibility tests
-must give the same verdict on a random matrix.  Exits nonzero on the first
-failure."""
+"""Random-instance sweep over --count seeded draws (seed 0, n <= 6 packets,
+k <= 4 clients): on every draw the closed form, the constructed optimal plan,
+and the exhaustive enumeration must agree exactly; a code built for the plan
+(default field) must pass decodability_check and let every client decode a
+random payload; and the weight and max-flow feasibility tests must give the
+same verdict on a random matrix.  Exits nonzero on the first failure."""
 
 import argparse
 import random
@@ -28,11 +28,16 @@ from dmsiplan import (
     total_delay,
 )
 
+SEED = 0
+MAX_N = 6  # packets per draw, at most
+MAX_K = 4  # clients per draw, at most
+BUDGET = 10**13  # bound on each draw's raw oracle search space
 
-def draw_instance(rng: random.Random, max_n: int, max_k: int) -> DmsiInstance:
-    n = rng.randint(0, max_n)
+
+def draw_instance(rng: random.Random) -> DmsiInstance:
+    n = rng.randint(0, MAX_N)
     clients = []
-    for _ in range(rng.randint(1, max_k)):
+    for _ in range(rng.randint(1, MAX_K)):
         has = frozenset(rng.sample(range(n), rng.randint(0, n)))
         clients.append(ClientSpec(has=has, delay=Fraction(rng.randint(1, 16))))
     return DmsiInstance(n=n, clients=tuple(clients))
@@ -60,20 +65,16 @@ def certify_code(instance: DmsiInstance, matrix: AssignmentMatrix, seed: int) ->
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=500)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-n", type=int, default=6)
-    parser.add_argument("--max-k", type=int, default=4)
-    parser.add_argument("--budget", type=int, default=10**13)
     args = parser.parse_args()
 
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     t0 = time.perf_counter()
     examined = 0
     slowest = (0.0, None)
     for i in range(args.count):
-        instance = draw_instance(rng, args.max_n, args.max_k)
+        instance = draw_instance(rng)
         t1 = time.perf_counter()
-        result = brute_force_optimum(instance, budget=args.budget)
+        result = brute_force_optimum(instance, budget=BUDGET)
         dt = time.perf_counter() - t1
         if dt > slowest[0]:
             slowest = (dt, instance)

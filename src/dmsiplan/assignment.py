@@ -65,14 +65,6 @@ class AssignmentMatrix:
     def column_weights(self) -> tuple[int, ...]:
         return tuple(self.column_weight(j) for j in range(self.k))
 
-    def with_column_order(self, order: Sequence[int]) -> AssignmentMatrix:
-        """Columns permuted so new column c is old column order[c]."""
-        if sorted(order) != list(range(self.k)):
-            raise ValueError(f"{order!r} is not a permutation of range({self.k})")
-        return AssignmentMatrix(
-            rows=tuple(tuple(row[j] for j in order) for row in self.rows), k=self.k
-        )
-
 
 @dataclass(frozen=True)
 class DelayReport:
@@ -96,10 +88,15 @@ def total_delay(matrix: AssignmentMatrix, delays: Sequence[Fraction]) -> DelayRe
     )
 
 
-def is_feasible(matrix: AssignmentMatrix, instance: DmsiInstance) -> bool:
-    """Column-weight criterion: every client gets at least the rows it needs."""
+def _check_client_count(matrix: AssignmentMatrix, instance: DmsiInstance) -> None:
+    """Raise unless the matrix has one column per client."""
     if matrix.k != instance.k:
         raise ValueError(f"matrix has {matrix.k} columns for {instance.k} clients")
+
+
+def is_feasible(matrix: AssignmentMatrix, instance: DmsiInstance) -> bool:
+    """Column-weight criterion: every client gets at least the rows it needs."""
+    _check_client_count(matrix, instance)
     return all(
         matrix.column_weight(j) >= w for j, w in enumerate(instance.want_counts())
     )
@@ -172,8 +169,7 @@ def reduce_to_exact_weights(
     index), dropping the most expensive transmissions first.  Raises if some
     column is under weight, i.e. the matrix was not feasible to begin with.
     """
-    if matrix.k != instance.k:
-        raise ValueError(f"matrix has {matrix.k} columns for {instance.k} clients")
+    _check_client_count(matrix, instance)
     want = instance.want_counts()
     _, ints = scaled_delays(instance.delays())
     rows = [list(row) for row in matrix.rows]
@@ -214,8 +210,7 @@ def transform_to_optimal(
     which proves the target matrix optimal; the returned trace records every
     intermediate matrix with its total.
     """
-    if matrix.k != instance.k:
-        raise ValueError(f"matrix has {matrix.k} columns for {instance.k} clients")
+    _check_client_count(matrix, instance)
     ranking = instance.delay_ranking()
     scale, ints = scaled_delays(instance.delays())
     ranked_ints = [ints[j] for j in ranking]
@@ -267,9 +262,8 @@ def transform_to_optimal(
     steps.append(snapshot(f"step {k + 1}"))
 
     _, optimal = optimal_assignment(instance)
-    target = optimal.with_column_order(ranking)
-    final = steps[-1]
-    assert final.matrix == target, "rewrite did not reach the optimal matrix"
+    target = [[row[j] for j in ranking] for row in optimal.rows]
+    assert rows == target, "rewrite did not reach the optimal matrix"
     assert all(
         a >= b for a, b in zip(scaled_totals, scaled_totals[1:])
     ), "a rewrite step increased the total delay"

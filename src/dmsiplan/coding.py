@@ -9,14 +9,17 @@ contribution and solving the remaining square system.
 
 One incremental kernel, _reduce, serves rank, solve and construction: it
 reduces a row against an echelon basis and returns a new basis entry or the
-remainder.  encode and decode share one dot product, _dot.  Neither checks
-elements: CodingMatrix, encode, decode and matrix_rank check them once on
-entry.  A row is one int with one lane per packet, lane i holding packet i,
-of 8 bits for e <= 8 and 16 above.  Adding is one XOR, and a client's view is
-one AND with its keep-mask, all ones on each packet it misses and 0 on each it
-holds; pivots are packet coordinates.  For e <= 8 scaling is one translate;
-above, a basis entry keeps its row times x^i for i < e, and scaling by c XORs
-the ones at the set bits of c.  A CodingMatrix keeps its packed rows and columns.
+remainder.  encode and decode share one column product, _column_product: the
+sum of value * column x over (x, value) pairs, G x for encode and the side
+information's share for decode.  Field._check_all checks elements once on
+entry, for a CodingMatrix's rows (matrix_rank builds one), encode's payload
+and decode's view; the kernel checks none.  A row is one int with one lane
+per packet, lane i holding packet i, of 8 bits for e <= 8 and 16 above.
+Adding is one XOR, and a client's view is one AND with its keep-mask, all
+ones on each packet it misses and 0 on each it holds; pivots are packet
+coordinates.  For e <= 8 scaling is one translate; above, a basis entry
+keeps its row times x^i for i < e, and scaling by c XORs the ones at the set
+bits of c.  A CodingMatrix keeps its packed rows and columns.
 
 construct_code builds the code row by row (Jaggi, Sanders et al., 2005), one
 basis per client over its missing packets, redrawing a row at most 64 times;
@@ -39,7 +42,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
-from .assignment import AssignmentMatrix, is_feasible, total_delay
+from .assignment import AssignmentMatrix, _check_client_count, is_feasible, total_delay
 from .gf import Field
 from .instance import DmsiInstance
 
@@ -69,9 +72,7 @@ class CodingMatrix:
         for i, row in enumerate(self.rows):
             if len(row) != self.n:
                 raise ValueError(f"row {i} has length {len(row)}, expected n={self.n}")
-            if set(map(type, row)) - {int} or row and not 0 <= min(row) <= max(row) < self.field.q:
-                for value in row:
-                    self.field._check(value)
+            self.field._check_all(row)
 
     @property
     def m(self) -> int:
@@ -171,20 +172,31 @@ def _rank(field: Field, rows: Iterable, width: int, full: int) -> int:
     return len(basis)
 
 
-def _dot(field: Field, coeffs: Iterable[int], values: Iterable[int]) -> int:
-    """sum_i coeffs[i] * values[i] over valid field elements, unchecked."""
-    exp, log = field._exp, field._log
-    acc = 0
-    for c, v in zip(coeffs, values):
-        if c and v:
-            acc ^= exp[log[c] + log[v]]
-    return acc
-
-
 def matrix_rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
     """Rank over the field; the rows are checked once, as a CodingMatrix's are."""
     checked = CodingMatrix(field=field, n=len(rows[0]) if rows else 0, rows=rows)
     return _rank(field, checked._kernel_rows, checked.n, checked.n)
+
+
+def _column_product(code: CodingMatrix, pairs: Iterable[tuple[int, int]]) -> int:
+    """sum of value * column x over (x, value) pairs of valid elements, as m lanes."""
+    field, columns, share = code.field, code._packed_columns, 0
+    if field.e <= 8:
+        for x, value in pairs:
+            share ^= int.from_bytes(columns[x].translate(field._byte_products[value]), "little")
+        return share
+    planes, (top, low) = [0] * field.e, _overflow(field, code.m)
+    for x, value in pairs:
+        column = int.from_bytes(columns[x], "little")
+        for i in _BITS[value & 255]:
+            planes[i] ^= column
+        for i in _BITS[value >> 8]:
+            planes[8 + i] ^= column
+    for plane in reversed(planes):  # by bit planes, combined by Horner's rule
+        share <<= 1
+        over = share & top
+        share ^= over ^ (over >> field.e) * low ^ plane
+    return share
 
 
 def _projector(field: Field, instance: DmsiInstance, client: int) -> Callable[[int], int]:
@@ -201,8 +213,7 @@ def decodability_check(
     instance: DmsiInstance, matrix: AssignmentMatrix, code: CodingMatrix
 ) -> tuple[bool, ...]:
     """Per client: do its assigned rows span its missing coordinates?"""
-    if matrix.k != instance.k:
-        raise ValueError(f"matrix has {matrix.k} columns for {instance.k} clients")
+    _check_client_count(matrix, instance)
     if code.n != instance.n or code.m != matrix.m:
         raise ValueError(
             f"code is {code.m}x{code.n}, expected {matrix.m}x{instance.n}"
@@ -274,9 +285,8 @@ def encode(code: CodingMatrix, payload: Sequence[int]) -> tuple[int, ...]:
     """Broadcast symbols for one payload of n original field values."""
     if len(payload) != code.n:
         raise ValueError(f"payload has {len(payload)} symbols, expected {code.n}")
-    for value in payload:
-        code.field._check(value)
-    return tuple(_dot(code.field, row, payload) for row in code.rows)
+    code.field._check_all(payload)
+    return tuple(_lanes(code.field, _column_product(code, enumerate(payload)), code.m))
 
 
 def client_view(
@@ -319,28 +329,12 @@ def decode(
         raise ValueError("received rows do not match the assignment")
 
     field = code.field
-    for _, value in [*view.side_info, *view.received]:
-        field._check(value)
+    field._check_all([value for _, value in (*view.side_info, *view.received)])
+    exp, log, width, lane = field._exp, field._log, instance.n, 8 if field.e <= 8 else 16
     # the side information's share of every symbol, from the held packets' columns
-    columns, exp, log, width = code._packed_columns, field._exp, field._log, instance.n
-    share, lane = 0, 8 if field.e <= 8 else 16
-    if field.e <= 8:
-        for x, value in view.side_info:
-            share ^= int.from_bytes(columns[x].translate(field._byte_products[value]), "little")
-    else:
-        planes, (top, low) = [0] * field.e, _overflow(field, code.m)
-        for x, value in view.side_info:
-            column = int.from_bytes(columns[x], "little")
-            for i in _BITS[value & 255]:
-                planes[i] ^= column
-            for i in _BITS[value >> 8]:
-                planes[8 + i] ^= column
-        for plane in reversed(planes):  # by bit planes, combined by Horner's rule
-            share <<= 1
-            over = share & top
-            share ^= over ^ (over >> field.e) * low ^ plane
+    known = _lanes(field, _column_product(code, view.side_info), code.m)
     # per received symbol: its coefficients on the missing packets, then the symbol less that share
-    known, project = _lanes(field, share, code.m), _projector(field, instance, j)
+    project = _projector(field, instance, j)
     basis: list = []
     inconsistent = False
     for h, symbol in view.received:
@@ -360,7 +354,11 @@ def decode(
     for pivot, entry in reversed(basis):
         inv_log, values = ((0, entry) if field.e <= 8
                            else (entry[0], _lanes(field, entry[1][0], width + 1)))
-        value = values[width] ^ _dot(field, map(values.__getitem__, solution), solution.values())
+        value = values[width]
+        for x, v in solution.items():
+            c = values[x]
+            if c and v:
+                value ^= exp[log[c] + log[v]]
         solution[pivot] = exp[inv_log + log[value]] if value else 0
     return dict(sorted(solution.items()))
 

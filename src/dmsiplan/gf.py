@@ -21,13 +21,16 @@ generates, and in GF(2) the group is {1}.  Building the tables asserts that
 the generator has order 2^e - 1.  The tables are built once per degree per
 process and shared, read-only, by every Field of that degree.
 
-add/mul/inv check every operand.  coding.py checks elements once on entry,
-then reads the tables directly, and for e <= 8 _byte_products as well.
+add/mul/inv check every operand through _check.  _check_all checks a whole
+sequence in one step and names the first bad element as _check would; coding.py
+calls it once on entry for code rows, payloads and client views, then reads the
+tables directly, and for e <= 8 _byte_products as well.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import Sequence
 
 _REDUCTION_POLY = {
     1: 0x3,
@@ -115,6 +118,12 @@ class Field:
     def _check(self, a: int) -> None:
         if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.q:
             raise ValueError(f"{a!r} is not an element of {self}")
+
+    def _check_all(self, values: Sequence[int]) -> None:
+        """_check on each value in order; exact ints in range pass in one step."""
+        if set(map(type, values)) - {int} or values and not 0 <= min(values) <= max(values) < self.q:
+            for a in values:
+                self._check(a)
 
     def add(self, a: int, b: int) -> int:
         self._check(a)

@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .assignment import AssignmentMatrix
+from .assignment import AssignmentMatrix, _check_client_count
 from .instance import DmsiInstance
 
 
@@ -85,9 +85,8 @@ def build_network(
     instance: DmsiInstance, matrix: AssignmentMatrix, client: int | None = None
 ) -> FlowNetwork:
     """The full network, or with client given, the part that can reach its sink."""
-    n, m, k = instance.n, len(matrix.rows), len(instance.clients)
-    if matrix.k != k:
-        raise ValueError(f"matrix has {matrix.k} columns for {k} clients")
+    _check_client_count(matrix, instance)
+    n, m, k = instance.n, len(matrix.rows), instance.k
     if client is None:
         sinks, held = range(k), ()
     elif 0 <= client < k:
@@ -186,11 +185,8 @@ def max_flow(network: FlowNetwork, sink: int) -> int:
 
 
 def _sink_flows(instance: DmsiInstance, matrix: AssignmentMatrix) -> Iterator[int]:
-    # checked here as well, since with no clients no network is built
-    k = len(instance.clients)
-    if matrix.k != k:
-        raise ValueError(f"matrix has {matrix.k} columns for {k} clients")
-    for j in range(k):
+    _check_client_count(matrix, instance)  # here too: with no clients no network is built
+    for j in range(instance.k):
         network = build_network(instance, matrix, j)
         yield max_flow(network, network.sink(j))
 

@@ -230,7 +230,8 @@ def test_criterion_6_transformation_monotonicity(
             assert all(a >= b for a, b in zip(totals, totals[1:]))
             assert trace.final_total == closed_form_delay(instance)
             _, star = optimal_assignment(instance)
-            assert trace.final_matrix == star.with_column_order(trace.ranking)
+            ranked = tuple(tuple(row[j] for j in trace.ranking) for row in star.rows)
+            assert trace.final_matrix == AssignmentMatrix(rows=ranked, k=instance.k)
             checked += 1
         ok = True
     finally:

@@ -14,11 +14,15 @@ from conftest import OPTIMAL_PLAN_ROWS, instance_with_exact_matrix, instances, m
 from dmsiplan import (
     AssignmentMatrix,
     DmsiInstance,
+    build_network,
     closed_form_delay,
+    decodability_check,
     is_feasible,
+    is_solvable,
     optimal_assignment,
     parse_instance,
     reduce_to_exact_weights,
+    sink_flows,
     total_delay,
     transform_to_optimal,
 )
@@ -283,7 +287,8 @@ def test_transform_is_monotone_and_lands_on_optimal(case):
     assert all(a >= b for a, b in zip(totals, totals[1:]))
     assert len(trace.steps) == inst.k + 2
     _, optimal = optimal_assignment(inst)
-    assert trace.final_matrix == optimal.with_column_order(trace.ranking)
+    ranked = tuple(tuple(row[j] for j in trace.ranking) for row in optimal.rows)
+    assert trace.final_matrix == AssignmentMatrix(rows=ranked, k=inst.k)
     assert trace.final_total == closed_form_delay(inst)
 
 
@@ -371,11 +376,18 @@ def test_reduce_then_transform_from_padded(case):
     ]
 
 
-def test_with_column_order_validates(optimal_plan_matrix):
-    with pytest.raises(ValueError):
-        optimal_plan_matrix.with_column_order((0, 1, 2))
-    with pytest.raises(ValueError):
-        optimal_plan_matrix.with_column_order((0, 0, 1, 2))
-    swapped = optimal_plan_matrix.with_column_order((3, 2, 1, 0))
-    assert swapped.rows[0] == (1, 1, 1, 1)
-    assert swapped.rows[3] == (1, 0, 0, 0)
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda inst, matrix: is_feasible(matrix, inst),
+        lambda inst, matrix: reduce_to_exact_weights(matrix, inst),
+        lambda inst, matrix: transform_to_optimal(matrix, inst),
+        lambda inst, matrix: decodability_check(inst, matrix, None),
+        build_network,
+        sink_flows,
+        is_solvable,
+    ],
+)
+def test_every_client_count_check_has_one_message(demo_instance, check):
+    with pytest.raises(ValueError, match=r"^matrix has 3 columns for 4 clients$"):
+        check(demo_instance, AssignmentMatrix(rows=((1, 1, 1),), k=3))

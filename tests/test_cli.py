@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from conftest import DEMO_DOC, HAND_PLAN_ROWS, OPTIMAL_PLAN_ROWS, IMPOSSIBLE_GF2
 from dmsiplan import Field, parse_instance
 from dmsiplan.cli import (
     _build_parser,
+    _rational_text,
     _indented_json,
     build_plan,
     main,
@@ -200,6 +202,56 @@ def test_simulate_flags_corrupted_code(tmp_path, capsys):
     tampered = write_json(tmp_path / "tampered.json", doc)
     assert main(["simulate", inst, tampered]) == 3
     assert "DECODE FAILED" in capsys.readouterr().out
+
+
+def test_verify_refuses_a_plan_that_is_not_json(tmp_path, capsys):
+    inst = write_json(tmp_path / "instance.json", DEMO_DOC)
+    plan = tmp_path / "plan.json"
+    plan.write_text("{not json")
+    assert main(["verify", inst, str(plan)]) == 2
+    assert f"error: {plan}: not valid JSON: " in capsys.readouterr().err
+
+
+def test_verify_refuses_a_plan_whose_top_level_is_a_list(tmp_path, capsys):
+    inst = write_json(tmp_path / "instance.json", DEMO_DOC)
+    plan = write_json(tmp_path / "plan.json", [list(r) for r in OPTIMAL_PLAN_ROWS])
+    assert main(["verify", inst, plan]) == 2
+    assert capsys.readouterr().err == f"error: {plan}: top level must be an object\n"
+
+
+def test_simulate_refuses_a_plan_without_a_code(tmp_path, capsys):
+    inst, out = make_plan(tmp_path, capsys)
+    doc = json.loads(out.read_text())
+    del doc["code"]
+    plan = write_json(tmp_path / "no_code.json", doc)
+    assert main(["simulate", inst, plan]) == 2
+    shown = capsys.readouterr()
+    assert shown.err == f"error: {plan}: simulation needs a plan with a 'code'\n"
+    assert shown.out == ""
+
+
+def test_transform_prints_a_step_without_rows(tmp_path, capsys):
+    """A client that holds every packet needs no rows at any step."""
+    inst = write_json(tmp_path / "instance.json", {"n": 1, "clients": [{"has": [1], "delay": 1}]})
+    rows = write_json(tmp_path / "rows.json", [])
+    assert main(["transform", inst, rows]) == 0
+    assert capsys.readouterr().out == (
+        "columns in delay order: C1\n"
+        "initial (total 0):\n  (no rows)\n"
+        "step 1 (total 0):\n  (no rows)\n"
+        "step 2 (total 0):\n  (no rows)\n"
+        "final total 0; closed form 0 (matches)\n"
+    )
+
+
+def test_fractional_totals_show_a_decimal(tmp_path, capsys):
+    inst = write_json(tmp_path / "instance.json", {"n": 1, "clients": [{"has": [], "delay": "7/3"}]})
+    assert main(["plan", inst]) == 0
+    shown = capsys.readouterr().out
+    assert "p1      1  7/3 (2.33333)" in shown
+    assert "closed form: 7/3 (2.33333) (matches)" in shown
+    assert _rational_text(Fraction(-1, 8)) == "-1/8 (-0.125)"
+    assert _rational_text(Fraction(6, 3)) == "2"
 
 
 def test_transform_walks_to_the_optimum(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -155,6 +156,55 @@ def test_decode_validates_the_view(demo_instance, optimal_plan_matrix):
     wrong_side = ClientView(client=0, side_info=good.side_info[:-1], received=good.received)
     with pytest.raises(ValueError, match="side information"):
         decode(wrong_side, demo_instance, optimal_plan_matrix, code)
+
+
+def test_decodability_check_rejects_a_code_of_the_wrong_shape(demo_instance, optimal_plan_matrix):
+    short = CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS[:4])
+    with pytest.raises(ValueError, match=r"^code is 4x6, expected 5x6$"):
+        decodability_check(demo_instance, optimal_plan_matrix, short)
+    narrow = CodingMatrix(field=Field(2), n=5, rows=[row[:5] for row in KNOWN_GF4_ROWS])
+    with pytest.raises(ValueError, match=r"^code is 5x5, expected 5x6$"):
+        decodability_check(demo_instance, optimal_plan_matrix, narrow)
+
+
+@pytest.mark.parametrize("client", [-1, 4])
+def test_decode_rejects_a_client_outside_the_instance(demo_instance, optimal_plan_matrix, client):
+    code = CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS)
+    view = ClientView(client=client, side_info=(), received=())
+    with pytest.raises(ValueError, match=re.escape(f"client index {client} outside [0, 4)")):
+        decode(view, demo_instance, optimal_plan_matrix, code)
+
+
+@pytest.mark.parametrize(
+    "values, named",
+    [
+        ((0, 3, 4, True, 0, 0), "4"),
+        ((1, True, 4, 0, 0, 0), "True"),
+        ((1, 2, 2.0, -1, 0, 0), "2.0"),
+        ((0, 0, 0, 0, -1, "1"), "-1"),
+        ((3, 3, 3, None, 3, "3"), "None"),
+    ],
+)
+def test_every_element_check_names_the_first_bad_element(
+    demo_instance, optimal_plan_matrix, values, named
+):
+    """Code rows, matrix_rank, encode's payload and decode's view share one check."""
+    field = Field(2)
+    message = "^" + re.escape(f"{named} is not an element of GF(2^2)") + "$"
+    code = CodingMatrix(field=field, n=6, rows=KNOWN_GF4_ROWS)
+    good = client_view(demo_instance, optimal_plan_matrix, 3, (0,) * 6, encode(code, (0,) * 6))
+    received = tuple((h, v) for (h, _), v in zip(good.received, values))  # the first five
+    calls = [
+        lambda: field._check_all(values),
+        lambda: CodingMatrix(field=field, n=6, rows=(KNOWN_GF4_ROWS[0], values)),
+        lambda: matrix_rank(field, [KNOWN_GF4_ROWS[0], values]),
+        lambda: encode(code, values),
+        lambda: decode(ClientView(3, good.side_info, received), demo_instance,
+                       optimal_plan_matrix, code),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_matrix_rank_basics():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from collections import deque
 
 import pytest
@@ -101,6 +102,19 @@ def test_dimension_mismatch_rejected(demo_instance):
         build_network(demo_instance, AssignmentMatrix(rows=(), k=4), client=4)
     with pytest.raises(ValueError):
         sink_flows(demo_instance, AssignmentMatrix(rows=(), k=2))
+
+
+def test_max_flow_rejects_a_sink_outside_the_network(demo_instance, optimal_plan_matrix):
+    network = build_network(demo_instance, optimal_plan_matrix)
+    for sink in (-1, network.num_nodes):
+        with pytest.raises(ValueError, match=re.escape(
+            f"sink index {sink} outside [0, {network.num_nodes})"
+        )):
+            max_flow(network, sink)
+
+
+def test_max_flow_into_the_source_is_zero(demo_instance, optimal_plan_matrix):
+    assert max_flow(build_network(demo_instance, optimal_plan_matrix), 0) == 0
 
 
 def test_empty_instance_is_solvable():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import dmsiplan
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -31,3 +33,22 @@ def test_regression_sweep_runs():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     first = proc.stdout.splitlines()[0]
     assert re.fullmatch(r"40 draws agreed; 1921 candidates enumerated in \d+\.\d\ds", first), first
+
+
+@pytest.mark.parametrize(
+    "script, option",
+    [
+        ("regression_sweep.py", "--seed"),
+        ("regression_sweep.py", "--max-n"),
+        ("regression_sweep.py", "--max-k"),
+        ("regression_sweep.py", "--budget"),
+        ("demo_walkthrough.py", "--budget"),
+        ("demo_walkthrough.py", "--payload-seed"),
+    ],
+)
+def test_one_value_options_are_gone(script, option):
+    """Each held one value and is now a module constant; argparse refuses it."""
+    proc = run_script(script, option, "1")
+    assert proc.returncode == 2
+    assert f"error: unrecognized arguments: {option} 1" in proc.stderr
+    assert proc.stdout == ""
