@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -409,12 +410,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{args.plan}: code has {code.m} rows for {matrix.m} broadcast packets",
         )
     sim = run_simulation(instance, matrix, code, payload_seed=args.payload_seed)
-    for i in range(matrix.m):
-        recipients = " ".join(
-            f"C{j + 1}" for j in range(instance.k) if matrix.rows[i][j]
-        )
+    names = [f"C{j + 1}" for j in range(instance.k)]
+    for i, (clock, row) in enumerate(zip(sim.clock, matrix.rows)):
+        recipients = " ".join(compress(names, row))
         print(
-            f"t={_rational_text(sim.clock[i])}: broadcast packet p{i + 1} delivered"
+            f"t={_rational_text(clock)}: broadcast packet p{i + 1} delivered"
             + (f" to {recipients}" if recipients else " (no recipients)")
         )
     ok = True

@@ -8,18 +8,21 @@ that, and decode performs the recovery by subtracting the known side-info
 contribution and solving the remaining square system.
 
 One incremental kernel, _reduce, serves rank, solve and construction: it
-reduces a row against an echelon basis and returns a new basis entry or the
-remainder.  encode and decode share one column product, _column_product: the
-sum of value * column x over (x, value) pairs, G x for encode and the side
-information's share for decode.  Field._check_all checks elements once on
-entry, for a CodingMatrix's rows (matrix_rank builds one), encode's payload
+reduces a row against an echelon basis, whose entries it keys by their
+pivot's bit offset, and returns a new basis entry or the remainder.  encode
+and decode share one column product, _column_product: the sum of value *
+column x over (x, value) pairs, G x for encode and the side information's
+share for decode.  Field._check_all checks elements once on entry, for all of
+a CodingMatrix's rows in one call (matrix_rank builds one), encode's payload
 and decode's view; the kernel checks none.  A row is one int with one lane
 per packet, lane i holding packet i, of 8 bits for e <= 8 and 16 above.
 Adding is one XOR, and a client's view is one AND with its keep-mask, all
 ones on each packet it misses and 0 on each it holds; pivots are packet
-coordinates.  For e <= 8 scaling is one translate; above, a basis entry
-keeps its row times x^i for i < e, and scaling by c XORs the ones at the set
-bits of c.  A CodingMatrix keeps its packed rows and columns.
+coordinates.  For e <= 8 scaling is one translate, and decode back-substitutes
+by strided columns of the joined basis, one translate per solved pivot;
+above, a basis entry keeps its row times x^i for i < e, scaling by c XORs the
+ones at the set bits of c, and back-substitution is scalar.  A CodingMatrix
+keeps its packed rows and columns.
 
 construct_code builds the code row by row (Jaggi, Sanders et al., 2005), one
 basis per client over its missing packets, redrawing a row at most 64 times;
@@ -39,7 +42,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, Iterable, Sequence
 
 from .assignment import AssignmentMatrix, _check_client_count, is_feasible, total_delay
@@ -72,7 +75,7 @@ class CodingMatrix:
         for i, row in enumerate(self.rows):
             if len(row) != self.n:
                 raise ValueError(f"row {i} has length {len(row)}, expected n={self.n}")
-            self.field._check_all(row)
+        self.field._check_all(list(chain.from_iterable(self.rows)))
 
     @property
     def m(self) -> int:
@@ -120,27 +123,28 @@ def _reduce(field: Field, basis: list, row: int, width: int, size: int) -> tuple
     """Reduce one packed row of valid elements against an echelon basis, unchecked.
 
     A basis entry is nonzero on its pivot, one of the first `width` lanes, and
-    0 on the pivots of earlier entries.  Returns (pivot, entry) or (None,
-    remainder) when those lanes are 0; later lanes (a solve's right-hand side)
-    ride along, to `size` in all.  For e <= 8 an entry is the row's bytes,
-    scaled to 1 on its pivot; above, (log of the pivot's inverse, [row * x^i
-    for i < e]), and eliminating c XORs in the rows at the bits of c / pivot.
+    0 on the pivots of earlier entries; it is keyed by its pivot's bit offset,
+    8 or 16 times the lane.  Returns (offset, entry) or (None, remainder) when
+    those lanes are 0; later lanes (a solve's right-hand side) ride along, to
+    `size` in all.  For e <= 8 an entry is the row's bytes, scaled to 1 on its
+    pivot; above, (log of the pivot's inverse, [row * x^i for i < e]), and
+    eliminating c XORs in the rows at the bits of c / pivot.
     """
-    exp, log, order = field._exp, field._log, field.q - 1
+    exp, log, order, from_bytes = field._exp, field._log, field.q - 1, int.from_bytes
     if field.e <= 8:
         scale = field._byte_products
-        for pivot, entry in basis:
-            c = row >> 8 * pivot & 255
+        for offset, entry in basis:
+            c = row >> offset & 255
             if c:
-                row ^= int.from_bytes(entry.translate(scale[c]), "little")
+                row ^= from_bytes(entry.translate(scale[c]), "little")
         lead = row & ((1 << 8 * width) - 1)
         if not lead:
             return None, row
         row = row.to_bytes(size, "little")
-        pivot = ((lead & -lead).bit_length() - 1) >> 3
-        return pivot, row.translate(scale[exp[order - log[row[pivot]]]])
-    for pivot, (inv_log, powers) in basis:
-        c = row >> 16 * pivot & 0xFFFF
+        offset = (lead & -lead).bit_length() - 1 & ~7
+        return offset, row.translate(scale[exp[order - log[row[offset >> 3]]]])
+    for offset, (inv_log, powers) in basis:
+        c = row >> offset & 0xFFFF
         if c:
             d = exp[log[c] + inv_log]
             for i in _BITS[d & 255]:
@@ -150,14 +154,14 @@ def _reduce(field: Field, basis: list, row: int, width: int, size: int) -> tuple
     lead = row & ((1 << 16 * width) - 1)
     if not lead:
         return None, row
-    pivot = ((lead & -lead).bit_length() - 1) >> 4
+    offset = (lead & -lead).bit_length() - 1 & ~15
     powers, (top, low) = [row], _overflow(field, size)
     for _ in range(field.e - 1):  # row * x^i from the last
         row <<= 1
         over = row & top
         row ^= over ^ (over >> field.e) * low
         powers.append(row)
-    return pivot, (order - log[powers[0] >> 16 * pivot & 0xFFFF], powers)
+    return offset, (order - log[powers[0] >> offset & 0xFFFF], powers)
 
 
 def _rank(field: Field, rows: Iterable, width: int, full: int) -> int:
@@ -166,9 +170,9 @@ def _rank(field: Field, rows: Iterable, width: int, full: int) -> int:
     for row in rows:
         if len(basis) == full:
             break
-        pivot, entry = _reduce(field, basis, row, width, width)
-        if pivot is not None:
-            basis.append((pivot, entry))
+        offset, entry = _reduce(field, basis, row, width, width)
+        if offset is not None:
+            basis.append((offset, entry))
     return len(basis)
 
 
@@ -262,10 +266,10 @@ def construct_code(
             packed = int.from_bytes(row if field.e <= 8 else _lane_bytes(field, row), "little")
             entries = []
             for _, project, basis in short:
-                pivot, entry = _reduce(field, basis, project(packed), instance.n, instance.n)
-                if pivot is None:
+                offset, entry = _reduce(field, basis, project(packed), instance.n, instance.n)
+                if offset is None:
                     break
-                entries.append((pivot, entry))
+                entries.append((offset, entry))
             else:
                 break
         else:
@@ -297,13 +301,10 @@ def client_view(
     broadcast: Sequence[int],
 ) -> ClientView:
     """Assemble what the given client sees from the ground truth."""
-    spec = instance.clients[client]
     return ClientView(
         client=client,
-        side_info=tuple((x, payload[x]) for x in sorted(spec.has)),
-        received=tuple(
-            (h, broadcast[h]) for h in range(matrix.m) if matrix.rows[h][client]
-        ),
+        side_info=tuple((x, payload[x]) for x in sorted(instance.clients[client].has)),
+        received=tuple((h, broadcast[h]) for h, row in enumerate(matrix.rows) if row[client]),
     )
 
 
@@ -324,8 +325,7 @@ def decode(
     spec = instance.clients[j]
     if {coord for coord, _ in view.side_info} != spec.has:
         raise ValueError("side information does not match the client's holdings")
-    assigned = {h for h in range(matrix.m) if matrix.rows[h][j]}
-    if {h for h, _ in view.received} != assigned:
+    if {h for h, _ in view.received} != {h for h, row in enumerate(matrix.rows) if row[j]}:
         raise ValueError("received rows do not match the assignment")
 
     field = code.field
@@ -339,27 +339,39 @@ def decode(
     inconsistent = False
     for h, symbol in view.received:
         row = project(code._kernel_rows[h]) | (symbol ^ known[h]) << lane * width
-        pivot, entry = _reduce(field, basis, row, width, width + 1)
-        if pivot is None:
+        offset, entry = _reduce(field, basis, row, width, width + 1)
+        if offset is None:
             inconsistent = inconsistent or entry != 0
         else:
-            basis.append((pivot, entry))
+            basis.append((offset, entry))
     if len(basis) < instance.want_counts()[j]:
         raise ValueError("singular system: received symbols do not pin down the unknowns")
     if inconsistent:
         raise ValueError("inconsistent received symbols")
     # each missing packet is a pivot, and an entry is 0 on earlier pivots and
-    # held packets: solve backwards, reading entries at the solved pivots
+    # held packets: solve backwards, last pivot first
     solution: dict[int, int] = {}
-    for pivot, entry in reversed(basis):
-        inv_log, values = ((0, entry) if field.e <= 8
-                           else (entry[0], _lanes(field, entry[1][0], width + 1)))
-        value = values[width]
-        for x, v in solution.items():
-            c = values[x]
-            if c and v:
-                value ^= exp[log[c] + log[v]]
-        solution[pivot] = exp[inv_log + log[value]] if value else 0
+    if field.e <= 8:
+        # entry i is 1 on its pivot, so its value is lane i of the right-hand
+        # sides; every entry's right-hand side then loses value times its pivot
+        # coefficient, read as one strided column of the joined entries
+        scale, stride = field._byte_products, width + 1
+        joined = b"".join(entry for _, entry in basis)
+        rhs = int.from_bytes(joined[width::stride], "little")
+        for i in reversed(range(len(basis))):
+            x = basis[i][0] >> 3
+            value = solution[x] = rhs >> 8 * i & 255
+            if value:
+                rhs ^= int.from_bytes(joined[x::stride].translate(scale[value]), "little")
+    else:
+        for offset, (inv_log, powers) in reversed(basis):  # read at the solved pivots
+            values = _lanes(field, powers[0], width + 1)
+            value = values[width]
+            for x, v in solution.items():
+                c = values[x]
+                if c and v:
+                    value ^= exp[log[c] + log[v]]
+            solution[offset >> 4] = exp[inv_log + log[value]] if value else 0
     return dict(sorted(solution.items()))
 
 
@@ -388,15 +400,15 @@ def run_simulation(
     completion = []
     decoded_ok = []
     for j in range(instance.k):
-        assigned = [h for h in range(matrix.m) if matrix.rows[h][j]]
-        completion.append(clock[assigned[-1]] if assigned else Fraction(0))
         view = client_view(instance, matrix, j, payload, broadcast)
+        completion.append(clock[view.received[-1][0]] if view.received else Fraction(0))
         try:
             recovered = decode(view, instance, matrix, code)
         except ValueError:
             decoded_ok.append(False)
             continue
-        truth = {x: payload[x] for x in range(instance.n) if x not in instance.clients[j].has}
+        has = instance.clients[j].has
+        truth = {x: payload[x] for x in range(instance.n) if x not in has}
         decoded_ok.append(recovered == truth)
     return SimulationResult(
         payload=payload,

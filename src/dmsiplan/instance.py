@@ -65,8 +65,9 @@ class ClientSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "has", frozenset(self.has))
-        object.__setattr__(self, "delay", Fraction(self.delay))
-        if self.delay < 0:
+        if not isinstance(self.delay, Fraction):
+            object.__setattr__(self, "delay", Fraction(self.delay))
+        if self.delay.numerator < 0:
             raise InstanceError(f"delay must be nonnegative, got {self.delay}")
 
 

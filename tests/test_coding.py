@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import re
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,31 @@ def test_decode_validates_the_view(demo_instance, optimal_plan_matrix):
     wrong_side = ClientView(client=0, side_info=good.side_info[:-1], received=good.received)
     with pytest.raises(ValueError, match="side information"):
         decode(wrong_side, demo_instance, optimal_plan_matrix, code)
+
+
+def test_decode_compares_received_rows_as_a_set(demo_instance, optimal_plan_matrix):
+    code = CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS)
+    payload = (1, 2, 0, 3, 1, 2)
+    broadcast = encode(code, payload)
+    good = client_view(demo_instance, optimal_plan_matrix, 0, payload, broadcast)
+    truth = decode(good, demo_instance, optimal_plan_matrix, code)
+    assert len(good.received) > 1
+
+    def with_received(received):
+        return ClientView(client=0, side_info=good.side_info, received=tuple(received))
+
+    reordered = with_received(reversed(good.received))
+    assert decode(reordered, demo_instance, optimal_plan_matrix, code) == truth
+    (h, symbol), *_ = good.received
+    repeated = with_received((*good.received, (h, symbol)))
+    assert decode(repeated, demo_instance, optimal_plan_matrix, code) == truth
+    contradicted = with_received((*good.received, (h, symbol ^ 1)))
+    with pytest.raises(ValueError, match="inconsistent"):
+        decode(contradicted, demo_instance, optimal_plan_matrix, code)
+    other = next(h for h, row in enumerate(optimal_plan_matrix.rows) if not row[0])
+    for received in (good.received[1:], (*good.received, (other, broadcast[other]))):
+        with pytest.raises(ValueError, match="received rows"):
+            decode(with_received(received), demo_instance, optimal_plan_matrix, code)
 
 
 def test_decodability_check_rejects_a_code_of_the_wrong_shape(demo_instance, optimal_plan_matrix):
@@ -457,6 +483,20 @@ def test_wide_lanes_at_forty_packets(e):
     x-power rows and the bit-plane share overflow lanes.  Every verdict
     matches the reference rank, decode and run_simulation recover the
     payload, and a flipped symbol is caught as inconsistent or decodes wrong."""
+    _check_forty_packets(e)
+
+
+@pytest.mark.parametrize("e", [1, 4, 8])
+def test_narrow_lanes_at_forty_packets(e):
+    """The same checks on 8-bit lanes, whose back-substitution runs by strided
+    columns: with every row sent to every client a flipped symbol can be
+    caught as inconsistent, and with the optimal matrix it decodes wrong."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # q = 2 is below k = 8
+        _check_forty_packets(e)
+
+
+def _check_forty_packets(e):
     f = FIELDS[e]
     rng = random.Random(4090 + e)
     inst = make_instance(

@@ -124,6 +124,16 @@ def test_direct_construction_validates():
         ClientSpec(has=frozenset(), delay=Fraction(-1))
 
 
+def test_client_spec_keeps_a_fraction_delay_and_refuses_negative_ones():
+    made = ClientSpec(has=frozenset(), delay=3).delay
+    assert made == 3 and type(made) is Fraction
+    delay = Fraction(2, 3)
+    assert ClientSpec(has=frozenset(), delay=delay).delay is delay
+    for bad, shown in ((-1, "-1"), (Fraction(-1, 3), "-1/3")):
+        with pytest.raises(InstanceError, match=f"^delay must be nonnegative, got {shown}$"):
+            ClientSpec(has=frozenset(), delay=bad)
+
+
 def test_serialization_is_canonical(demo_instance):
     doc = instance_document(demo_instance)
     assert doc["clients"][0]["has"] == [1, 3, 5, 6]
