@@ -1,8 +1,8 @@
 """Command-line front end: plan, verify, oracle, simulate, transform.
 
-Exit codes: 0 success, 2 validation/limit failures (bad documents, budget,
-a plan too large to build), 3 a check or cross-verification disagreed, 4 code
-construction failure.
+Exit codes: 0 success, 2 validation/limit failures (bad documents, a file
+that cannot be read, decoded or written, budget, a plan too large to build),
+3 a check or cross-verification disagreed, 4 code construction failure.
 All file formats are JSON; rationals appear as bare ints when integral and
 "p/q" strings otherwise, and packet indices are 1-based on disk.
 """
@@ -18,6 +18,7 @@ from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable
 
 from .assignment import (
     AssignmentMatrix,
@@ -188,28 +189,26 @@ def render_plan(bundle: PlanBundle) -> str:
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------- loading
+# ---------------------------------------------------------------- files
 
 
-def _load_text(path: str) -> str:
+def _read(path: str, parse: Callable[[str], object] = json.loads) -> object:
+    """A file's text, parsed; a file that cannot be read, decoded or parsed exits 2."""
     try:
-        return Path(path).read_text()
-    except OSError as err:
+        return parse(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as err:
         raise _CommandError(EXIT_VALIDATION, f"cannot read {path}: {err}")
-
-
-def _load_instance(path: str) -> DmsiInstance:
-    try:
-        return parse_instance(_load_text(path))
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise _CommandError(EXIT_VALIDATION, f"{path}: not valid JSON: {err}")
     except InstanceError as err:
         raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
 
 
-def _load_json(path: str) -> object:
+def _write(path: str, text: str) -> None:
     try:
-        return json.loads(_load_text(path))
-    except json.JSONDecodeError as err:
-        raise _CommandError(EXIT_VALIDATION, f"{path}: not valid JSON: {err}")
+        Path(path).write_text(text)
+    except OSError as err:
+        raise _CommandError(EXIT_VALIDATION, f"cannot write {path}: {err}")
 
 
 def _matrix_from_document(doc: object, k: int, path: str) -> AssignmentMatrix:
@@ -222,56 +221,45 @@ def _matrix_from_document(doc: object, k: int, path: str) -> AssignmentMatrix:
         raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
 
 
-_RECORDED_KEYS = ("per_packet_delay", "total_delay", "closed_form_delay")
-
-
 def _load_plan(
     path: str, instance: DmsiInstance
 ) -> tuple[dict[str, Fraction | tuple[Fraction, ...]], AssignmentMatrix, CodingMatrix | None]:
-    """A plan file's recorded rationals under _RECORDED_KEYS, its matrix, and
-    its code if it records one.
+    """A plan file's recorded delays by key, its matrix, and its code if it
+    records one.
 
-    The recorded values are parsed here, with the rest of the file, so that a
+    The recorded delays are parsed here, with the rest of the file, so that a
     malformed one stops the command before it prints anything.
     """
-    doc = _load_json(path)
+    doc = _read(path)
     if not isinstance(doc, dict):
         raise _CommandError(EXIT_VALIDATION, f"{path}: top level must be an object")
     matrix = _matrix_from_document(doc, instance.k, path)
-    recorded = {key: _recorded(doc, key, path) for key in _RECORDED_KEYS if key in doc}
-    if "code" not in doc:
-        return recorded, matrix, None
-    code_doc = doc["code"]
-    if not isinstance(code_doc, dict) or "field_degree" not in code_doc or "rows" not in code_doc:
-        raise _CommandError(
-            EXIT_VALIDATION, f"{path}: 'code' must hold 'field_degree' and 'rows'"
-        )
+    recorded, code = {}, doc.get("code")
     try:
-        field = Field(code_doc["field_degree"])
-        rows = tuple(tuple(r) for r in code_doc["rows"])
-        return recorded, matrix, CodingMatrix(field=field, n=instance.n, rows=rows)
+        if "per_packet_delay" in doc:
+            delays = doc["per_packet_delay"]
+            if not isinstance(delays, list):
+                raise InstanceError(f"per_packet_delay: expected a list, got {delays!r}")
+            recorded["per_packet_delay"] = tuple(
+                parse_rational(v, "per_packet_delay") for v in delays
+            )
+        for key in ("total_delay", "closed_form_delay"):
+            if key in doc:
+                recorded[key] = parse_rational(doc[key], key)
+        if "code" in doc:
+            if not isinstance(code, dict) or not {"field_degree", "rows"} <= code.keys():
+                raise ValueError("'code' must hold 'field_degree' and 'rows'")
+            code = CodingMatrix(field=Field(code["field_degree"]), n=instance.n, rows=code["rows"])
     except (TypeError, ValueError) as err:
         raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
-
-
-def _recorded(doc: dict, key: str, path: str) -> Fraction | tuple[Fraction, ...]:
-    """A rational recorded in a plan file; per_packet_delay holds a list of them."""
-    value = doc[key]
-    try:
-        if key != "per_packet_delay":
-            return parse_rational(value, key)
-        if not isinstance(value, list):
-            raise InstanceError(f"{key}: expected a list, got {value!r}")
-        return tuple(parse_rational(v, key) for v in value)
-    except InstanceError as err:
-        raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
+    return recorded, matrix, code
 
 
 # ---------------------------------------------------------------- commands
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance = _read(args.instance, parse_instance)
     cells = max(instance.want_counts(), default=0) * (instance.n + instance.k)
     if cells > PLAN_CELL_BUDGET:
         raise _CommandError(
@@ -290,86 +278,67 @@ def cmd_plan(args: argparse.Namespace) -> int:
         raise _CommandError(EXIT_CONSTRUCTION, str(err))
     print(render_plan(bundle))
     if args.output:
-        Path(args.output).write_text(plan_json(bundle))
+        _write(args.output, plan_json(bundle))
         print(f"plan written to {args.output}")
     return EXIT_OK
 
 
+def _status(label: str, text: str) -> None:
+    """One of verify's status lines, values aligned after the label."""
+    print(f"{label + ':':<28} {text}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance = _read(args.instance, parse_instance)
     recorded, matrix, code = _load_plan(args.plan, instance)
     want = instance.want_counts()
-    problems: list[str] = []
-
-    weight_short = [
-        j for j in range(instance.k) if matrix.column_weight(j) < want[j]
-    ]
+    weight_short = [j for j in range(instance.k) if matrix.column_weight(j) < want[j]]
     flows = sink_flows(instance, matrix)
     flow_short = [j for j, flow in enumerate(flows) if flow < instance.n]
-    for j in weight_short:
-        problems.append(
-            f"client C{j + 1} under-assigned: weight {matrix.column_weight(j)} < {want[j]}"
-        )
-    for j in flow_short:
-        problems.append(f"client C{j + 1} max flow {flows[j]} < {instance.n}")
-    print(
-        "feasibility (column weights): "
-        + ("ok" if not weight_short else f"FAIL ({len(weight_short)} clients)")
-    )
-    print(
-        "feasibility (max flow):      "
-        + ("ok" if not flow_short else f"FAIL ({len(flow_short)} clients)")
-    )
+    problems = [
+        f"client C{j + 1} under-assigned: weight {matrix.column_weight(j)} < {want[j]}"
+        for j in weight_short
+    ] + [f"client C{j + 1} max flow {flows[j]} < {instance.n}" for j in flow_short]
+    for label, short in (("column weights", weight_short), ("max flow", flow_short)):
+        _status(f"feasibility ({label})", f"FAIL ({len(short)} clients)" if short else "ok")
     if weight_short != flow_short:
-        problems.append(
-            f"criteria disagree: weights flag {weight_short}, flow flags {flow_short}"
-        )
+        problems.append(f"criteria disagree: weights flag {weight_short}, flow flags {flow_short}")
 
     report = total_delay(matrix, instance.delays())
-    if "per_packet_delay" in recorded:
-        match = recorded["per_packet_delay"] == report.per_packet
-        if not match:
-            problems.append("per-packet delays in file do not match recomputation")
-        print("per-packet delays:           " + ("ok" if match else "FAIL"))
-    if "total_delay" in recorded:
-        match = recorded["total_delay"] == report.total
-        if not match:
-            problems.append(
-                f"total delay in file is {_rational_text(recorded['total_delay'])}, "
-                f"recomputed {_rational_text(report.total)}"
-            )
-        print("total delay:                 " + ("ok" if match else "FAIL"))
-    if "closed_form_delay" in recorded:
-        match = recorded["closed_form_delay"] == closed_form_delay(instance)
-        if not match:
-            problems.append("closed-form delay in file does not match recomputation")
-        print("closed-form delay:           " + ("ok" if match else "FAIL"))
+    recorded_total = _rational_text(recorded.get("total_delay", report.total))
+    for key, label, fresh, problem in (
+        ("per_packet_delay", "per-packet delays", report.per_packet,
+         "per-packet delays in file do not match recomputation"),
+        ("total_delay", "total delay", report.total,
+         f"total delay in file is {recorded_total}, recomputed {_rational_text(report.total)}"),
+        ("closed_form_delay", "closed-form delay", closed_form_delay(instance),
+         "closed-form delay in file does not match recomputation"),
+    ):
+        if key in recorded:
+            match = recorded[key] == fresh
+            if not match:
+                problems.append(problem)
+            _status(label, "ok" if match else "FAIL")
 
     if code is not None:
         if code.m != matrix.m:
             problems.append(f"code has {code.m} rows for {matrix.m} broadcast packets")
-            print("decodability:                FAIL (row count mismatch)")
+            _status("decodability", "FAIL (row count mismatch)")
         else:
             decodable = decodability_check(instance, matrix, code)
             bad = [j for j, ok in enumerate(decodable) if not ok]
             for j in bad:
                 problems.append(f"client C{j + 1} cannot decode: rank below {want[j]}")
-            print(
-                "decodability:                "
-                + ("ok" if not bad else f"FAIL (clients {[j + 1 for j in bad]})")
-            )
+            _status("decodability", f"FAIL (clients {[j + 1 for j in bad]})" if bad else "ok")
 
-    if problems:
-        for p in problems:
-            print(f"  - {p}")
-        print("verdict: FAIL")
-        return EXIT_DISAGREEMENT
-    print("verdict: PASS")
-    return EXIT_OK
+    for p in problems:
+        print(f"  - {p}")
+    print("verdict: " + ("FAIL" if problems else "PASS"))
+    return EXIT_DISAGREEMENT if problems else EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance = _read(args.instance, parse_instance)
     try:
         result = brute_force_optimum(instance, m_cap=args.m_cap, budget=args.budget)
     except (BudgetExceededError, ValueError) as err:
@@ -392,12 +361,12 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "closed_form_delay": format_rational(closed),
             "agrees": agrees,
         }
-        Path(args.output).write_text(json.dumps(out, indent=2) + "\n")
+        _write(args.output, json.dumps(out, indent=2) + "\n")
     return EXIT_OK if agrees else EXIT_DISAGREEMENT
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
+    instance = _read(args.instance, parse_instance)
     # every recorded delay is read: a file that verify refuses is refused here too
     recorded, matrix, code = _load_plan(args.plan, instance)
     if code is None:
@@ -417,10 +386,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"t={_rational_text(clock)}: broadcast packet p{i + 1} delivered"
             + (f" to {recipients}" if recipients else " (no recipients)")
         )
-    ok = True
+    ok = all(sim.decoded_ok)
     for j in range(instance.k):
         status = "decoded all missing packets" if sim.decoded_ok[j] else "DECODE FAILED"
-        ok = ok and sim.decoded_ok[j]
         print(f"C{j + 1} complete at t={_rational_text(sim.completion[j])}: {status}")
     closed = closed_form_delay(instance)
     print(f"final clock: {_rational_text(sim.final_clock)}")
@@ -435,9 +403,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.instance)
-    doc = _load_json(args.matrix)
-    matrix = _matrix_from_document(doc, instance.k, args.matrix)
+    instance = _read(args.instance, parse_instance)
+    matrix = _matrix_from_document(_read(args.matrix), instance.k, args.matrix)
     try:
         trace = transform_to_optimal(matrix, instance)
     except ValueError as err:

@@ -213,15 +213,18 @@ def _projector(field: Field, instance: DmsiInstance, client: int) -> Callable[[i
     return (int.from_bytes(_lane_bytes(field, keep), "little") * 257).__and__  # 0xFF -> 0xFFFF
 
 
+def _check_shape(instance: DmsiInstance, matrix: AssignmentMatrix, code: CodingMatrix) -> None:
+    """Raise unless the code is matrix.m x instance.n and the matrix has a column per client."""
+    _check_client_count(matrix, instance)
+    if code.n != instance.n or code.m != matrix.m:
+        raise ValueError(f"code is {code.m}x{code.n}, expected {matrix.m}x{instance.n}")
+
+
 def decodability_check(
     instance: DmsiInstance, matrix: AssignmentMatrix, code: CodingMatrix
 ) -> tuple[bool, ...]:
     """Per client: do its assigned rows span its missing coordinates?"""
-    _check_client_count(matrix, instance)
-    if code.n != instance.n or code.m != matrix.m:
-        raise ValueError(
-            f"code is {code.m}x{code.n}, expected {matrix.m}x{instance.n}"
-        )
+    _check_shape(instance, matrix, code)
     verdicts = []
     for j, want in enumerate(instance.want_counts()):
         project = _projector(code.field, instance, j)
@@ -316,9 +319,11 @@ def decode(
 ) -> dict[int, int]:
     """Recover the client's missing packets; returns {0-based coord: value}.
 
-    Raises ValueError when the view does not match the assignment or when the
-    system is singular or inconsistent (i.e. decodability was violated).
+    Raises ValueError when the code's shape or the view does not match the
+    assignment, or when the system is singular or inconsistent (i.e.
+    decodability was violated).
     """
+    _check_shape(instance, matrix, code)
     j = view.client
     if not 0 <= j < instance.k:
         raise ValueError(f"client index {j} outside [0, {instance.k})")
@@ -392,6 +397,7 @@ def run_simulation(
     payload_seed: int = 0,
 ) -> SimulationResult:
     """Draw a payload, broadcast sequentially, decode at each completion time."""
+    _check_shape(instance, matrix, code)
     rng = random.Random(payload_seed)
     payload = tuple(rng.randrange(code.field.q) for _ in range(instance.n))
     broadcast = encode(code, payload)

@@ -164,7 +164,7 @@ def parse_instance(text: str) -> DmsiInstance:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InstanceError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("top level must be an object")

@@ -341,6 +341,59 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_verify_flags_a_code_one_row_short(tmp_path, capsys):
+    inst, out = make_plan(tmp_path, capsys)
+    doc = json.loads(out.read_text())
+    doc["code"]["rows"].pop()
+    tampered = write_json(tmp_path / "tampered.json", doc)
+    assert main(["verify", inst, tampered]) == 3
+    shown = capsys.readouterr().out
+    assert "decodability:                FAIL (row count mismatch)\n" in shown
+    assert "  - code has 4 rows for 5 broadcast packets\n" in shown
+    assert shown.endswith("verdict: FAIL\n")
+
+
+UNREADABLE = {"not-utf8": b'{"n": 6\xff}', "nested-100000": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("content", sorted(UNREADABLE))
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("plan", "instance"),
+        ("verify", "instance"),
+        ("verify", "plan"),
+        ("simulate", "instance"),
+        ("simulate", "plan"),
+        ("transform", "instance"),
+        ("transform", "plan"),
+    ],
+)
+def test_a_file_that_cannot_be_decoded_exits_2(tmp_path, capsys, command, bad, content):
+    """A file that is not UTF-8, or JSON nested past the recursion limit, is
+    malformed input: one error line and exit 2, not an uncaught exception."""
+    inst, out = make_plan(tmp_path, capsys)
+    files = {"instance": inst, "plan": str(out)}
+    files[bad] = str(tmp_path / "bad.json")
+    Path(files[bad]).write_bytes(UNREADABLE[content])
+    argv = [command, files["instance"]] + ([files["plan"]] if command != "plan" else [])
+    assert main(argv) == 2
+    shown = capsys.readouterr()
+    assert shown.err.startswith("error: ") and shown.err.count("\n") == 1
+    assert files[bad] in shown.err
+    assert shown.out == ""
+
+
+@pytest.mark.parametrize("command, options", [("plan", []), ("oracle", ["--budget", "100000000"])])
+def test_an_unwritable_output_exits_2(tmp_path, capsys, command, options):
+    inst = write_json(tmp_path / "instance.json", DEMO_DOC)
+    target = tmp_path / "missing" / "out.json"
+    assert main([command, inst, *options, "--output", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_plan_exits_4_when_no_code_exists(tmp_path, capsys):
     """Six clients each missing a different pair of four packets: over GF(2)
     the needed pairwise-independent columns do not exist."""

@@ -184,13 +184,27 @@ def test_decode_compares_received_rows_as_a_set(demo_instance, optimal_plan_matr
             decode(with_received(received), demo_instance, optimal_plan_matrix, code)
 
 
-def test_decodability_check_rejects_a_code_of_the_wrong_shape(demo_instance, optimal_plan_matrix):
-    short = CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS[:4])
-    with pytest.raises(ValueError, match=r"^code is 4x6, expected 5x6$"):
-        decodability_check(demo_instance, optimal_plan_matrix, short)
-    narrow = CodingMatrix(field=Field(2), n=5, rows=[row[:5] for row in KNOWN_GF4_ROWS])
-    with pytest.raises(ValueError, match=r"^code is 5x5, expected 5x6$"):
-        decodability_check(demo_instance, optimal_plan_matrix, narrow)
+def test_every_code_consumer_rejects_a_code_of_the_wrong_shape(demo_instance, optimal_plan_matrix):
+    """decodability_check, decode and run_simulation share one shape check: a
+    short code used to fail with IndexError, and a long one to simulate as decoded."""
+    payload = (1, 2, 0, 3, 1, 2)
+    broadcast = encode(CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS), payload)
+    views = [client_view(demo_instance, optimal_plan_matrix, j, payload, broadcast)
+             for j in range(demo_instance.k)]
+    for rows, shape in (
+        (KNOWN_GF4_ROWS[:4], "4x6"),
+        ((*KNOWN_GF4_ROWS, KNOWN_GF4_ROWS[0]), "6x6"),
+        ([row[:5] for row in KNOWN_GF4_ROWS], "5x5"),
+    ):
+        bad = CodingMatrix(field=Field(2), n=len(rows[0]), rows=rows)
+        expected = rf"^code is {shape}, expected 5x6$"
+        with pytest.raises(ValueError, match=expected):
+            decodability_check(demo_instance, optimal_plan_matrix, bad)
+        for view in views:
+            with pytest.raises(ValueError, match=expected):
+                decode(view, demo_instance, optimal_plan_matrix, bad)
+        with pytest.raises(ValueError, match=expected):
+            run_simulation(demo_instance, optimal_plan_matrix, bad)
 
 
 @pytest.mark.parametrize("client", [-1, 4])

@@ -115,6 +115,13 @@ def test_malformed_documents_rejected(text):
         parse_instance(text)
 
 
+@pytest.mark.parametrize("opener", ["[", '{"n": '])
+def test_deeply_nested_json_is_an_instance_error(opener):
+    """JSON nested past the recursion limit is malformed input, not a RecursionError."""
+    with pytest.raises(InstanceError, match="^not valid JSON: maximum recursion depth"):
+        parse_instance(opener * 100_000)
+
+
 def test_direct_construction_validates():
     with pytest.raises(InstanceError):
         DmsiInstance(n=-1, clients=())
