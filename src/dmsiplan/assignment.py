@@ -15,7 +15,8 @@ argument executable: it rewrites any feasible matrix into the optimal one
 through steps none of which increases the total delay.
 
 Totals are exact without Fraction arithmetic: instance.scaled_delays turns
-the delays into ints by the lcm of their denominators, every max, sum and
+the delays into ints by the lcm of their denominators (an instance keeps its
+own, from the digit check at parsing), every max, sum and
 comparison runs on those ints, and a total is divided by the scale once, at
 the end, back into a Fraction.
 """
@@ -64,6 +65,16 @@ class AssignmentMatrix:
 
     def column_weights(self) -> tuple[int, ...]:
         return tuple(self.column_weight(j) for j in range(self.k))
+
+
+def _unchecked(cls: type, **fields: object):
+    """An instance of a frozen dataclass built without __post_init__, for a
+    value the library made itself from checked ones; each field must already
+    be in its final form, rows a tuple of tuples of valid entries."""
+    value = object.__new__(cls)
+    for name, field_value in fields.items():
+        object.__setattr__(value, name, field_value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -116,7 +127,7 @@ def optimal_assignment(instance: DmsiInstance) -> tuple[tuple[int, ...], Assignm
     rows = tuple(
         tuple(1 if i < w else 0 for w in want) for i in range(m_star)
     )
-    return instance.delay_ranking(), AssignmentMatrix(rows=rows, k=instance.k)
+    return instance.delay_ranking(), _unchecked(AssignmentMatrix, rows=rows, k=instance.k)
 
 
 def closed_form_delay(instance: DmsiInstance) -> Fraction:
@@ -127,7 +138,7 @@ def closed_form_delay(instance: DmsiInstance) -> Fraction:
     sum_j d_j * max(0, w_j - max(w_1..w_{j-1}, 0)).
     """
     want = instance.want_counts()
-    scale, ints = scaled_delays(instance.delays())
+    scale, ints = instance.scaled_delays()
     covered = 0
     total = 0
     for j in instance.delay_ranking():
@@ -171,7 +182,7 @@ def reduce_to_exact_weights(
     """
     _check_client_count(matrix, instance)
     want = instance.want_counts()
-    _, ints = scaled_delays(instance.delays())
+    _, ints = instance.scaled_delays()
     rows = [list(row) for row in matrix.rows]
 
     def row_delay(row: list[int]) -> int:
@@ -190,7 +201,7 @@ def reduce_to_exact_weights(
             rows[i][j] = 0
             row_delays[i] = row_delay(rows[i])
             weight -= 1
-    return AssignmentMatrix(rows=tuple(tuple(r) for r in rows), k=matrix.k)
+    return _unchecked(AssignmentMatrix, rows=tuple(map(tuple, rows)), k=matrix.k)
 
 
 def transform_to_optimal(
@@ -212,7 +223,7 @@ def transform_to_optimal(
     """
     _check_client_count(matrix, instance)
     ranking = instance.delay_ranking()
-    scale, ints = scaled_delays(instance.delays())
+    scale, ints = instance.scaled_delays()
     ranked_ints = [ints[j] for j in ranking]
     k = instance.k
 
@@ -220,7 +231,7 @@ def transform_to_optimal(
     scaled_totals: list[int] = []
 
     def snapshot(label: str) -> TransformStep:
-        snap = AssignmentMatrix(rows=tuple(map(tuple, rows)), k=k)
+        snap = _unchecked(AssignmentMatrix, rows=tuple(map(tuple, rows)), k=k)
         total = sum(max(compress(ranked_ints, row), default=0) for row in snap.rows)
         scaled_totals.append(total)
         return TransformStep(label, snap, Fraction(total, scale))

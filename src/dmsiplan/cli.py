@@ -40,9 +40,11 @@ from .gf import Field
 from .instance import (
     DmsiInstance,
     InstanceError,
+    check_digits,
     format_rational,
     instance_document,
     parse_instance,
+    parse_json,
     parse_rational,
 )
 from .netflow import sink_flows
@@ -192,14 +194,12 @@ def render_plan(bundle: PlanBundle) -> str:
 # ---------------------------------------------------------------- files
 
 
-def _read(path: str, parse: Callable[[str], object] = json.loads) -> object:
+def _read(path: str, parse: Callable[[str], object] = parse_json) -> object:
     """A file's text, parsed; a file that cannot be read, decoded or parsed exits 2."""
     try:
         return parse(Path(path).read_text())
     except (OSError, UnicodeDecodeError) as err:
         raise _CommandError(EXIT_VALIDATION, f"cannot read {path}: {err}")
-    except (json.JSONDecodeError, RecursionError) as err:
-        raise _CommandError(EXIT_VALIDATION, f"{path}: not valid JSON: {err}")
     except InstanceError as err:
         raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
 
@@ -211,14 +211,17 @@ def _write(path: str, text: str) -> None:
         raise _CommandError(EXIT_VALIDATION, f"cannot write {path}: {err}")
 
 
-def _matrix_from_document(doc: object, k: int, path: str) -> AssignmentMatrix:
+def _matrix_from_document(doc: object, instance: DmsiInstance, path: str) -> AssignmentMatrix:
+    """The assignment in a plan or matrix file; its total must be printable."""
     rows = doc.get("assignment") if isinstance(doc, dict) else doc
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise _CommandError(EXIT_VALIDATION, f"{path}: expected a list of 0/1 rows")
     try:
-        return AssignmentMatrix(rows=tuple(tuple(r) for r in rows), k=k)
+        matrix = AssignmentMatrix(rows=tuple(tuple(r) for r in rows), k=instance.k)
+        check_digits(instance, matrix.m)
     except ValueError as err:
         raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
+    return matrix
 
 
 def _load_plan(
@@ -233,7 +236,7 @@ def _load_plan(
     doc = _read(path)
     if not isinstance(doc, dict):
         raise _CommandError(EXIT_VALIDATION, f"{path}: top level must be an object")
-    matrix = _matrix_from_document(doc, instance.k, path)
+    matrix = _matrix_from_document(doc, instance, path)
     recorded, code = {}, doc.get("code")
     try:
         if "per_packet_delay" in doc:
@@ -404,7 +407,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     instance = _read(args.instance, parse_instance)
-    matrix = _matrix_from_document(_read(args.matrix), instance.k, args.matrix)
+    matrix = _matrix_from_document(_read(args.matrix), instance, args.matrix)
     try:
         trace = transform_to_optimal(matrix, instance)
     except ValueError as err:

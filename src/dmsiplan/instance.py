@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,6 +27,15 @@ class InstanceError(ValueError):
 
 
 _RATIONAL_RE = re.compile(r"(\d+)(?:/(\d+))?")
+
+
+def _digit_limit() -> int:
+    """The most digits Python reads or writes for one int; 0 means no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(where: str) -> InstanceError:
+    return InstanceError(f"{where}: a number has more than {_digit_limit()} digits")
 
 
 def parse_rational(value: object, where: str = "value") -> Fraction:
@@ -42,7 +52,10 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
         match = _RATIONAL_RE.fullmatch(value.strip())
         if match is None:
             raise InstanceError(f"{where}: {value!r} is not of the form 'p' or 'p/q'")
-        p, q = int(match.group(1)), int(match.group(2) or 1)
+        try:
+            p, q = int(match.group(1)), int(match.group(2) or 1)
+        except ValueError:  # past the digit limit
+            raise _too_long(where) from None
         if q == 0:
             raise InstanceError(f"{where}: zero denominator in {value!r}")
         return Fraction(p, q)
@@ -94,7 +107,8 @@ class DmsiInstance:
         return len(self.clients)
 
     # Derived tuples are computed on first use and kept: the instance is
-    # frozen, so they cannot go stale, and parsing pays nothing for them.
+    # frozen, so they cannot go stale.  Parsing pays only for the scaled
+    # delays, which its digit check needs.
     @cached_property
     def _delays(self) -> tuple[Fraction, ...]:
         return tuple(client.delay for client in self.clients)
@@ -104,12 +118,20 @@ class DmsiInstance:
         return tuple(self.n - len(client.has) for client in self.clients)
 
     @cached_property
+    def _scaled_delays(self) -> tuple[int, tuple[int, ...]]:
+        return scaled_delays(self._delays)
+
+    @cached_property
     def _delay_ranking(self) -> tuple[int, ...]:
         # a stable sort: reverse=True keeps equal delays in input order
         return tuple(sorted(range(self.k), key=self._delays.__getitem__, reverse=True))
 
     def delays(self) -> tuple[Fraction, ...]:
         return self._delays
+
+    def scaled_delays(self) -> tuple[int, tuple[int, ...]]:
+        """scaled_delays of the delays: their common scale and the delays times it."""
+        return self._scaled_delays
 
     def want_counts(self) -> tuple[int, ...]:
         """w_j = number of packets client j is missing."""
@@ -156,16 +178,39 @@ def _parse_side_info(doc: object, where: str, n: int) -> frozenset[int]:
     return frozenset(has)
 
 
+def parse_json(text: str) -> object:
+    """json.loads, with every way the text can fail to load an InstanceError."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise InstanceError(f"not valid JSON: {exc}") from exc
+    except ValueError:  # an int literal past the digit limit
+        raise _too_long("JSON") from None
+
+
+def check_digits(instance: DmsiInstance, rows: int) -> None:
+    """Raise InstanceError unless every total of up to `rows` packets has a
+    numerator and denominator within the digit limit.
+
+    Totals are sums of scaled delays over their common scale, so it is enough
+    that the scale and `rows` times the largest scaled delay are below 10^limit.
+    """
+    limit = _digit_limit()
+    scale, ints = instance.scaled_delays()
+    largest = max(scale, rows * max(ints, default=0))
+    # below 2^(3 * limit) < 10^limit no power of ten need be built
+    if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
+        raise _too_long("exact delay totals")
+
+
 def parse_instance(text: str) -> DmsiInstance:
     """Parse a JSON instance document.
 
     Document shape: {"n": int, "packet_size": rational (only with bandwidths),
     "clients": [{"has": [1-based ints], "delay": r | "bandwidth": r}, ...]}.
+    Its delays must keep every total of up to n packets within the digit limit.
     """
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise InstanceError(f"not valid JSON: {exc}") from exc
+    doc = parse_json(text)
     if not isinstance(doc, dict):
         raise InstanceError("top level must be an object")
     unknown = set(doc) - {"n", "packet_size", "clients"}
@@ -197,7 +242,9 @@ def parse_instance(text: str) -> DmsiInstance:
                 raise InstanceError(f"{where}: 'bandwidth' given but no 'packet_size'")
             delay = packet_size / bandwidth
         clients.append(ClientSpec(has=has, delay=delay))
-    return DmsiInstance(n=n, clients=tuple(clients))
+    instance = DmsiInstance(n=n, clients=tuple(clients))
+    check_digits(instance, n)
+    return instance
 
 
 def instance_document(instance: DmsiInstance) -> dict:

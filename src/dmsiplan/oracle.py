@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .assignment import AssignmentMatrix
-from .instance import DmsiInstance, scaled_delays
+from .instance import DmsiInstance
 
 DEFAULT_BUDGET = 10**7
 
@@ -209,7 +209,7 @@ def brute_force_optimum(
                 "raise the budget or lower m_cap"
             )
 
-    scale, ints = scaled_delays(instance.delays())
+    scale, ints = instance.scaled_delays()
     best, examined = _explore(want, ints, m_cap)
     assert best is not None, "exact-weight candidates always exist"
     total, _, rows = best

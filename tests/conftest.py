@@ -4,6 +4,7 @@ instances and exact-weight assignment matrices."""
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,30 @@ IMPOSSIBLE_GF2_DOC = {
         {"has": [1, 3], "delay": 2},
         {"has": [1, 2], "delay": 1},
     ],
+}
+
+
+# Python reads and writes at most 4,300 digits per int unless told otherwise;
+# the documents below are sized for that default
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+requires_digit_limit = pytest.mark.skipif(
+    DIGIT_LIMIT != 4300, reason="sized for Python's default limit of 4,300 digits"
+)
+LONG_INT = "1" * 5000
+# instance texts past the limit: a JSON literal, a delay string, and three
+# bandwidths of 3,000 digits each whose delays sum over a common denominator
+# of about 9,000 digits (each client pays for a different row)
+LONG_NUMBER_INSTANCES = {
+    "n-literal": '{"n": %s, "clients": []}' % LONG_INT,
+    "delay-string": json.dumps({"n": 2, "clients": [{"has": [1], "delay": LONG_INT}]}),
+    "derived-total": json.dumps({
+        "n": 3,
+        "packet_size": "1" + "0" * 2999,
+        "clients": [
+            {"has": has, "bandwidth": digit + rest * 2999}
+            for has, digit, rest in (([1, 2], "3", "1"), ([1], "7", "1"), ([], "9", "3"))
+        ],
+    }),
 }
 
 

@@ -20,7 +20,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import dmsiplan
-from conftest import DEMO_DOC, HAND_PLAN_ROWS, OPTIMAL_PLAN_ROWS, IMPOSSIBLE_GF2_DOC
+from conftest import (
+    DEMO_DOC,
+    HAND_PLAN_ROWS,
+    IMPOSSIBLE_GF2_DOC,
+    LONG_INT,
+    LONG_NUMBER_INSTANCES,
+    OPTIMAL_PLAN_ROWS,
+    requires_digit_limit,
+)
 from dmsiplan import Field, parse_instance
 from dmsiplan.cli import (
     _build_parser,
@@ -392,6 +400,48 @@ def test_an_unwritable_output_exits_2(tmp_path, capsys, command, options):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
     assert not target.exists()
+
+
+def _exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    shown = capsys.readouterr()
+    assert shown.err.startswith("error: ") and shown.err.count("\n") == 1
+    assert shown.out == ""
+    return shown.err
+
+
+@requires_digit_limit
+@pytest.mark.parametrize("name", sorted(LONG_NUMBER_INSTANCES))
+@pytest.mark.parametrize("command", ["plan", "verify", "simulate", "transform", "oracle"])
+def test_an_instance_past_the_digit_limit_exits_2(tmp_path, capsys, command, name):
+    """A number too long for Python to read, or a total too long to print,
+    is malformed input: one error line and exit 2, not a traceback."""
+    _, plan = make_plan(tmp_path, capsys)
+    inst = tmp_path / "long.json"
+    inst.write_text(LONG_NUMBER_INSTANCES[name])
+    argv = [command, str(inst)] + ([] if command in ("plan", "oracle") else [str(plan)])
+    err = _exits_2_with_one_line(argv, capsys)
+    assert err.endswith("a number has more than 4300 digits\n")
+
+
+@requires_digit_limit
+@pytest.mark.parametrize("case", ["literal", "rows"])
+@pytest.mark.parametrize("command", ["verify", "simulate", "transform"])
+def test_a_plan_past_the_digit_limit_exits_2(tmp_path, capsys, command, case):
+    """A 5,000-digit literal in the plan file, or more rows than packets at a
+    delay of 4,300 digits, whose total then has 4,301."""
+    if case == "literal":
+        inst, plan = make_plan(tmp_path, capsys)
+        plan.write_text(plan.read_text().replace('"total_delay": 20', f'"total_delay": {LONG_INT}'))
+    else:
+        doc = {"n": 1, "clients": [{"has": [], "delay": "1" + "0" * 4299}]}
+        inst = write_json(tmp_path / "instance.json", doc)
+        assert main(["transform", inst, write_json(tmp_path / "one.json", [[1]])]) == 0
+        capsys.readouterr()
+        plan = tmp_path / "plan.json"
+        write_json(plan, {"assignment": [[1]] * 10})
+    err = _exits_2_with_one_line([command, str(inst), str(plan)], capsys)
+    assert str(plan) in err and err.endswith("a number has more than 4300 digits\n")
 
 
 def test_plan_exits_4_when_no_code_exists(tmp_path, capsys):

@@ -5,6 +5,7 @@ import json
 import random
 import re
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,7 @@ from dmsiplan import (
     parse_instance,
     run_simulation,
 )
+from dmsiplan import coding
 from dmsiplan.cli import build_plan
 
 
@@ -454,6 +456,57 @@ def test_plan_decodability_matches_an_independent_check(e, instance, seed):
     bundle = build_plan(instance, field=f, seed=seed)
     assert all(decodability_check(instance, bundle.matrix, bundle.code))
     assert bundle.code == build_plan(instance, field=f, seed=seed).code
+
+
+SIMULATED_DEGREES = (1, 4, 8, 9, 12, 16)
+
+
+@given(
+    st.sampled_from(SIMULATED_DEGREES).flatmap(
+        lambda e: st.tuples(st.just(FIELDS[e]), instance_with_exact_matrix(6, min(2**e, 5)))
+    ),
+    st.sampled_from(["intact", "zeroed row", "changed element"]),
+    st.integers(0, 2**16),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_simulation_decodes_as_decode_does_on_each_view(case, damage, seed, rng):
+    """run_simulation solves each client's system without building or checking
+    a ClientView; it must recover what decode recovers from client_view, and
+    fail at the same clients, on a constructed code and on a damaged copy."""
+    f, (instance, matrix) = case
+    rows = [list(row) for row in construct_code(instance, matrix, field=f, seed=seed).rows]
+    # each client has exactly the rows it needs, so a zeroed row fails all its recipients
+    sent = [h for h, row in enumerate(matrix.rows) if any(row)]
+    if sent and damage == "zeroed row":
+        rows[rng.choice(sent)] = [0] * instance.n
+    elif sent and damage == "changed element":
+        rows[rng.choice(sent)][rng.randrange(instance.n)] ^= rng.randrange(1, f.q)
+    code = CodingMatrix(field=f, n=instance.n, rows=rows)
+
+    original, solved = coding._solve, {}
+
+    def solve(instance, code, j, side_info, received):
+        try:
+            solved[j] = original(instance, code, j, side_info, received)
+        except ValueError as err:
+            solved[j] = str(err)
+            raise
+        return solved[j]
+
+    with mock.patch.object(coding, "_solve", solve):
+        sim = run_simulation(instance, matrix, code, payload_seed=seed)
+    for j in range(instance.k):
+        view = client_view(instance, matrix, j, sim.payload, sim.broadcast)
+        try:
+            recovered = decode(view, instance, matrix, code)
+        except ValueError as err:
+            recovered = str(err)
+        truth = {x: sim.payload[x] for x in range(instance.n) if x not in instance.clients[j].has}
+        assert solved[j] == recovered
+        assert sim.decoded_ok[j] == (recovered == truth)
+    if damage == "intact":
+        assert all(sim.decoded_ok)
 
 
 # ---------------------------------------------------------------- realistic size and packed view

@@ -7,7 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 
-from conftest import DEMO_DOC, instances, make_instance, serialize_instance
+from conftest import (
+    DEMO_DOC,
+    LONG_NUMBER_INSTANCES,
+    instances,
+    make_instance,
+    requires_digit_limit,
+    serialize_instance,
+)
 from dmsiplan import (
     ClientSpec,
     DmsiInstance,
@@ -120,6 +127,15 @@ def test_deeply_nested_json_is_an_instance_error(opener):
     """JSON nested past the recursion limit is malformed input, not a RecursionError."""
     with pytest.raises(InstanceError, match="^not valid JSON: maximum recursion depth"):
         parse_instance(opener * 100_000)
+
+
+@requires_digit_limit
+@pytest.mark.parametrize("name", sorted(LONG_NUMBER_INSTANCES))
+def test_numbers_past_the_digit_limit_are_instance_errors(name):
+    """Python refuses to convert an int of more than 4,300 digits to or from
+    text; a document that needs one is malformed, not a plain ValueError."""
+    with pytest.raises(InstanceError, match="a number has more than 4300 digits$"):
+        parse_instance(LONG_NUMBER_INSTANCES[name])
 
 
 def test_direct_construction_validates():
