@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Sequence
 
-from .instance import DmsiInstance, scaled_delays
+from .instance import DmsiInstance, _unchecked, scaled_delays
 
 _BIT_TYPES = {int}
 _BITS = {0, 1}
@@ -65,16 +65,6 @@ class AssignmentMatrix:
 
     def column_weights(self) -> tuple[int, ...]:
         return tuple(self.column_weight(j) for j in range(self.k))
-
-
-def _unchecked(cls: type, **fields: object):
-    """An instance of a frozen dataclass built without __post_init__, for a
-    value the library made itself from checked ones; each field must already
-    be in its final form, rows a tuple of tuples of valid entries."""
-    value = object.__new__(cls)
-    for name, field_value in fields.items():
-        object.__setattr__(value, name, field_value)
-    return value
 
 
 @dataclass(frozen=True)

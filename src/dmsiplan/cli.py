@@ -69,10 +69,15 @@ class _CommandError(Exception):
 
 
 def _rational_text(value: Fraction) -> str:
-    """Reduced fraction, with a decimal approximation when non-integral."""
+    """Reduced fraction, with a decimal approximation when non-integral and
+    within float range."""
     if value.denominator == 1:
         return str(value.numerator)
-    return f"{value.numerator}/{value.denominator} ({float(value):.6g})"
+    text = f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{text} ({float(value):.6g})"
+    except OverflowError:
+        return text
 
 
 # ---------------------------------------------------------------- plan

@@ -7,9 +7,10 @@ its missing coordinates, have full rank w_j; decodability_check tests exactly
 that, and decode performs the recovery by subtracting the known side-info
 contribution and solving the remaining square system.
 
-One incremental kernel, _reduce, serves rank, solve and construction: it
-reduces a row against an echelon basis, whose entries it keys by their
-pivot's bit offset, and returns a new basis entry or the remainder.  encode
+One elimination kernel, _eliminate, serves rank, solve and construction:
+one call reduces a client's stream of rows into an echelon basis, whose
+entries it keys by their pivot's bit offset, sets up its tables and masks
+once per call, and reports whether any row left a nonzero remainder.  encode
 and decode share one column product, _column_product: the sum of value *
 column x over (x, value) pairs, G x for encode and the side information's
 share for decode.  Field._check_all checks elements once on entry, for all of
@@ -28,7 +29,8 @@ keeps its packed rows and columns.
 
 construct_code builds the code row by row (Jaggi, Sanders et al., 2005), one
 basis per client over its missing packets, redrawing a row at most 64 times;
-a draw is rejected at the first client it fails.  Rejected rows form a proper
+each draw is a one-row stream per short client, and it is rejected, its new
+entries dropped, at the first client it fails.  Rejected rows form a proper
 subspace per client, so with q >= k a good row always exists; with q < k it
 may not, which is warned about and attempted.
 
@@ -47,12 +49,13 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .assignment import AssignmentMatrix, _check_client_count, _unchecked, is_feasible, total_delay
+from .assignment import AssignmentMatrix, _check_client_count, is_feasible, total_delay
 from .gf import Field
-from .instance import DmsiInstance
+from .instance import DmsiInstance, _unchecked
 
 _ROW_ATTEMPTS = 64  # draws of one row before construct_code gives up
 _BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))  # set bits of a byte
@@ -88,7 +91,7 @@ class CodingMatrix:
 
     @cached_property
     def _kernel_rows(self) -> tuple[int, ...]:
-        """The rows in _reduce's form: ints of n lanes."""
+        """The rows in _eliminate's form: ints of n lanes."""
         return tuple(int.from_bytes(_lane_bytes(self.field, row), "little") for row in self.rows)
 
     @cached_property
@@ -124,60 +127,71 @@ def _overflow(field: Field, size: int) -> tuple[int, int]:
     return ((1 << 16 * size) - 1) // 0xFFFF << field.e, field.reduction_polynomial ^ field.q
 
 
-def _reduce(field: Field, basis: list, row: int, width: int, size: int) -> tuple:
-    """Reduce one packed row of valid elements against an echelon basis, unchecked.
+def _eliminate(
+    field: Field, basis: list, rows: Iterable[int], width: int, size: int, full: int
+) -> bool:
+    """Reduce a stream of packed rows of valid elements into an echelon basis.
 
     A basis entry is nonzero on its pivot, one of the first `width` lanes, and
     0 on the pivots of earlier entries; it is keyed by its pivot's bit offset,
-    8 or 16 times the lane.  Returns (offset, entry) or (None, remainder) when
-    those lanes are 0; later lanes (a solve's right-hand side) ride along, to
-    `size` in all.  For e <= 8 an entry is the row's bytes, scaled to 1 on its
-    pivot; above, (log of the pivot's inverse, [row * x^i for i < e]), and
-    eliminating c XORs in the rows at the bits of c / pivot.
+    8 or 16 times the lane.  Each row is reduced against the basis, and one
+    nonzero on those lanes becomes a new entry; later lanes (a solve's
+    right-hand side) ride along, to `size` in all.  Stops at the entry that
+    makes the basis hold `full`.  Returns whether any other row left a
+    nonzero remainder.  For e <= 8 an entry is the row's bytes, scaled to 1
+    on its pivot; above, (log of the pivot's inverse, [row * x^i for i < e]),
+    and eliminating c XORs in the rows at the bits of c / pivot.  Unchecked.
     """
     exp, log, order, from_bytes = field._exp, field._log, field.q - 1, int.from_bytes
+    remainder = False
     if field.e <= 8:
-        scale = field._byte_products
-        for offset, entry in basis:
-            c = row >> offset & 255
-            if c:
-                row ^= from_bytes(entry.translate(scale[c]), "little")
-        lead = row & ((1 << 8 * width) - 1)
-        if not lead:
-            return None, row
-        row = row.to_bytes(size, "little")
-        offset = (lead & -lead).bit_length() - 1 & ~7
-        return offset, row.translate(scale[exp[order - log[row[offset >> 3]]]])
-    for offset, (inv_log, powers) in basis:
-        c = row >> offset & 0xFFFF
-        if c:
-            d = exp[log[c] + inv_log]
-            for i in _BITS[d & 255]:
-                row ^= powers[i]
-            for i in _BITS[d >> 8]:
-                row ^= powers[8 + i]
-    lead = row & ((1 << 16 * width) - 1)
-    if not lead:
-        return None, row
-    offset = (lead & -lead).bit_length() - 1 & ~15
-    powers, (top, low) = [row], _overflow(field, size)
-    for _ in range(field.e - 1):  # row * x^i from the last
-        row <<= 1
-        over = row & top
-        row ^= over ^ (over >> field.e) * low
-        powers.append(row)
-    return offset, (order - log[powers[0] >> offset & 0xFFFF], powers)
-
-
-def _rank(field: Field, rows: Iterable, width: int, full: int) -> int:
-    """Rank of rows in _reduce's form over `width` columns, inserting until it is `full`."""
-    basis: list = []
+        scale, lanes = field._byte_products, (1 << 8 * width) - 1
+        for row in rows:
+            for offset, entry in basis:
+                c = row >> offset & 255
+                if c:
+                    row ^= from_bytes(entry.translate(scale[c]), "little")
+            lead = row & lanes
+            if lead:
+                data = row.to_bytes(size, "little")
+                offset = (lead & -lead).bit_length() - 1 & ~7
+                basis.append((offset, data.translate(scale[exp[order - log[data[offset >> 3]]]])))
+                if len(basis) == full:
+                    break
+            elif row:
+                remainder = True
+        return remainder
+    e, lanes, (top, low) = field.e, (1 << 16 * width) - 1, _overflow(field, size)
     for row in rows:
-        if len(basis) == full:
-            break
-        offset, entry = _reduce(field, basis, row, width, width)
-        if offset is not None:
-            basis.append((offset, entry))
+        for offset, (inv_log, powers) in basis:
+            c = row >> offset & 0xFFFF
+            if c:
+                d = exp[log[c] + inv_log]
+                for i in _BITS[d & 255]:
+                    row ^= powers[i]
+                for i in _BITS[d >> 8]:
+                    row ^= powers[8 + i]
+        lead = row & lanes
+        if lead:
+            offset = (lead & -lead).bit_length() - 1 & ~15
+            powers = [row]
+            for _ in range(e - 1):  # row * x^i from the last
+                row <<= 1
+                over = row & top
+                row ^= over ^ (over >> e) * low
+                powers.append(row)
+            basis.append((offset, (order - log[powers[0] >> offset & 0xFFFF], powers)))
+            if len(basis) == full:
+                break
+        elif row:
+            remainder = True
+    return remainder
+
+
+def _rank(field: Field, rows: Iterable[int], width: int, full: int) -> int:
+    """Rank of rows in _eliminate's form over `width` columns, up to `full`."""
+    basis: list = []
+    _eliminate(field, basis, rows, width, width, full)
     return len(basis)
 
 
@@ -209,7 +223,7 @@ def _column_product(code: CodingMatrix, pairs: Iterable[tuple[int, int]]) -> int
 
 
 def _projector(field: Field, instance: DmsiInstance, client: int) -> Callable[[int], int]:
-    """Restricts a code row in _reduce's form to the client's missing packets."""
+    """Restricts a code row in _eliminate's form to the client's missing packets."""
     keep = bytearray(b"\xff") * instance.n  # 0xFF on each missing packet, 0 on each held one
     for x in instance.clients[client].has:
         keep[x] = 0
@@ -232,8 +246,8 @@ def decodability_check(
     _check_shape(instance, matrix, code)
     verdicts = []
     for j, want in enumerate(instance.want_counts()):
-        project = _projector(code.field, instance, j)
-        sub = (project(row) for row, a in zip(code._kernel_rows, matrix.rows) if a[j])
+        assigned = compress(code._kernel_rows, map(itemgetter(j), matrix.rows))
+        sub = map(_projector(code.field, instance, j), assigned)
         verdicts.append(_rank(code.field, sub, instance.n, want) == want)
     return tuple(verdicts)
 
@@ -262,33 +276,32 @@ def construct_code(
         )
     rng = random.Random(seed)
     mask = bytes(range(field.q)) * (256 // field.q) if field.e <= 8 else None  # b -> b mod q
-    want = instance.want_counts()
+    n, want = instance.n, instance.want_counts()
     bases = [(j, _projector(field, instance, j), []) for j in range(instance.k)]
     rows = []
     for h, assigned in enumerate(matrix.rows):
-        short = [(j, project, basis) for j, project, basis in bases
+        short = [(j, project, basis, len(basis)) for j, project, basis in bases
                  if assigned[j] and len(basis) < want[j]]
         for _ in range(_ROW_ATTEMPTS):
-            row = (rng.randbytes(instance.n).translate(mask) if field.e <= 8
-                   else [rng.getrandbits(field.e) for _ in range(instance.n)])
+            row = (rng.randbytes(n).translate(mask) if field.e <= 8
+                   else [rng.getrandbits(field.e) for _ in range(n)])
             packed = int.from_bytes(row if field.e <= 8 else _lane_bytes(field, row), "little")
-            entries = []
-            for _, project, basis in short:
-                offset, entry = _reduce(field, basis, project(packed), instance.n, instance.n)
-                if offset is None:
+            for _, project, basis, size in short:
+                _eliminate(field, basis, (project(packed),), n, n, n)
+                if len(basis) == size:
                     break
-                entries.append((offset, entry))
             else:
                 break
+            for _, _, basis, size in short:  # rejected: drop the draw's entries
+                del basis[size:]
         else:
-            failing = [j + 1 for j, project, basis in short
-                       if _reduce(field, basis, project(packed), instance.n, instance.n)[0] is None]
+            for _, project, basis, _ in short:
+                _eliminate(field, basis, (project(packed),), n, n, n)
+            failing = [j + 1 for j, _, basis, size in short if len(basis) == size]
             raise CodeConstructionError(
                 f"no verified code after {_ROW_ATTEMPTS} draws of row {h + 1} over "
                 f"{field}; clients {failing} still lack full rank"
             )
-        for (_, _, basis), entry in zip(short, entries):
-            basis.append(entry)
         rows.append(tuple(row))
     return _unchecked(CodingMatrix, field=field, n=instance.n, rows=tuple(rows))
 
@@ -360,16 +373,10 @@ def _solve(
     # the side information's share of every symbol, from the held packets' columns
     known = _lanes(field, _column_product(code, side_info), code.m)
     # per received symbol: its coefficients on the missing packets, then the symbol less that share
-    project = _projector(field, instance, j)
+    project, packed, shift = _projector(field, instance, j), code._kernel_rows, lane * width
+    rows = [project(packed[h]) | (symbol ^ known[h]) << shift for h, symbol in received]
     basis: list = []
-    inconsistent = False
-    for h, symbol in received:
-        row = project(code._kernel_rows[h]) | (symbol ^ known[h]) << lane * width
-        offset, entry = _reduce(field, basis, row, width, width + 1)
-        if offset is None:
-            inconsistent = inconsistent or entry != 0
-        else:
-            basis.append((offset, entry))
+    inconsistent = _eliminate(field, basis, rows, width, width + 1, width + 1)  # never full
     if len(basis) < instance.want_counts()[j]:
         raise ValueError("singular system: received symbols do not pin down the unknowns")
     if inconsistent:

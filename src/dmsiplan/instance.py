@@ -69,6 +69,17 @@ def format_rational(value: Fraction) -> int | str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _unchecked(cls: type, **fields: object):
+    """An instance of a frozen dataclass built without __post_init__, for a
+    value whose fields the caller has already checked as __post_init__ would;
+    each must be in its final form (a matrix's rows a tuple of tuples of valid
+    entries)."""
+    value = object.__new__(cls)
+    for name, field_value in fields.items():
+        object.__setattr__(value, name, field_value)
+    return value
+
+
 @dataclass(frozen=True)
 class ClientSpec:
     """One client: packets already held (0-based) and per-packet delay."""
@@ -241,8 +252,13 @@ def parse_instance(text: str) -> DmsiInstance:
             if packet_size is None:
                 raise InstanceError(f"{where}: 'bandwidth' given but no 'packet_size'")
             delay = packet_size / bandwidth
-        clients.append(ClientSpec(has=has, delay=delay))
-    instance = DmsiInstance(n=n, clients=tuple(clients))
+        # ClientSpec's own check, with its message: a JSON int, or a quotient
+        # with a negative packet_size or bandwidth, may be negative
+        if delay.numerator < 0:
+            raise InstanceError(f"delay must be nonnegative, got {delay}")
+        # has is a frozenset of indices in [0, n), and delay a Fraction
+        clients.append(_unchecked(ClientSpec, has=has, delay=delay))
+    instance = _unchecked(DmsiInstance, n=n, clients=tuple(clients))
     check_digits(instance, n)
     return instance
 

@@ -444,6 +444,32 @@ def test_a_plan_past_the_digit_limit_exits_2(tmp_path, capsys, command, case):
     assert str(plan) in err and err.endswith("a number has more than 4300 digits\n")
 
 
+# an exact delay past float range (about 1.8e308), 401 digits: inside the digit limit
+PAST_FLOAT_DELAY = "1" + "0" * 400 + "/3"
+
+
+@pytest.mark.parametrize("command", ["plan", "verify", "simulate", "transform", "oracle"])
+def test_values_past_float_range_print_exactly(tmp_path, capsys, command):
+    """Such a value prints as its fraction alone, not through a float."""
+    doc = {"n": 2, "clients": [{"has": [1], "delay": PAST_FLOAT_DELAY}]}
+    inst = write_json(tmp_path / "instance.json", doc)
+    plan = tmp_path / "plan.json"
+    assert main(["plan", inst, "--output", str(plan)]) == 0
+    capsys.readouterr()
+    argv = [command, inst] + ([] if command in ("plan", "oracle") else [str(plan)])
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert _rational_text(Fraction(PAST_FLOAT_DELAY)) == PAST_FLOAT_DELAY
+
+
+def test_a_recorded_total_past_float_range_is_a_disagreement(tmp_path, capsys):
+    inst, plan = make_plan(tmp_path, capsys)
+    recorded = f'"total_delay": "{PAST_FLOAT_DELAY}"'
+    plan.write_text(plan.read_text().replace('"total_delay": 20', recorded))
+    assert main(["verify", inst, str(plan)]) == 3
+    assert f"total delay in file is {PAST_FLOAT_DELAY}, recomputed 20" in capsys.readouterr().out
+
+
 def test_plan_exits_4_when_no_code_exists(tmp_path, capsys):
     """Six clients each missing a different pair of four packets: over GF(2)
     the needed pairwise-independent columns do not exist."""

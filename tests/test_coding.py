@@ -148,6 +148,20 @@ def test_decode_raises_on_inconsistent_symbols():
         decode(view, inst, matrix, code)
 
 
+@pytest.mark.parametrize("e", [4, 12])
+def test_a_singular_and_inconsistent_system_is_reported_singular(e):
+    """Two equal rows with different symbols for a client missing two packets:
+    the rank falls short before the symbols disagree, at both lane widths."""
+    inst = make_instance(2, [set()], [1])
+    matrix = AssignmentMatrix(rows=((1,), (1,)), k=1)
+    code = CodingMatrix(field=Field(e), n=2, rows=((1, 2), (1, 2)))
+    view = ClientView(client=0, side_info=(), received=((0, 1), (1, 2)))
+    with pytest.raises(ValueError, match="^singular system"):
+        decode(view, inst, matrix, code)
+    with mock.patch.object(coding, "encode", return_value=(1, 2)):
+        assert run_simulation(inst, matrix, code).decoded_ok == (False,)
+
+
 def test_decode_validates_the_view(demo_instance, optimal_plan_matrix):
     code = CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS)
     payload = (1, 2, 0, 3, 1, 2)

@@ -115,10 +115,29 @@ def test_format_rational_round_trips():
         '{"n": 2, "clients": [{"has": [1], "delay": 0.25}]}',
         '{"n": 2, "clients": [{"has": [1], "bandwidth": 2}]}',
         '{"n": 2, "packet_size": 8, "clients": [{"has": [1], "bandwidth": 0}]}',
+        '{"n": 2, "clients": [{"has": [1], "delay": -1}]}',
+        '{"n": 2, "packet_size": -8, "clients": [{"has": [1], "bandwidth": 2}]}',
+        '{"n": 2, "packet_size": 8, "clients": [{"has": [1], "bandwidth": -2}]}',
     ],
 )
 def test_malformed_documents_rejected(text):
     with pytest.raises(InstanceError):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize(
+    "client, shown",
+    [
+        ('{"has": [1], "delay": -1}', "-1"),
+        ('{"has": [1], "bandwidth": 2}', "-4"),
+        ('{"has": [], "bandwidth": 3}', "-8/3"),
+    ],
+)
+def test_a_negative_delay_is_refused_as_the_constructor_refuses_it(client, shown):
+    """The parser builds clients without ClientSpec's checks, so it refuses a
+    negative delay itself, with the constructor's message."""
+    text = f'{{"n": 2, "packet_size": -8, "clients": [{client}]}}'
+    with pytest.raises(InstanceError, match=f"^delay must be nonnegative, got {shown}$"):
         parse_instance(text)
 
 
