@@ -127,20 +127,18 @@ def _overflow(field: Field, size: int) -> tuple[int, int]:
     return ((1 << 16 * size) - 1) // 0xFFFF << field.e, field.reduction_polynomial ^ field.q
 
 
-def _eliminate(
-    field: Field, basis: list, rows: Iterable[int], width: int, size: int, full: int
-) -> bool:
+def _eliminate(field: Field, basis: list, rows: Iterable[int], width: int) -> bool:
     """Reduce a stream of packed rows of valid elements into an echelon basis.
 
     A basis entry is nonzero on its pivot, one of the first `width` lanes, and
     0 on the pivots of earlier entries; it is keyed by its pivot's bit offset,
     8 or 16 times the lane.  Each row is reduced against the basis, and one
-    nonzero on those lanes becomes a new entry; later lanes (a solve's
-    right-hand side) ride along, to `size` in all.  Stops at the entry that
-    makes the basis hold `full`.  Returns whether any other row left a
-    nonzero remainder.  For e <= 8 an entry is the row's bytes, scaled to 1
-    on its pivot; above, (log of the pivot's inverse, [row * x^i for i < e]),
-    and eliminating c XORs in the rows at the bits of c / pivot.  Unchecked.
+    nonzero on those lanes becomes a new entry; lane `width` (a solve's
+    right-hand side, 0 elsewhere) rides along, so an entry has width + 1
+    lanes.  Returns whether any other row left a nonzero remainder.  For
+    e <= 8 an entry is the row's bytes, scaled to 1 on its pivot; above, (log
+    of the pivot's inverse, [row * x^i for i < e]), and eliminating c XORs in
+    the rows at the bits of c / pivot.  Unchecked.
     """
     exp, log, order, from_bytes = field._exp, field._log, field.q - 1, int.from_bytes
     remainder = False
@@ -153,15 +151,13 @@ def _eliminate(
                     row ^= from_bytes(entry.translate(scale[c]), "little")
             lead = row & lanes
             if lead:
-                data = row.to_bytes(size, "little")
+                data = row.to_bytes(width + 1, "little")
                 offset = (lead & -lead).bit_length() - 1 & ~7
                 basis.append((offset, data.translate(scale[exp[order - log[data[offset >> 3]]]])))
-                if len(basis) == full:
-                    break
             elif row:
                 remainder = True
         return remainder
-    e, lanes, (top, low) = field.e, (1 << 16 * width) - 1, _overflow(field, size)
+    e, lanes, (top, low) = field.e, (1 << 16 * width) - 1, _overflow(field, width + 1)
     for row in rows:
         for offset, (inv_log, powers) in basis:
             c = row >> offset & 0xFFFF
@@ -181,24 +177,22 @@ def _eliminate(
                 row ^= over ^ (over >> e) * low
                 powers.append(row)
             basis.append((offset, (order - log[powers[0] >> offset & 0xFFFF], powers)))
-            if len(basis) == full:
-                break
         elif row:
             remainder = True
     return remainder
 
 
-def _rank(field: Field, rows: Iterable[int], width: int, full: int) -> int:
-    """Rank of rows in _eliminate's form over `width` columns, up to `full`."""
+def _rank(field: Field, rows: Iterable[int], width: int) -> int:
+    """Rank of rows in _eliminate's form over `width` columns."""
     basis: list = []
-    _eliminate(field, basis, rows, width, width, full)
+    _eliminate(field, basis, rows, width)
     return len(basis)
 
 
 def matrix_rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
     """Rank over the field; the rows are checked once, as a CodingMatrix's are."""
     checked = CodingMatrix(field=field, n=len(rows[0]) if rows else 0, rows=rows)
-    return _rank(field, checked._kernel_rows, checked.n, checked.n)
+    return _rank(field, checked._kernel_rows, checked.n)
 
 
 def _column_product(code: CodingMatrix, pairs: Iterable[tuple[int, int]]) -> int:
@@ -248,7 +242,7 @@ def decodability_check(
     for j, want in enumerate(instance.want_counts()):
         assigned = compress(code._kernel_rows, map(itemgetter(j), matrix.rows))
         sub = map(_projector(code.field, instance, j), assigned)
-        verdicts.append(_rank(code.field, sub, instance.n, want) == want)
+        verdicts.append(_rank(code.field, sub, instance.n) == want)
     return tuple(verdicts)
 
 
@@ -287,7 +281,7 @@ def construct_code(
                    else [rng.getrandbits(field.e) for _ in range(n)])
             packed = int.from_bytes(row if field.e <= 8 else _lane_bytes(field, row), "little")
             for _, project, basis, size in short:
-                _eliminate(field, basis, (project(packed),), n, n, n)
+                _eliminate(field, basis, (project(packed),), n)
                 if len(basis) == size:
                     break
             else:
@@ -296,7 +290,7 @@ def construct_code(
                 del basis[size:]
         else:
             for _, project, basis, _ in short:
-                _eliminate(field, basis, (project(packed),), n, n, n)
+                _eliminate(field, basis, (project(packed),), n)
             failing = [j + 1 for j, _, basis, size in short if len(basis) == size]
             raise CodeConstructionError(
                 f"no verified code after {_ROW_ATTEMPTS} draws of row {h + 1} over "
@@ -376,7 +370,7 @@ def _solve(
     project, packed, shift = _projector(field, instance, j), code._kernel_rows, lane * width
     rows = [project(packed[h]) | (symbol ^ known[h]) << shift for h, symbol in received]
     basis: list = []
-    inconsistent = _eliminate(field, basis, rows, width, width + 1, width + 1)  # never full
+    inconsistent = _eliminate(field, basis, rows, width)
     if len(basis) < instance.want_counts()[j]:
         raise ValueError("singular system: received symbols do not pin down the unknowns")
     if inconsistent:

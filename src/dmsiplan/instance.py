@@ -247,13 +247,13 @@ def parse_instance(text: str) -> DmsiInstance:
             delay = parse_rational(client_doc["delay"], f"{where}: delay")
         else:
             bandwidth = parse_rational(client_doc["bandwidth"], f"{where}: bandwidth")
-            if bandwidth == 0:
+            if bandwidth <= 0:
                 raise InstanceError(f"{where}: bandwidth must be positive")
             if packet_size is None:
                 raise InstanceError(f"{where}: 'bandwidth' given but no 'packet_size'")
             delay = packet_size / bandwidth
         # ClientSpec's own check, with its message: a JSON int, or a quotient
-        # with a negative packet_size or bandwidth, may be negative
+        # with a negative packet_size, may be negative
         if delay.numerator < 0:
             raise InstanceError(f"delay must be nonnegative, got {delay}")
         # has is a frozenset of indices in [0, n), and delay a Fraction

@@ -11,12 +11,17 @@ bounds, so matrices_examined counts every quotiented candidate.  The pinned
 searches in the tests and the benchmark's examined ratio rely on that count.
 
 A node checks its children before descending: a complete child is counted
-on the spot, and an infeasible one is never entered.  The count loop stops
-at the first count that leaves fewer rows than the largest remaining
-weight, since each further row lowers that weight by at most one; the
-pattern loop stops at the first pattern p where a still-needed column is
-covered by no pattern from p on.  Both cut only subtrees without a
-candidate, so the candidates are the same as with the checks made on entry.
+on the spot, and an infeasible one is never entered.  Every node has at
+least as many rows left as any remaining weight (at the root because
+m_cap >= m*), so a pattern's count is bounded before its loop: by the
+remaining weight of each of its columns, and by rows left less the
+remaining weight of each other column, since a larger count leaves that
+column more rows to fill than remain.  The other columns are read only when
+the bound passes the node's slack, rows left less the largest remaining
+weight.  The pattern loop stops at the first pattern p where a still-needed
+column is covered by no pattern from p on.  Both cut only subtrees without
+a candidate, so the candidates are the same as with the checks made on
+entry.
 
 The budget is checked before enumerating, against the unquotiented
 per-column count sum_m prod_j C(m, w_j); the walked multiset space is far
@@ -40,7 +45,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .assignment import AssignmentMatrix
-from .instance import DmsiInstance
+from .instance import DmsiInstance, _unchecked
 
 DEFAULT_BUDGET = 10**7
 
@@ -67,25 +72,24 @@ def search_space_size(want: Sequence[int], m_range: tuple[int, int]) -> int:
 
 def _row_patterns(
     want: Sequence[int], delays: Sequence[int]
-) -> list[tuple[int, tuple[int, ...], int, tuple[int, ...]]]:
+) -> list[tuple[int, tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]]:
     """Nonzero 0/1 rows in descending order, skipping zero-weight columns.
 
-    Each pattern is (mask, row, delay, set columns).  A pattern touching a
-    column with w_j = 0 can never appear in an exact-weight matrix, so those
-    are dropped up front.
+    Each pattern is (mask, row, delay, set columns, other columns with a
+    nonzero weight).  A pattern touching a column with w_j = 0 can never
+    appear in an exact-weight matrix, so only subsets of the other columns
+    are built.
     """
     k = len(want)
-    zero_mask = 0
-    for j, w in enumerate(want):
-        if w == 0:
-            zero_mask |= 1 << (k - 1 - j)
+    live = sum(1 << (k - 1 - j) for j in range(k) if want[j])
     patterns = []
-    for mask in range((1 << k) - 1, 0, -1):
-        if mask & zero_mask:
-            continue
+    mask = live
+    while mask:  # (mask - 1) & live steps down through the nonzero submasks of live
         bits = tuple((mask >> (k - 1 - j)) & 1 for j in range(k))
         cols = tuple(j for j in range(k) if bits[j])
-        patterns.append((mask, bits, max(delays[j] for j in cols), cols))
+        others = tuple(j for j in range(k) if want[j] and not bits[j])
+        patterns.append((mask, bits, max(delays[j] for j in cols), cols, others))
+        mask = (mask - 1) & live
     return patterns
 
 
@@ -122,60 +126,42 @@ def _explore(
         if best is None or key < best:
             best = key
 
-    # hist[r]: columns with r rows still to place.  The largest such r and
-    # the mask of columns still needing rows are passed down and updated as
-    # counts change, not recomputed over all k columns at every node.
-    hist = [0] * (max(want, default=0) + 1)
-
-    def dfs(
-        t: int, rows_left: int, total: int, rows_used: int, largest: int, need: int
-    ) -> None:
-        # need is nonzero; each child is checked below before it is entered
+    def dfs(t: int, rows_left: int, total: int, rows_used: int, need: int) -> None:
+        # need is nonzero and rows_left >= max(rem); each child is checked
+        # below before it is entered, and keeps both
+        slack = rows_left - max(rem)
         for p in range(t, len(patterns)):
             if need & ~suffix_cover[p]:
                 break  # nor does any later pattern
-            _, _, delay, cols = patterns[p]
-            cmax = rows_left
+            _, _, delay, cols, others = patterns[p]
+            last = rows_left
             for j in cols:
-                if rem[j] < cmax:
-                    cmax = rem[j]
-            if cmax == 0:
+                if rem[j] < last:
+                    last = rem[j]
+            if last > slack:  # a larger count leaves column j more weight than rows
+                for j in others:
+                    if rows_left - rem[j] < last:
+                        last = rows_left - rem[j]
+            if not last:
                 continue
             chosen.append((p, 0))
-            top, still, cover = largest, need, suffix_cover[p + 1]
-            for count in range(1, cmax + 1):
+            still, cover = need, suffix_cover[p + 1]
+            for count in range(1, last + 1):
                 for j in cols:
-                    r = rem[j]
-                    rem[j] = r - 1
-                    hist[r] -= 1
-                    hist[r - 1] += 1
-                    if r == 1:
+                    rem[j] -= 1
+                    if not rem[j]:
                         still ^= colbit[j]
-                # each column dropped by one, so the largest drops by at most one
-                if not hist[top]:
-                    top -= 1
-                left = rows_left - count
-                # a further count takes a row and lowers top by at most one
-                if left < top:
-                    break
                 chosen[-1] = (p, count)
                 if not still:
                     note_complete(total + count * delay, rows_used + count)
                 elif not still & ~cover:
-                    dfs(p + 1, left, total + count * delay, rows_used + count, top, still)
+                    dfs(p + 1, rows_left - count, total + count * delay, rows_used + count, still)
             for j in cols:
-                hist[rem[j]] -= 1
-                rem[j] += count
-                hist[rem[j]] += 1
+                rem[j] += last
             chosen.pop()
 
-    need = 0
-    for j in range(k):
-        hist[rem[j]] += 1
-        if rem[j]:
-            need |= colbit[j]
-    if need:
-        dfs(0, m_cap, 0, 0, max(rem), need)
+    if suffix_cover[0]:
+        dfs(0, m_cap, 0, 0, suffix_cover[0])
     else:
         note_complete(0, 0)
     return best, examined
@@ -215,7 +201,7 @@ def brute_force_optimum(
     total, _, rows = best
     return OracleResult(
         best_total=Fraction(total, scale),
-        best_matrix=AssignmentMatrix(rows=rows, k=instance.k),
+        best_matrix=_unchecked(AssignmentMatrix, rows=rows, k=instance.k),
         matrices_examined=examined,
         m_range=(m_star, m_cap),
     )

@@ -268,6 +268,7 @@ def test_matrix_rank_basics():
     assert matrix_rank(f, []) == 0
     assert matrix_rank(f, [[0, 0], [0, 0]]) == 0
     assert matrix_rank(f, [[1, 0], [0, 1]]) == 2
+    assert matrix_rank(f, [[1, 0], [0, 1], [1, 1]]) == 2  # a row past full rank
     # [2, 3] and [3, 1] are the alpha and alpha^2 multiples of [1, 2]
     assert matrix_rank(f, [[1, 2], [2, 3], [3, 1]]) == 1
     assert matrix_rank(f, [[1, 2], [2, 3], [0, 1]]) == 2
@@ -442,10 +443,19 @@ def test_decode_rejects_values_outside_the_field(demo_instance, optimal_plan_mat
 
 @st.composite
 def coded_instances(draw):
-    """(field, instance, feasible matrix) with q >= k, so a code must exist."""
+    """(field, instance, feasible matrix) with q >= k, so a code must exist.
+
+    A column may carry up to two 1s past its client's want: surplus rows that
+    the rank check and the solver reduce past a full basis.
+    """
     f = FIELDS[draw(st.sampled_from(DEGREES))]
     instance, matrix = draw(instance_with_exact_matrix(max_n=7, max_k=min(f.q, 6)))
-    return f, instance, matrix
+    rows = [list(row) for row in matrix.rows]
+    for j in range(instance.k):
+        free = [i for i, row in enumerate(rows) if not row[j]]
+        for i in draw(st.permutations(free))[: draw(st.integers(0, 2))]:
+            rows[i][j] = 1
+    return f, instance, AssignmentMatrix(rows=tuple(map(tuple, rows)), k=instance.k)
 
 
 @given(coded_instances(), st.integers(0, 2**16), st.randoms(use_true_random=False))
@@ -461,6 +471,8 @@ def test_constructed_code_decodes_for_every_client(case, seed, rng):
         view = client_view(instance, matrix, j, payload, broadcast)
         missing = set(range(instance.n)) - instance.clients[j].has
         assert decode(view, instance, matrix, code) == {x: payload[x] for x in missing}
+    sim = run_simulation(instance, matrix, code, payload_seed=seed)
+    assert sim.decoded_ok == (True,) * instance.k
 
 
 @given(st.sampled_from(DEGREES), instances(max_n=6, max_k=6, min_k=1), st.integers(0, 99))

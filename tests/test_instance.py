@@ -118,10 +118,22 @@ def test_format_rational_round_trips():
         '{"n": 2, "clients": [{"has": [1], "delay": -1}]}',
         '{"n": 2, "packet_size": -8, "clients": [{"has": [1], "bandwidth": 2}]}',
         '{"n": 2, "packet_size": 8, "clients": [{"has": [1], "bandwidth": -2}]}',
+        '{"n": 2, "packet_size": -8, "clients": [{"has": [1], "bandwidth": -2}]}',
     ],
 )
 def test_malformed_documents_rejected(text):
     with pytest.raises(InstanceError):
+        parse_instance(text)
+
+
+@pytest.mark.parametrize("packet_size", [8, -8])
+@pytest.mark.parametrize("bandwidth", [0, -2])
+def test_a_nonpositive_bandwidth_is_refused_by_name(bandwidth, packet_size):
+    """A negative bandwidth is refused whatever the packet size's sign, so two
+    negatives cannot make a positive delay."""
+    client = f'{{"has": [1], "bandwidth": {bandwidth}}}'
+    text = f'{{"n": 2, "packet_size": {packet_size}, "clients": [{client}]}}'
+    with pytest.raises(InstanceError, match="^client 1: bandwidth must be positive$"):
         parse_instance(text)
 
 

@@ -168,8 +168,13 @@ def quotiented_count(want, m_cap):
 
 def test_examined_counts_every_quotiented_candidate():
     rng = random.Random(6007)
-    for _ in range(80):
-        instance = random_instance(rng, max_n=4, max_k=3, delay_range=(1, 9))
+    drawn = [random_instance(rng, max_n=4, max_k=3, delay_range=(1, 9)) for _ in range(80)]
+    # at k = 4 a pattern's count bound reads up to three columns outside it
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        has = [rng.sample(range(n), rng.randint(0, n)) for _ in range(4)]
+        drawn.append(make_instance(n, has, [rng.randint(1, 9) for _ in range(4)]))
+    for instance in drawn:
         want = instance.want_counts()
         m_star = max(want, default=0)
         for m_cap in range(m_star, m_star + 3):
