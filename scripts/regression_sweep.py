@@ -7,6 +7,7 @@ random payload; and the weight and max-flow feasibility tests must give the
 same verdict on a random matrix.  Exits nonzero on the first failure."""
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -62,16 +63,13 @@ def certify_code(instance: DmsiInstance, matrix: AssignmentMatrix, seed: int) ->
     return f"clients {failed} do not decode the payload" if failed else None
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=500)
-    args = parser.parse_args()
-
+def sweep(count: int) -> tuple[int, list[str]]:
+    """The exit status and the lines that report it."""
     rng = random.Random(SEED)
     t0 = time.perf_counter()
     examined = 0
     slowest = (0.0, None)
-    for i in range(args.count):
+    for i in range(count):
         instance = draw_instance(rng)
         t1 = time.perf_counter()
         result = brute_force_optimum(instance, budget=BUDGET)
@@ -84,33 +82,41 @@ def main() -> int:
         _, star = optimal_assignment(instance)
         constructed = total_delay(star, instance.delays()).total
         if not (result.best_total == closed == constructed):
-            print(f"DISAGREEMENT on draw {i}: {instance}")
-            print(
+            return 1, [
+                f"DISAGREEMENT on draw {i}: {instance}",
                 f"  enumerated {result.best_total}, closed {closed}, "
-                f"constructed {constructed}"
-            )
-            return 1
+                f"constructed {constructed}",
+            ]
 
         try:
             problem = certify_code(instance, star, seed=i)
         except (CodeConstructionError, ValueError) as err:
             problem = f"{type(err).__name__}: {err}"
         if problem:
-            print(f"CODE FAILURE on draw {i}: {instance}: {problem}")
-            return 1
+            return 1, [f"CODE FAILURE on draw {i}: {instance}: {problem}"]
 
         matrix = draw_matrix(rng, instance)
         if is_solvable(instance, matrix) != is_feasible(matrix, instance):
-            print(f"FEASIBILITY DISAGREEMENT on draw {i}: {instance} {matrix}")
-            return 1
+            return 1, [f"FEASIBILITY DISAGREEMENT on draw {i}: {instance} {matrix}"]
 
     elapsed = time.perf_counter() - t0
-    print(
-        f"{args.count} draws agreed; {examined} candidates enumerated "
-        f"in {elapsed:.2f}s"
-    )
-    print(f"slowest single search: {slowest[0] * 1000:.1f} ms on {slowest[1]}")
-    return 0
+    return 0, [
+        f"{count} draws agreed; {examined} candidates enumerated in {elapsed:.2f}s",
+        f"slowest single search: {slowest[0] * 1000:.1f} ms on {slowest[1]}",
+    ]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--count", type=int, default=500)
+    args = parser.parse_args()
+    status, lines = sweep(args.count)
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # the reader stopped early: send the rest nowhere, so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

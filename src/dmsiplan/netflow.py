@@ -18,36 +18,55 @@ edges instead of n * m.  It admits the same flows: every x_i still reaches
 every u_h with unlimited capacity.
 
 The matrix admits a feasible coded broadcast exactly when every sink can
-receive n units of flow.  "Unlimited" is capacity n, which no s-side cut can
-exceed.  This is deliberately independent of the column-weight criterion in
-assignment.py so the two can cross-check each other: the network is built
-from the side-information sets and the matrix entries, never from the want
-counts.
+receive n units of flow.  "Unlimited" is capacity n, which no flow can
+exceed, since the n unit edges out of s carry it all.  This is deliberately
+independent of the column-weight criterion in assignment.py so the two can
+cross-check each other: every check below reads the side-information sets
+and the matrix entries, never the want counts.
 
-Each sink's flow is computed on a network pruned to what can reach it.
-Flow into t_j runs along paths that end at t_j, and the other sinks have no
-out-edges, so a u_h -> v_h pair with a[h][j] = 0 carries none of it: t_j's
-network keeps hub -> u_h -> v_h -> t_j only for the rows with a[h][j] = 1.
-A packet j holds reaches t_j over an unlimited edge, so a unit it sends
-through the hub could take that edge instead; its x_i -> hub edge is
-dropped too.  What is left has 2n + 3r edges, r the rows assigned to j, and
-the same max flow as the full network.  Node numbers are those of the full
-network; the pruned nodes are left without edges.
+sink_flows proves each sink's max flow with a witness instead of searching
+for it: a flow and an s-t cut of equal value, since no flow exceeds any
+cut's capacity (Ford & Fulkerson, 1956).  For client j, with r_j rows
+assigned to it, the witness is built in O(n + m):
 
-max_flow is Dinic's algorithm (1970).  A BFS labels each node with its
-distance from s in the residual graph; a depth-first search then saturates
-every shortest augmenting path, advancing a per-node edge pointer past the
-edges it has used up, and the two repeat until s no longer reaches the
-sink.  The search keeps its path in a list rather than recursing, because
-residual paths can run far deeper than the network's six layers.
+- Flow.  Each held packet i takes s -> x_i -> t_j.  The first
+  min(n - |has_j|, r_j) missing packets pair in order with distinct
+  assigned rows h and take s -> x_i -> hub -> u_h -> v_h -> t_j.  Its value
+  is min(n, |has_j| + r_j).
+- Cut.  When the value is n, the source side is {s} alone, with the n unit
+  edges s -> x_i crossing.  Otherwise every assigned row carries a missing
+  packet, and the sink side is T = {t_j, held x_i, v_h of assigned rows}.
+  Into T come only s -> x_i of the held packets and u_h -> v_h of the
+  assigned rows, |has_j| + r_j unit edges: each x_i -> t_j and v_h -> t_j
+  edge starts inside T, and the hub, the u_h and the other sinks have no
+  other edge into it.
+
+_checked_value checks the witness before its value is returned.  Every
+path starts with s -> x_i, so i must be one of the n packets.  A direct
+path needs x_i -> t_j, so i must be held; a hub path needs v_h -> t_j, so
+a[h][j] must be 1; x_i -> hub and hub -> u_h exist for every packet and
+row.  No s -> x_i or u_h -> v_h edge may carry two units, which also keeps
+every unlimited edge within n.  The cut's capacity is summed over every
+edge the rules put into its sink side from outside, and it must equal the
+flow's value, or the check raises.
+
+build_network and max_flow are the reference the tests compare sink_flows
+against: the full network, and Dinic's algorithm (1970) on it.
+A BFS labels each node with its distance from s in the residual graph; a
+depth-first search then saturates every shortest augmenting path,
+advancing a per-node edge pointer past the edges it has used up, and the
+two repeat until s no longer reaches the sink.  The search keeps its path
+in a list rather than recursing, because residual paths can run far
+deeper than the network's six layers.
 
 Network construction is pure; max_flow works on a private residual copy.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import compress, filterfalse
 
 from .assignment import AssignmentMatrix, _check_client_count
 from .instance import DmsiInstance
@@ -81,18 +100,10 @@ class FlowNetwork:
         self.edge_cap.append(0)
 
 
-def build_network(
-    instance: DmsiInstance, matrix: AssignmentMatrix, client: int | None = None
-) -> FlowNetwork:
-    """The full network, or with client given, the part that can reach its sink."""
+def build_network(instance: DmsiInstance, matrix: AssignmentMatrix) -> FlowNetwork:
+    """The full layered network, with a sink for every client."""
     _check_client_count(matrix, instance)
     n, m, k = instance.n, len(matrix.rows), instance.k
-    if client is None:
-        sinks, held = range(k), ()
-    elif 0 <= client < k:
-        sinks, held = (client,), instance.clients[client].has
-    else:
-        raise ValueError(f"client index {client} outside [0, {k})")
     num_nodes = 2 + n + 2 * m + k
     net = FlowNetwork(n, m, num_nodes, [], [], [[] for _ in range(num_nodes)])
     add = net.add_edge
@@ -101,19 +112,17 @@ def build_network(
     hub = t + k
     for i in range(n):
         add(0, x + i, 1)
-    for j in sinks:
-        for i in instance.clients[j].has:
+    for j, client in enumerate(instance.clients):
+        for i in client.has:
             add(x + i, t + j, unlimited)
     for i in range(n):
-        if i not in held:
-            add(x + i, hub, unlimited)
+        add(x + i, hub, unlimited)
     for h, row in enumerate(matrix.rows):
-        if client is None or row[client]:
-            add(hub, u + h, unlimited)
-            add(u + h, v + h, 1)
-            for j in sinks:
-                if row[j]:
-                    add(v + h, t + j, 1)
+        add(hub, u + h, unlimited)
+        add(u + h, v + h, 1)
+        for j, a in enumerate(row):
+            if a:
+                add(v + h, t + j, 1)
     return net
 
 
@@ -184,15 +193,70 @@ def max_flow(network: FlowNetwork, sink: int) -> int:
                 pointer[node] += 1
 
 
+# (held packets, (packet, row) pairs through the hub, sink side or None for {s})
+_Witness = tuple[list[int], list[tuple[int, int]], tuple[list[int], list[int]] | None]
+
+
+def _witness(n: int, has: frozenset[int], column: Sequence[int]) -> _Witness:
+    """One client's flow paths and a cut of the same capacity, unchecked.
+
+    The sink side, when the cut is not {s}, is given as the packets i and
+    rows h whose x_i and v_h join t_j there.
+    """
+    held = list(has)
+    assigned = list(compress(range(len(column)), column))
+    pairs = list(zip(filterfalse(has.__contains__, range(n)), assigned))
+    if len(held) + len(pairs) == n:
+        return held, pairs, None
+    return held, pairs, (held, assigned)
+
+
+def _checked_value(
+    n: int, has: frozenset[int], column: Sequence[int], witness: _Witness
+) -> int:
+    """The witness's flow value, once each path and the cut obey the edge rules."""
+    held, pairs, sink_side = witness
+    packets = set(held)
+    packets.update(i for i, _ in pairs)
+    rows = {h for _, h in pairs}
+    assigned = set(compress(range(len(column)), column))
+    if not has.issuperset(held):
+        raise RuntimeError("a direct path leaves a packet the client lacks: no x_i -> t_j")
+    if not rows <= assigned:
+        raise RuntimeError("a hub path ends in a row not assigned to the client: no v_h -> t_j")
+    if not packets.issubset(range(n)):
+        raise RuntimeError("a path starts at a packet the network lacks: no s -> x_i")
+    if len(packets) < len(held) + len(pairs):
+        raise RuntimeError("an s -> x_i edge carries two units")
+    if len(rows) < len(pairs):
+        raise RuntimeError("a u_h -> v_h edge carries two units")
+    value = len(held) + len(pairs)
+    if sink_side is None:
+        capacity = n  # the unit edges s -> x_i
+    else:
+        near_packets, near_rows = map(set, sink_side)
+        # every edge into the sink side from outside: s -> x_i and u_h -> v_h
+        # for its x_i and v_h, and x_i -> t_j and v_h -> t_j for those it leaves out
+        capacity = (
+            len(near_packets) + len(near_rows)
+            + n * len(has - near_packets) + len(assigned - near_rows)
+        )
+    if capacity != value:
+        raise RuntimeError(f"flow value {value} differs from cut capacity {capacity}")
+    return value
+
+
 def _sink_flows(instance: DmsiInstance, matrix: AssignmentMatrix) -> Iterator[int]:
-    _check_client_count(matrix, instance)  # here too: with no clients no network is built
-    for j in range(instance.k):
-        network = build_network(instance, matrix, j)
-        yield max_flow(network, network.sink(j))
+    _check_client_count(matrix, instance)  # zip below would drop a column silently
+    n = instance.n
+    columns = list(zip(*matrix.rows)) if matrix.rows else [()] * instance.k
+    for client, column in zip(instance.clients, columns):
+        witness = _witness(n, client.has, column)
+        yield _checked_value(n, client.has, column, witness)
 
 
 def sink_flows(instance: DmsiInstance, matrix: AssignmentMatrix) -> tuple[int, ...]:
-    """Max flow into each client's sink, each on its own pruned network."""
+    """Max flow into each client's sink, each proved by a checked flow and cut."""
     return tuple(_sink_flows(instance, matrix))
 
 

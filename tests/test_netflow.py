@@ -6,8 +6,11 @@ import re
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_instance, random_instance
+import dmsiplan.netflow as netflow
+from conftest import instances, make_instance, random_instance
 from dmsiplan import (
     AssignmentMatrix,
     FlowNetwork,
@@ -64,13 +67,21 @@ def test_demo_network_shape(demo_instance, optimal_plan_matrix):
     assert forward_edges == 6 + side_info + 6 + 5 + 5 + ones
 
 
-def test_pruned_network_keeps_only_what_reaches_the_sink(demo_instance, optimal_plan_matrix):
-    for j, w in enumerate(optimal_plan_matrix.column_weights()):
-        net = build_network(demo_instance, optimal_plan_matrix, j)
-        assert net.num_nodes == 1 + 6 + 5 + 5 + 4 + 1
-        # s -> x and one edge out of each x, then hub -> u -> v -> t per assigned row
-        assert len(net.edge_head) // 2 == 6 + 6 + 3 * w
-        assert max_flow(net, net.sink(j)) == 6
+def test_demo_witness_flows_match_the_full_network(
+    demo_instance, hand_plan_matrix, optimal_plan_matrix
+):
+    for j, client in enumerate(demo_instance.clients):
+        column = [row[j] for row in optimal_plan_matrix.rows]
+        held, pairs, sink_side = netflow._witness(6, client.has, column)
+        # the optimal plan gives each client exactly the rows it misses, so every
+        # assigned row carries one missing packet and the cut is {s}
+        assert sorted(held) == sorted(client.has)
+        assert [h for _, h in pairs] == [h for h, a in enumerate(column) if a]
+        assert len(held) + len(pairs) == 6 and sink_side is None
+    for matrix in (hand_plan_matrix, optimal_plan_matrix):
+        net = build_network(demo_instance, matrix)
+        full = tuple(max_flow(net, net.sink(j)) for j in range(4))
+        assert sink_flows(demo_instance, matrix) == full == (6, 6, 6, 6)
 
 
 def test_demo_network_flows(demo_instance, hand_plan_matrix, optimal_plan_matrix):
@@ -98,8 +109,6 @@ def test_max_flow_never_exceeds_packet_count(demo_instance, optimal_plan_matrix)
 def test_dimension_mismatch_rejected(demo_instance):
     with pytest.raises(ValueError):
         build_network(demo_instance, AssignmentMatrix(rows=(), k=2))
-    with pytest.raises(ValueError):
-        build_network(demo_instance, AssignmentMatrix(rows=(), k=4), client=4)
     with pytest.raises(ValueError):
         sink_flows(demo_instance, AssignmentMatrix(rows=(), k=2))
 
@@ -178,8 +187,8 @@ def test_adding_an_assignment_never_lowers_flow():
             )
 
 
-def test_pruned_dinic_matches_full_edmonds_karp():
-    """Per-sink flows on pruned networks equal Edmonds-Karp on the full one."""
+def test_witness_matches_full_dinic_and_edmonds_karp():
+    """Witness flows equal Dinic and Edmonds-Karp on the full network."""
     rng = random.Random(9001)
     short = 0
     for _ in range(150):
@@ -216,3 +225,101 @@ def test_max_flow_undoes_a_shortest_path_that_blocks():
     for tail, head in [(s, x), (x, y), (y, t), (x, z), (z, w), (w, t), (s, u), (u, v), (v, y)]:
         net.add_edge(tail, head, 1)
     assert edmonds_karp(net, t) == max_flow(net, t) == 2
+
+
+@st.composite
+def _instance_with_matrix(draw):
+    instance = draw(instances(max_n=12, max_k=6))
+    row = st.tuples(*[st.integers(0, 1)] * instance.k)
+    rows = draw(st.lists(row, max_size=14))
+    return instance, AssignmentMatrix(rows=tuple(rows), k=instance.k)
+
+
+@given(_instance_with_matrix())
+@settings(max_examples=300)
+def test_sink_flows_equal_dinic_on_the_full_network(case):
+    instance, matrix = case
+    net = build_network(instance, matrix)
+    full = tuple(max_flow(net, net.sink(j)) for j in range(instance.k))
+    assert sink_flows(instance, matrix) == full
+
+
+def _swap_packet(held, pairs, sink_side):
+    """The first hub path starts at a held packet instead of a missing one."""
+    return held, [(held[0], pairs[0][1]), *pairs[1:]], sink_side
+
+
+def _repeat_row(held, pairs, sink_side):
+    return held, [pairs[0], (pairs[1][0], pairs[0][1])], sink_side
+
+
+def _unassigned_row(held, pairs, sink_side):
+    return held, [pairs[0], (pairs[1][0], 2)], sink_side
+
+
+def _lacking_packet(held, pairs, sink_side):
+    """A direct path from a packet the client misses."""
+    return [*held, pairs[0][0]], pairs[1:], sink_side
+
+
+def _packet_past_n(held, pairs, sink_side):
+    return held, [pairs[0], (3, pairs[1][1])], sink_side
+
+
+def _cut_of_s(held, pairs, sink_side):
+    return held, pairs, None
+
+
+def _cut_without_held(held, pairs, sink_side):
+    return held, pairs, ([], sink_side[1])
+
+
+def _short_flow(held, pairs, sink_side):
+    return held, pairs[:-1], sink_side
+
+
+# one client holding packet 0 of 3; rows 0 and 1 are assigned to it, row 2 is
+# not, and in the short matrix only row 0 is
+FULL = ((1,), (1,), (0,))
+SHORT = ((1,), (0,))
+
+
+@pytest.mark.parametrize(
+    "rows, tamper, message",
+    [
+        (FULL, _swap_packet, "s -> x_i edge carries two units"),
+        (FULL, _repeat_row, "u_h -> v_h edge carries two units"),
+        (FULL, _unassigned_row, "row not assigned to the client"),
+        (FULL, _lacking_packet, "packet the client lacks"),
+        (FULL, _packet_past_n, "packet the network lacks"),
+        (FULL, _short_flow, "flow value 2 differs from cut capacity 3"),
+        (SHORT, _cut_of_s, "flow value 2 differs from cut capacity 3"),
+        (SHORT, _cut_without_held, "flow value 2 differs from cut capacity 4"),
+    ],
+    ids=[
+        "held-packet-through-hub", "row-used-twice", "row-not-assigned",
+        "direct-from-missing-packet", "packet-past-n", "flow-below-cut", "cut-s-above-flow",
+        "cut-above-flow",
+    ],
+)
+def test_the_witness_check_refuses_a_bad_witness(monkeypatch, rows, tamper, message):
+    instance = make_instance(3, [{0}], [1])
+    matrix = AssignmentMatrix(rows=rows, k=1)
+    assert sink_flows(instance, matrix) == (1 + sum(row[0] for row in rows),)
+    real = netflow._witness
+    monkeypatch.setattr(netflow, "_witness", lambda *args: tamper(*real(*args)))
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        sink_flows(instance, matrix)
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        is_solvable(instance, matrix)
+
+
+def test_the_witness_check_accepts_another_minimum_cut(monkeypatch):
+    """Moving v_h out of the sink side swaps u_h -> v_h for v_h -> t_j: still 2."""
+    instance = make_instance(3, [{0}], [1])
+    matrix = AssignmentMatrix(rows=SHORT, k=1)
+    real = netflow._witness
+    monkeypatch.setattr(
+        netflow, "_witness", lambda *args: (*real(*args)[:2], ([0], []))
+    )
+    assert sink_flows(instance, matrix) == (2,)

@@ -13,11 +13,11 @@ import dmsiplan
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, *args):
+def run_script(name, *args, stdout=subprocess.PIPE):
     env = dict(os.environ, PYTHONPATH=str(Path(dmsiplan.__file__).parents[1]))
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
-        capture_output=True, text=True, timeout=120, env=env,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
     )
 
 
@@ -33,6 +33,17 @@ def test_regression_sweep_runs():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     first = proc.stdout.splitlines()[0]
     assert re.fullmatch(r"40 draws agreed; 1921 candidates enumerated in \d+\.\d\ds", first), first
+
+
+def test_regression_sweep_exits_quietly_when_its_reader_has_gone():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_script("regression_sweep.py", "--count", "5", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
