@@ -26,7 +26,8 @@ class InstanceError(ValueError):
     """Malformed or inconsistent instance document."""
 
 
-_RATIONAL_RE = re.compile(r"(\d+)(?:/(\d+))?")
+# [0-9], not \d: \d also matches non-ASCII digits such as "\u0663"
+_RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def _digit_limit() -> int:

@@ -23,6 +23,14 @@ column is covered by no pattern from p on.  Both cut only subtrees without
 a candidate, so the candidates are the same as with the checks made on
 entry.
 
+A child left with one column j to fill is never entered either: it holds
+exactly one candidate, the chosen rows plus the pattern {j} taken rem[j]
+times, and that candidate is scored in place.  Every pattern after p other
+than {j} touches a column whose remaining weight is 0, so its count bound is
+0.  {j} is the last pattern holding j, so a count of {j} below rem[j] neither
+completes nor leaves a pattern to finish j.  The count rem[j] fits, since the
+child keeps rows left >= max(rem).
+
 The budget is checked before enumerating, against the unquotiented
 per-column count sum_m prod_j C(m, w_j); the walked multiset space is far
 smaller, but the formula is cheap and monotone, which is what a guard needs.
@@ -107,6 +115,12 @@ def _explore(
     suffix_cover = [0] * (len(patterns) + 1)
     for t in range(len(patterns) - 1, -1, -1):
         suffix_cover[t] = suffix_cover[t + 1] | patterns[t][0]
+    # single-column mask -> (pattern index, column, delay)
+    single = {
+        mask: (t, cols[0], delay)
+        for t, (mask, _, delay, cols, _) in enumerate(patterns)
+        if len(cols) == 1
+    }
 
     # (scaled int total, row count, rows) while walking
     best: tuple[int, int, tuple[tuple[int, ...], ...]] | None = None
@@ -155,7 +169,17 @@ def _explore(
                 if not still:
                     note_complete(total + count * delay, rows_used + count)
                 elif not still & ~cover:
-                    dfs(p + 1, rows_left - count, total + count * delay, rows_used + count, still)
+                    alone = single.get(still)
+                    if alone is None:
+                        dfs(p + 1, rows_left - count, total + count * delay,
+                            rows_used + count, still)
+                    else:  # the child's one candidate: {j} taken rem[j] times
+                        s, j, d = alone
+                        chosen.append((s, rem[j]))
+                        note_complete(
+                            total + count * delay + rem[j] * d, rows_used + count + rem[j]
+                        )
+                        chosen.pop()
             for j in cols:
                 rem[j] += last
             chosen.pop()

@@ -313,6 +313,7 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
         ("simulate", "total_delay", 0.5),
         ("simulate", "per_packet_delay", 5),
         ("simulate", "closed_form_delay", [1]),
+        ("verify", "total_delay", "\u0662\u0660"),  # 20 in Arabic-Indic digits
     ],
 )
 def test_malformed_recorded_delay_exits_2(tmp_path, capsys, command, key, value):

@@ -78,7 +78,8 @@ def test_parse_rational_accepts(value, expected):
 
 
 @pytest.mark.parametrize(
-    "value", [0.5, "3.5", "-2", "2/-3", True, False, None, [1], "1/0", "a/b", ""]
+    "value",
+    [0.5, "3.5", "-2", "2/-3", True, False, None, [1], "1/0", "a/b", "", "\u0663", "\uff13/\u0664"],
 )
 def test_parse_rational_rejects(value):
     with pytest.raises(InstanceError):
@@ -119,6 +120,10 @@ def test_format_rational_round_trips():
         '{"n": 2, "packet_size": -8, "clients": [{"has": [1], "bandwidth": 2}]}',
         '{"n": 2, "packet_size": 8, "clients": [{"has": [1], "bandwidth": -2}]}',
         '{"n": 2, "packet_size": -8, "clients": [{"has": [1], "bandwidth": -2}]}',
+        # digits outside ASCII: Arabic-Indic 3, then fullwidth 3 over Arabic-Indic 4
+        '{"n": 2, "clients": [{"has": [1], "delay": "\\u0663"}]}',
+        '{"n": 2, "packet_size": "\\uff13/\\u0664", "clients": [{"has": [1], "bandwidth": 1}]}',
+        '{"n": 2, "packet_size": 8, "clients": [{"has": [1], "bandwidth": "\\u0662"}]}',
     ],
 )
 def test_malformed_documents_rejected(text):

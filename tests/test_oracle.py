@@ -182,6 +182,27 @@ def test_examined_counts_every_quotiented_candidate():
             assert result.matrices_examined == quotiented_count(want, m_cap), (instance, m_cap)
 
 
+def test_tied_and_zero_delays_under_tight_rows():
+    """Delays from {0, 1, 2} tie many totals, so the row count and then the
+    rows pick the witness; m_cap at most m* + 2 leaves few rows to spare, so
+    many nodes end with one column still to fill."""
+    rng = random.Random(3301)
+    drawn = [random_instance(rng, max_n=4, max_k=3, delay_range=(0, 2)) for _ in range(60)]
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        has = [rng.sample(range(n), rng.randint(0, n)) for _ in range(4)]
+        drawn.append(make_instance(n, has, [rng.randint(0, 2) for _ in range(4)]))
+    for instance in drawn:
+        want = instance.want_counts()
+        m_star = max(want, default=0)
+        for m_cap in range(m_star, m_star + 3):
+            result = brute_force_optimum(instance, m_cap=m_cap)
+            total, _, rows = naive_optimum(instance, m_cap)
+            assert result.best_total == total, (instance, m_cap)
+            assert result.best_matrix.rows == rows, (instance, m_cap)
+            assert result.matrices_examined == quotiented_count(want, m_cap), (instance, m_cap)
+
+
 @pytest.mark.parametrize(
     "has, m_cap, examined",
     [
@@ -279,8 +300,26 @@ PINNED_SEARCHES = [
     (5, [[0, 1, 2], [0, 3], [1, 2], [0, 1, 2]], ["13/12", "9", "10", "30/7"], 5, Fraction(30), 107),
 ]
 
+# k = 5: deeper trees, where a node with one column left to fill sits under
+# parents with three and four; taken from the search while it still entered
+# such nodes
+PINNED_DEEP_SEARCHES = [
+    (5, [[3], [], [2, 3], [3, 4], [1, 3]], ["10", "7", "7", "4", "1/3"], 6, Fraction(47), 1328),
+    (5, [[], [], [1, 4], [4], []], ["4/5", "13/9", "16", "23/6", "9"], 7, Fraction(66), 3714),
+    (
+        4,
+        [[], [3], [0, 1], [0, 3], [0, 2]],
+        ["17/10", "19/8", "19/10", "1", "19/12"],
+        6,
+        Fraction(353, 40),
+        1836,
+    ),
+]
 
-@pytest.mark.parametrize("n, has, delays, m_cap, best_total, examined", PINNED_SEARCHES)
+
+@pytest.mark.parametrize(
+    "n, has, delays, m_cap, best_total, examined", PINNED_SEARCHES + PINNED_DEEP_SEARCHES
+)
 def test_pinned_fractional_searches(n, has, delays, m_cap, best_total, examined):
     instance = make_instance(n, has, [Fraction(d) for d in delays])
     result = brute_force_optimum(instance, m_cap=m_cap, budget=10**12)
