@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import ge
 from typing import Sequence
 
 from .instance import DmsiInstance, _unchecked, scaled_delays
@@ -64,7 +65,8 @@ class AssignmentMatrix:
         return sum(row[j] for row in self.rows)
 
     def column_weights(self) -> tuple[int, ...]:
-        return tuple(self.column_weight(j) for j in range(self.k))
+        """Every column's weight, in one pass over the rows; k zeros when m = 0."""
+        return tuple(map(sum, zip(*self.rows))) if self.rows else (0,) * self.k
 
 
 @dataclass(frozen=True)
@@ -98,9 +100,7 @@ def _check_client_count(matrix: AssignmentMatrix, instance: DmsiInstance) -> Non
 def is_feasible(matrix: AssignmentMatrix, instance: DmsiInstance) -> bool:
     """Column-weight criterion: every client gets at least the rows it needs."""
     _check_client_count(matrix, instance)
-    return all(
-        matrix.column_weight(j) >= w for j, w in enumerate(instance.want_counts())
-    )
+    return all(map(ge, matrix.column_weights(), instance.want_counts()))
 
 
 def optimal_assignment(instance: DmsiInstance) -> tuple[tuple[int, ...], AssignmentMatrix]:
@@ -179,8 +179,8 @@ def reduce_to_exact_weights(
         return max(compress(ints, row), default=0)
 
     row_delays = [row_delay(row) for row in rows]
-    for j, w in enumerate(want):
-        weight = sum(row[j] for row in rows)
+    # clearing column j's surplus leaves the other columns' weights as they were
+    for j, (w, weight) in enumerate(zip(want, matrix.column_weights())):
         if weight < w:
             raise ValueError(f"column {j + 1} has weight {weight} < w={w}; infeasible")
         while weight > w:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .assignment import (
     AssignmentMatrix,
@@ -42,7 +42,6 @@ from .instance import (
     InstanceError,
     check_digits,
     format_rational,
-    instance_document,
     parse_instance,
     parse_json,
     parse_rational,
@@ -108,57 +107,50 @@ def build_plan(
     )
 
 
-def plan_document(bundle: PlanBundle) -> dict:
-    return {
-        "instance": instance_document(bundle.instance),
-        "ranking": [j + 1 for j in bundle.ranking],
-        "assignment": [list(row) for row in bundle.matrix.rows],
-        "per_packet_delay": [format_rational(d) for d in bundle.report.per_packet],
-        "total_delay": format_rational(bundle.report.total),
-        "closed_form_delay": format_rational(bundle.closed_form),
-        "code": {
-            "field_degree": bundle.code.field.e,
-            "rows": [list(row) for row in bundle.code.rows],
-        },
-        "decodable": [True] * bundle.instance.k,
-    }
-
-
-def _indented_json(value: object, pad: str = "") -> str:
-    """json.dumps(value, indent=2) for a document with str keys, faster.
-
-    With indent set, json.dumps runs its pure-Python encoder.  Here lists of
-    plain ints, the bulk of a plan document, are joined in one go, and
-    strings go through the C string encoder json.dumps itself uses.
-    """
+def _json_list(items: Iterable[str], pad: str) -> str:
+    """A JSON list of already-written items, laid out as json.dumps(indent=2)
+    lays it out when the list opens at indent `pad`."""
     inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(
-            f"{inner}{encode_basestring_ascii(key)}: {_indented_json(item, inner)}"
-            for key, item in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if set(map(type, value)) == {int}:
-            items = inner + (",\n" + inner).join(map(str, value))
-        else:
-            items = ",\n".join(inner + _indented_json(item, inner) for item in value)
-        return "[\n" + items + "\n" + pad + "]"
-    if type(value) is int:
-        return str(value)
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if type(value) is bool:
-        return "true" if value else "false"
-    return json.dumps(value)
+    text = (",\n" + inner).join(items)
+    return f"[\n{inner}{text}\n{pad}]" if text else "[]"
+
+
+def _rational_json(value: Fraction) -> str:
+    text = format_rational(value)
+    return str(text) if type(text) is int else encode_basestring_ascii(text)
 
 
 def plan_json(bundle: PlanBundle) -> str:
-    return _indented_json(plan_document(bundle)) + "\n"
+    """The plan file: what json.dumps(document, indent=2) writes, and a newline.
+
+    With indent set, json.dumps runs its pure-Python encoder, one call per
+    element.  The document's layout is fixed, so it is written here directly:
+    each int list, or matrix row, in one join, and rationals through the C
+    string encoder json.dumps itself uses.
+    """
+    instance, code = bundle.instance, bundle.code
+    clients = _json_list(
+        (
+            f'{{\n        "has": {_json_list([str(x + 1) for x in sorted(c.has)], " " * 8)},'
+            f'\n        "delay": {_rational_json(c.delay)}\n      }}'
+            for c in instance.clients
+        ),
+        " " * 4,
+    )
+    assignment = [_json_list(map(str, row), " " * 4) for row in bundle.matrix.rows]
+    code_rows = [_json_list(map(str, row), " " * 6) for row in code.rows]
+    per_packet = map(_rational_json, bundle.report.per_packet)
+    return (
+        f'{{\n  "instance": {{\n    "n": {instance.n},\n    "clients": {clients}\n  }},'
+        f'\n  "ranking": {_json_list([str(j + 1) for j in bundle.ranking], "  ")},'
+        f'\n  "assignment": {_json_list(assignment, "  ")},'
+        f'\n  "per_packet_delay": {_json_list(per_packet, "  ")},'
+        f'\n  "total_delay": {_rational_json(bundle.report.total)},'
+        f'\n  "closed_form_delay": {_rational_json(bundle.closed_form)},'
+        f'\n  "code": {{\n    "field_degree": {code.field.e},'
+        f'\n    "rows": {_json_list(code_rows, " " * 4)}\n  }},'
+        f'\n  "decodable": {_json_list(["true"] * instance.k, "  ")}\n}}\n'
+    )
 
 
 def _render_matrix_table(
@@ -299,12 +291,12 @@ def _status(label: str, text: str) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _read(args.instance, parse_instance)
     recorded, matrix, code = _load_plan(args.plan, instance)
-    want = instance.want_counts()
-    weight_short = [j for j in range(instance.k) if matrix.column_weight(j) < want[j]]
+    want, weights = instance.want_counts(), matrix.column_weights()
+    weight_short = [j for j in range(instance.k) if weights[j] < want[j]]
     flows = sink_flows(instance, matrix)
     flow_short = [j for j, flow in enumerate(flows) if flow < instance.n]
     problems = [
-        f"client C{j + 1} under-assigned: weight {matrix.column_weight(j)} < {want[j]}"
+        f"client C{j + 1} under-assigned: weight {weights[j]} < {want[j]}"
         for j in weight_short
     ] + [f"client C{j + 1} max flow {flows[j]} < {instance.n}" for j in flow_short]
     for label, short in (("column weights", weight_short), ("max flow", flow_short)):

@@ -28,6 +28,7 @@ class InstanceError(ValueError):
 
 # [0-9], not \d: \d also matches non-ASCII digits such as "\u0663"
 _RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+_ASCII_SPACE = " \t\r\n"  # str.strip() alone strips any Unicode space
 
 
 def _digit_limit() -> int:
@@ -42,15 +43,18 @@ def _too_long(where: str) -> InstanceError:
 def parse_rational(value: object, where: str = "value") -> Fraction:
     """Accept a JSON int or a "p" / "p/q" string; anything else is an error.
 
-    Floats are refused even when integral: exactness is the point of the
-    format, and 0.1 has no exact binary value to round-trip.
+    A string holds ASCII digits 0-9 and at most one "/", with nothing around
+    them but ASCII whitespace (space, tab, CR, LF), the four characters JSON
+    itself counts as whitespace; any other space, such as U+00A0 or U+3000,
+    is refused.  Floats are refused even when integral: exactness is the
+    point of the format, and 0.1 has no exact binary value to round-trip.
     """
     if isinstance(value, bool):
         raise InstanceError(f"{where}: expected a rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        match = _RATIONAL_RE.fullmatch(value.strip())
+        match = _RATIONAL_RE.fullmatch(value.strip(_ASCII_SPACE))
         if match is None:
             raise InstanceError(f"{where}: {value!r} is not of the form 'p' or 'p/q'")
         try:
@@ -135,8 +139,9 @@ class DmsiInstance:
 
     @cached_property
     def _delay_ranking(self) -> tuple[int, ...]:
-        # a stable sort: reverse=True keeps equal delays in input order
-        return tuple(sorted(range(self.k), key=self._delays.__getitem__, reverse=True))
+        # a stable sort: reverse=True keeps equal delays in input order; the
+        # scaled ints compare as the delays do
+        return tuple(sorted(range(self.k), key=self._scaled_delays[1].__getitem__, reverse=True))
 
     def delays(self) -> tuple[Fraction, ...]:
         return self._delays

@@ -92,11 +92,38 @@ def test_column_weights(hand_plan_matrix, optimal_plan_matrix):
     assert optimal_plan_matrix.column_weights() == (2, 1, 3, 5)
 
 
+def test_column_weights_without_rows_or_columns(demo_instance):
+    assert AssignmentMatrix(rows=(), k=3).column_weights() == (0, 0, 0)
+    assert AssignmentMatrix(rows=(), k=0).column_weights() == ()
+    assert AssignmentMatrix(rows=((), ()), k=0).column_weights() == ()
+    nobody = DmsiInstance(n=4, clients=())
+    assert is_feasible(AssignmentMatrix(rows=((), ()), k=0), nobody)
+    assert is_feasible(AssignmentMatrix(rows=(), k=0), nobody)
+    sated = make_instance(2, [{0, 1}, {0, 1}], [3, 1])
+    assert is_feasible(AssignmentMatrix(rows=(), k=2), sated)
+    assert not is_feasible(AssignmentMatrix(rows=(), k=4), demo_instance)
+
+
+@given(instance_with_exact_matrix())
+def test_column_weights_count_each_column(case):
+    _, matrix = case
+    assert matrix.column_weights() == tuple(
+        matrix.column_weight(j) for j in range(matrix.k)
+    )
+
+
 def test_feasibility(demo_instance, hand_plan_matrix, optimal_plan_matrix):
     assert is_feasible(hand_plan_matrix, demo_instance)
     assert is_feasible(optimal_plan_matrix, demo_instance)
     short = AssignmentMatrix(rows=optimal_plan_matrix.rows[:-1], k=4)
     assert not is_feasible(short, demo_instance)
+    # each column one row short in turn: only that client is under weight
+    for j, w in enumerate(demo_instance.want_counts()):
+        rows = [list(r) for r in hand_plan_matrix.rows]
+        next(r for r in rows if r[j])[j] = 0
+        matrix = AssignmentMatrix(rows=rows, k=4)
+        assert matrix.column_weights()[j] == w - 1
+        assert not is_feasible(matrix, demo_instance)
     with pytest.raises(ValueError):
         is_feasible(AssignmentMatrix(rows=(), k=3), demo_instance)
 

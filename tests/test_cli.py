@@ -16,7 +16,7 @@ from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import dmsiplan
@@ -29,16 +29,8 @@ from conftest import (
     OPTIMAL_PLAN_ROWS,
     requires_digit_limit,
 )
-from dmsiplan import Field, parse_instance
-from dmsiplan.cli import (
-    _build_parser,
-    _rational_text,
-    _indented_json,
-    build_plan,
-    main,
-    plan_document,
-    plan_json,
-)
+from dmsiplan import Field, format_rational, instance_document, parse_instance
+from dmsiplan.cli import _build_parser, _rational_text, build_plan, main, plan_json
 
 
 def write_json(path, doc):
@@ -509,7 +501,25 @@ def mutated(draw, doc):
     return doc
 
 
-DEMO_PLAN = plan_document(build_plan(parse_instance(json.dumps(DEMO_DOC))))
+def reference_document(bundle):
+    """The plan file's document as a dict: `plan_json` must write exactly
+    json.dumps(reference_document(bundle), indent=2) and a newline."""
+    return {
+        "instance": instance_document(bundle.instance),
+        "ranking": [j + 1 for j in bundle.ranking],
+        "assignment": [list(row) for row in bundle.matrix.rows],
+        "per_packet_delay": [format_rational(d) for d in bundle.report.per_packet],
+        "total_delay": format_rational(bundle.report.total),
+        "closed_form_delay": format_rational(bundle.closed_form),
+        "code": {
+            "field_degree": bundle.code.field.e,
+            "rows": [list(row) for row in bundle.code.rows],
+        },
+        "decodable": [True] * bundle.instance.k,
+    }
+
+
+DEMO_PLAN = reference_document(build_plan(parse_instance(json.dumps(DEMO_DOC))))
 
 
 @given(
@@ -566,21 +576,69 @@ def test_seeded_plan_bytes_are_pinned(case, degree, seed, digest):
     assert hashlib.sha256(plan_json(bundle).encode()).hexdigest() == digest
 
 
+def _matches_the_reference(doc, degree=None, seed=0):
+    bundle = build_plan(
+        parse_instance(json.dumps(doc)), field=Field(degree) if degree else None, seed=seed
+    )
+    return plan_json(bundle) == json.dumps(reference_document(bundle), indent=2) + "\n"
+
+
 @pytest.mark.parametrize(
     "doc",
     [
-        {},
-        [],
-        {"rows": [], "code": {"field_degree": 1, "rows": []}},
-        {"assignment": [[], [1, 0]], "empty": {}, "nested": [[[]], [{}]]},
-        {"decodable": [True, False], "flags": [True, 1, 0, False]},
-        {"delay": "7/3", "per_packet_delay": [8, "13/2", "0"], "total_delay": "41/6"},
-        {"big": [2**70, -1, 0], "text": ['quote " and \\ and é', ""], "none": None},
-        ["p/q", 3, [4, 5], {"k": 0}],
+        {"n": 0, "clients": []},
+        {"n": 0, "clients": [{"has": [], "delay": 3}, {"has": [], "delay": "1/2"}]},
+        {"n": 4, "clients": [{"has": [1, 2, 3, 4], "delay": 5}]},
+        {"n": 3, "clients": [{"has": [2], "delay": "7/3"}, {"has": [], "delay": "0"}]},
+        {"n": 2, "clients": [{"has": [1], "delay": PAST_FLOAT_DELAY}, {"has": [], "delay": 1}]},
+        {"n": 3, "packet_size": 8, "clients": [{"has": [3], "bandwidth": "3/5"}]},
+        {"n": 5, "clients": [{"has": [1], "delay": 2}] * 3 + [{"has": [], "delay": 9}]},
+        DEMO_DOC,
     ],
 )
 def test_plan_writer_matches_json_dumps(doc):
-    assert _indented_json(doc) == json.dumps(doc, indent=2)
+    assert _matches_the_reference(doc)
+
+
+# delays: ints, "p/q" strings, and one past float range (401 digits)
+DELAY_VALUES = st.one_of(
+    st.integers(0, 16),
+    st.builds("{}/{}".format, st.integers(0, 16), st.integers(1, 4)),
+    st.just(PAST_FLOAT_DELAY),
+)
+
+
+@st.composite
+def plan_instance_docs(draw):
+    """Instance documents with n and k from 0, clients that may hold every
+    packet, and each delay stated directly or as packet_size / bandwidth."""
+    n, k = draw(st.integers(0, 7)), draw(st.integers(0, 4))
+    doc = {"n": n, "clients": []}
+    if draw(st.booleans()):
+        doc["packet_size"] = draw(st.sampled_from([1, "5/2", 720720]))
+    for _ in range(k):
+        every = list(range(1, n + 1))
+        some = st.sets(st.sampled_from(every)) if n else st.just(set())
+        client = {"has": sorted(draw(st.one_of(st.just(every), some)))}
+        if "packet_size" in doc and draw(st.booleans()):
+            client["bandwidth"] = draw(st.sampled_from([1, 3, "3/4", "7/5", 720720]))
+        else:
+            client["delay"] = draw(DELAY_VALUES)
+        doc["clients"].append(client)
+    return doc
+
+
+@given(plan_instance_docs(), st.sampled_from([None, 8, 12]), st.integers(0, 3))
+@example({"n": 0, "clients": []}, None, 0)
+@example({"n": 6, "clients": []}, 12, 0)
+@example({"n": 3, "clients": [{"has": [1, 2, 3], "delay": "5/2"}]}, None, 0)
+@example({"n": 2, "clients": [{"has": [], "delay": PAST_FLOAT_DELAY}]}, 8, 1)
+@example(
+    {"n": 3, "packet_size": "5/2", "clients": [{"has": [1], "bandwidth": "3/4"}]}, None, 2
+)
+@settings(max_examples=150, deadline=None)
+def test_plan_json_is_json_dumps_of_the_reference_document(doc, degree, seed):
+    assert _matches_the_reference(doc, degree, seed)
 
 
 def test_plan_json_matches_json_dumps_on_edge_plans():
@@ -597,7 +655,7 @@ def test_plan_json_matches_json_dumps_on_edge_plans():
     )
     for instance in (sated, no_clients, bandwidth, parse_instance(json.dumps(DEMO_DOC))):
         bundle = build_plan(instance)
-        assert plan_json(bundle) == json.dumps(plan_document(bundle), indent=2) + "\n"
+        assert plan_json(bundle) == json.dumps(reference_document(bundle), indent=2) + "\n"
 
 
 def _declared_console_script(name):

@@ -5,7 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import (
     DEMO_DOC,
@@ -71,7 +72,15 @@ def test_zero_delay_is_accepted_and_ranks_last():
 
 @pytest.mark.parametrize(
     "value,expected",
-    [(5, Fraction(5)), ("7/2", Fraction(7, 2)), ("8", Fraction(8)), (0, Fraction(0))],
+    [
+        (5, Fraction(5)),
+        ("7/2", Fraction(7, 2)),
+        ("8", Fraction(8)),
+        (0, Fraction(0)),
+        # ASCII whitespace around the digits: space, tab, CR, LF
+        (" 3 ", Fraction(3)),
+        ("\t3/4\r\n", Fraction(3, 4)),
+    ],
 )
 def test_parse_rational_accepts(value, expected):
     assert parse_rational(value) == expected
@@ -79,7 +88,9 @@ def test_parse_rational_accepts(value, expected):
 
 @pytest.mark.parametrize(
     "value",
-    [0.5, "3.5", "-2", "2/-3", True, False, None, [1], "1/0", "a/b", "", "\u0663", "\uff13/\u0664"],
+    [0.5, "3.5", "-2", "2/-3", True, False, None, [1], "1/0", "a/b", "", "\u0663", "\uff13/\u0664"]
+    # any other whitespace: ideographic, no-break, em space, VT, FF, NEL
+    + [space + "3/4" for space in ("\u3000", "\xa0", "\u2003", "\x0b", "\x0c", "\x85")],
 )
 def test_parse_rational_rejects(value):
     with pytest.raises(InstanceError):
@@ -124,11 +135,56 @@ def test_format_rational_round_trips():
         '{"n": 2, "clients": [{"has": [1], "delay": "\\u0663"}]}',
         '{"n": 2, "packet_size": "\\uff13/\\u0664", "clients": [{"has": [1], "bandwidth": 1}]}',
         '{"n": 2, "packet_size": 8, "clients": [{"has": [1], "bandwidth": "\\u0662"}]}',
+        # spaces outside ASCII: an ideographic space before 3, a no-break space before 3/4
+        '{"n": 2, "clients": [{"has": [1], "delay": "\\u30003"}]}',
+        '{"n": 2, "clients": [{"has": [1], "delay": "\\u00a03/4"}]}',
     ],
 )
 def test_malformed_documents_rejected(text):
     with pytest.raises(InstanceError):
         parse_instance(text)
+
+
+def has_fault(raw_has, n):
+    """The message for the first bad entry of client 1's 'has' list, entry by
+    entry as the parser has always checked it, or None for a good list."""
+    seen = set()
+    for x in raw_has:
+        if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
+            return f"client 1: packet index {x!r} outside [1, {n}]"
+        if x in seen:
+            return f"client 1: duplicate packet index {x}"
+        seen.add(x)
+    return None
+
+
+def has_entries(n):
+    """Good indices, 0 and n + 1, bools, floats (integral ones too) and other
+    JSON values."""
+    return st.one_of(
+        st.integers(0, n + 1),
+        st.booleans(),
+        st.floats(allow_nan=False),
+        st.sampled_from([1.0, float(n), None, "1", [1], {}]),
+    )
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.tuples(st.just(n), st.lists(has_entries(n)))))
+@example((3, [True, 0, 2.0]))
+@example((3, [2, 2, 4]))
+@example((3, [1, 3, 3, 0]))
+@example((0, []))
+@example((2, [2, 1]))
+def test_has_lists_are_refused_by_their_first_bad_entry(case):
+    n, raw_has = case
+    text = json.dumps({"n": n, "clients": [{"has": raw_has, "delay": 1}]})
+    fault = has_fault(raw_has, n)
+    if fault is None:
+        assert parse_instance(text).clients[0].has == {x - 1 for x in raw_has}
+    else:
+        with pytest.raises(InstanceError) as info:
+            parse_instance(text)
+        assert str(info.value) == fault
 
 
 @pytest.mark.parametrize("packet_size", [8, -8])

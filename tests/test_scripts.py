@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +64,27 @@ def test_one_value_options_are_gone(script, option):
     assert proc.returncode == 2
     assert f"error: unrecognized arguments: {option} 1" in proc.stderr
     assert proc.stdout == ""
+
+
+def _in_a_git_checkout():
+    if shutil.which("git") is None:
+        return False
+    probe = subprocess.run(
+        ["git", "-C", str(SCRIPTS.parent), "rev-parse", "--verify", "-q", "HEAD"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return probe.returncode == 0
+
+
+@pytest.mark.skipif(not _in_a_git_checkout(), reason="needs git and a checkout with commits")
+def test_bench_outputs_finds_no_difference_from_head():
+    """Two instances per seed: 48 commands, each run against HEAD and the checkout."""
+    proc = run_script("bench.py", "--outputs", "HEAD", "--count", "2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "0 of 48 commands differ between HEAD and the checkout\n"
+
+
+def test_bench_without_a_mode_exits_2():
+    proc = run_script("bench.py")
+    assert proc.returncode == 2
+    assert "error: --outputs REF is required" in proc.stderr
