@@ -10,9 +10,13 @@ takes the first `--count` instances (all 520 by default) of perfbench's
 `plan` corpus for seeds 1 and 2.  On each it runs `plan --output`, then
 `verify`, `simulate --payload-seed 1` and `transform` on the written plan,
 then each `MALFORMED` and `KNOWN_DEFECTS` mutation of perfbench's workloads
-on that plan.  perfbench is imported read-only from this checkout, so both
-trees see the same corpus and mutations.  Files are named relative to the
-tree's own working directory, so messages that quote a path match.
+on that plan.  It does the same on the first `--count` (all 8 by default)
+of perfbench's `verify-simulate` instances for the same seeds (n 24-28,
+every 4th planned over GF(2^12), so 16-bit lanes are compared), with
+`simulate --payload-seed 1` to 4.  perfbench is imported read-only from
+this checkout, so both trees see the same corpus and mutations.  Files are
+named relative to the tree's own working directory, so messages that quote
+a path match.
 
 Exit code, stdout, stderr and, for `plan`, the written bytes are compared
 command by command.  Every command that differs is listed with what
@@ -39,6 +43,7 @@ import corpus  # noqa: E402  (perfbench's corpus needs only the standard library
 
 SEEDS = (1, 2)
 PAYLOAD_SEED = "1"
+VS_PAYLOAD_SEEDS = ("1", "2", "3", "4")
 FIELDS = ("exit", "stdout", "stderr", "plan")
 
 
@@ -72,25 +77,33 @@ def run_corpus(count: int) -> dict:
             "plan": _digest(written),
         }
 
+    def run_plan(name: str, doc: dict, options: list[str], payload_seeds: tuple[str, ...]) -> None:
+        """plan, then the commands that read the plan it wrote."""
+        source.write_text(corpus.dump(doc))
+        plan.unlink(missing_ok=True)
+        run(f"{name}: plan", ["plan", str(source), "--output", str(plan), *options], plan)
+        if not plan.is_file():
+            return
+        run(f"{name}: verify", ["verify", str(source), str(plan)])
+        for payload_seed in payload_seeds:
+            simulate = ["simulate", str(source), str(plan), "--payload-seed", payload_seed]
+            run(f"{name}: simulate {payload_seed}", simulate)
+        run(f"{name}: transform", ["transform", str(source), str(plan)])
+        for label, command, mutate, _ in mutations:
+            bad = mutate(json.loads(plan.read_text()))
+            mutated.write_text(bad if isinstance(bad, str) else corpus.dump(bad))
+            run(f"{name}: {label}", [command, str(source), str(mutated)])
+
     records: dict[str, dict] = {}
     source, plan, mutated = Path("instance.json"), Path("plan.json"), Path("malformed.json")
     mutations = workloads.MALFORMED + workloads.KNOWN_DEFECTS
     for seed in SEEDS:
         for i, doc in enumerate(corpus.plan_instances(seed, count)):
-            name = f"seed {seed} instance {i}"
-            source.write_text(corpus.dump(doc))
-            plan.unlink(missing_ok=True)
-            run(f"{name}: plan", ["plan", str(source), "--output", str(plan)], plan)
-            if not plan.is_file():
-                continue
-            run(f"{name}: verify", ["verify", str(source), str(plan)])
-            simulate = ["simulate", str(source), str(plan), "--payload-seed", PAYLOAD_SEED]
-            run(f"{name}: simulate", simulate)
-            run(f"{name}: transform", ["transform", str(source), str(plan)])
-            for label, command, mutate, _ in mutations:
-                bad = mutate(json.loads(plan.read_text()))
-                mutated.write_text(bad if isinstance(bad, str) else corpus.dump(bad))
-                run(f"{name}: {label}", [command, str(source), str(mutated)])
+            run_plan(f"seed {seed} instance {i}", doc, [], (PAYLOAD_SEED,))
+    for seed in SEEDS:
+        for i, (doc, degree) in enumerate(corpus.vs_instances(seed, min(count, corpus.VS_PLANS))):
+            options = [] if degree is None else ["--field-degree", str(degree)]
+            run_plan(f"seed {seed} verify-simulate plan {i}", doc, options, VS_PAYLOAD_SEEDS)
     return {"dmsiplan": cli.__file__, "records": records}
 
 
@@ -139,7 +152,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--outputs", metavar="REF",
                         help="git commit to compare this checkout's CLI outputs with")
     parser.add_argument("--count", type=int, default=corpus.PLAN_POOL, metavar="N",
-                        help=f"instances per corpus seed (default: all {corpus.PLAN_POOL})")
+                        help=f"instances per corpus seed (default: all {corpus.PLAN_POOL} "
+                             f"plan and {corpus.VS_PLANS} verify-simulate instances)")
     # internal: the per-tree subprocess that runs the corpus
     parser.add_argument("--corpus-run", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

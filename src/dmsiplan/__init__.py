@@ -39,7 +39,6 @@ from .instance import (
     DmsiInstance,
     InstanceError,
     format_rational,
-    instance_document,
     parse_instance,
     parse_rational,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "default_field_degree",
     "encode",
     "format_rational",
-    "instance_document",
     "is_feasible",
     "is_solvable",
     "matrix_rank",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from operator import ge
 from typing import Sequence
 
@@ -47,12 +47,14 @@ class AssignmentMatrix:
         object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 0:
             raise ValueError(f"k must be a nonnegative int, got {self.k!r}")
+        # the whole matrix at once; the row loop only runs to name the first bad entry
+        cells = list(chain.from_iterable(self.rows))
+        if (set(map(len, self.rows)) <= {self.k} and set(map(type, cells)) <= _BIT_TYPES
+                and set(cells) <= _BITS):
+            return
         for i, row in enumerate(self.rows):
             if len(row) != self.k:
                 raise ValueError(f"row {i} has length {len(row)}, expected k={self.k}")
-            # whole row at once; the entry loop only runs to name a bad entry
-            if set(map(type, row)) <= _BIT_TYPES and set(row) <= _BITS:
-                continue
             for j, a in enumerate(row):
                 if not isinstance(a, int) or isinstance(a, bool) or a not in (0, 1):
                     raise ValueError(f"entry ({i}, {j}) is {a!r}, expected 0 or 1")

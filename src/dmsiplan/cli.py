@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 validation/limit failures (bad documents, a file
 that cannot be read, decoded or written, budget, a plan too large to build),
-3 a check or cross-verification disagreed, 4 code construction failure.
+3 a check or cross-verification disagreed, 4 code construction failure; a
+run whose stdout reader closes early exits 1, silently.
 All file formats are JSON; rationals appear as bare ints when integral and
 "p/q" strings otherwise, and packet indices are 1-based on disk.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -276,16 +278,17 @@ def cmd_plan(args: argparse.Namespace) -> int:
         bundle = build_plan(instance, field=field, seed=args.seed)
     except CodeConstructionError as err:
         raise _CommandError(EXIT_CONSTRUCTION, str(err))
-    print(render_plan(bundle))
-    if args.output:
+    text = render_plan(bundle)
+    if args.output:  # written before anything is printed: a closed reader cannot stop it
         _write(args.output, plan_json(bundle))
-        print(f"plan written to {args.output}")
+        text += f"\nplan written to {args.output}"
+    print(text)
     return EXIT_OK
 
 
-def _status(label: str, text: str) -> None:
+def _status(label: str, text: str) -> str:
     """One of verify's status lines, values aligned after the label."""
-    print(f"{label + ':':<28} {text}")
+    return f"{label + ':':<28} {text}"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -299,8 +302,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"client C{j + 1} under-assigned: weight {weights[j]} < {want[j]}"
         for j in weight_short
     ] + [f"client C{j + 1} max flow {flows[j]} < {instance.n}" for j in flow_short]
-    for label, short in (("column weights", weight_short), ("max flow", flow_short)):
+    lines = [
         _status(f"feasibility ({label})", f"FAIL ({len(short)} clients)" if short else "ok")
+        for label, short in (("column weights", weight_short), ("max flow", flow_short))
+    ]
     if weight_short != flow_short:
         problems.append(f"criteria disagree: weights flag {weight_short}, flow flags {flow_short}")
 
@@ -318,22 +323,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
             match = recorded[key] == fresh
             if not match:
                 problems.append(problem)
-            _status(label, "ok" if match else "FAIL")
+            lines.append(_status(label, "ok" if match else "FAIL"))
 
     if code is not None:
         if code.m != matrix.m:
             problems.append(f"code has {code.m} rows for {matrix.m} broadcast packets")
-            _status("decodability", "FAIL (row count mismatch)")
+            lines.append(_status("decodability", "FAIL (row count mismatch)"))
         else:
             decodable = decodability_check(instance, matrix, code)
             bad = [j for j, ok in enumerate(decodable) if not ok]
             for j in bad:
                 problems.append(f"client C{j + 1} cannot decode: rank below {want[j]}")
-            _status("decodability", f"FAIL (clients {[j + 1 for j in bad]})" if bad else "ok")
+            lines.append(
+                _status("decodability", f"FAIL (clients {[j + 1 for j in bad]})" if bad else "ok")
+            )
 
-    for p in problems:
-        print(f"  - {p}")
-    print("verdict: " + ("FAIL" if problems else "PASS"))
+    lines += [f"  - {p}" for p in problems]
+    lines.append("verdict: " + ("FAIL" if problems else "PASS"))
+    print("\n".join(lines))
     return EXIT_DISAGREEMENT if problems else EXIT_OK
 
 
@@ -345,14 +352,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         raise _CommandError(EXIT_VALIDATION, str(err))
     closed = closed_form_delay(instance)
     agrees = result.best_total == closed
-    print(
-        f"searched m in [{result.m_range[0]}, {result.m_range[1]}]; "
-        f"{result.matrices_examined} candidates examined"
-    )
-    print(f"enumerated minimum: {_rational_text(result.best_total)}")
-    print(f"closed form:        {_rational_text(closed)}")
-    print("agreement: " + ("yes" if agrees else "NO"))
-    if args.output:
+    if args.output:  # written before anything is printed: a closed reader cannot stop it
         out = {
             "best_total": format_rational(result.best_total),
             "best_matrix": [list(row) for row in result.best_matrix.rows],
@@ -362,6 +362,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             "agrees": agrees,
         }
         _write(args.output, json.dumps(out, indent=2) + "\n")
+    print(
+        f"searched m in [{result.m_range[0]}, {result.m_range[1]}]; "
+        f"{result.matrices_examined} candidates examined\n"
+        f"enumerated minimum: {_rational_text(result.best_total)}\n"
+        f"closed form:        {_rational_text(closed)}\n"
+        "agreement: " + ("yes" if agrees else "NO")
+    )
     return EXIT_OK if agrees else EXIT_DISAGREEMENT
 
 
@@ -380,25 +387,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     sim = run_simulation(instance, matrix, code, payload_seed=args.payload_seed)
     names = [f"C{j + 1}" for j in range(instance.k)]
+    lines = []
     for i, (clock, row) in enumerate(zip(sim.clock, matrix.rows)):
         recipients = " ".join(compress(names, row))
-        print(
+        lines.append(
             f"t={_rational_text(clock)}: broadcast packet p{i + 1} delivered"
             + (f" to {recipients}" if recipients else " (no recipients)")
         )
     ok = all(sim.decoded_ok)
     for j in range(instance.k):
         status = "decoded all missing packets" if sim.decoded_ok[j] else "DECODE FAILED"
-        print(f"C{j + 1} complete at t={_rational_text(sim.completion[j])}: {status}")
-    closed = closed_form_delay(instance)
-    print(f"final clock: {_rational_text(sim.final_clock)}")
-    print(f"closed form: {_rational_text(closed)}")
+        lines.append(f"C{j + 1} complete at t={_rational_text(sim.completion[j])}: {status}")
+    lines.append(f"final clock: {_rational_text(sim.final_clock)}")
+    lines.append(f"closed form: {_rational_text(closed_form_delay(instance))}")
     if "total_delay" in recorded and recorded["total_delay"] != sim.final_clock:
-        print(
+        lines.append(
             f"plan total {_rational_text(recorded['total_delay'])} != simulated clock "
             f"{_rational_text(sim.final_clock)}"
         )
         ok = False
+    print("\n".join(lines))
     return EXIT_OK if ok else EXIT_DISAGREEMENT
 
 
@@ -483,7 +491,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """main as a process: its status, or 1 and no traceback when stdout's
+    reader closes early."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early: send the rest nowhere, so the exit flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

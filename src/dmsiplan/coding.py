@@ -10,14 +10,15 @@ contribution and solving the remaining square system.
 One elimination kernel, _eliminate, serves rank, solve and construction:
 one call reduces a client's stream of rows into an echelon basis, whose
 entries it keys by their pivot's bit offset, sets up its tables and masks
-once per call, and reports whether any row left a nonzero remainder.  encode
-and decode share one column product, _column_product: the sum of value *
-column x over (x, value) pairs, G x for encode and the side information's
-share for decode.  Field._check_all checks elements once on entry, for all of
+once per call, and reports whether any row left a nonzero remainder.  encode,
+decode and run_simulation share one column product, _column_product: the sum
+of value * column x over (x, value) pairs, G x for encode, the side
+information's share of every symbol for decode, and one packet's product for
+run_simulation.  Field._check_all checks elements once on entry, for all of
 a CodingMatrix's rows in one call (matrix_rank builds one), encode's payload
 and decode's view.  Values the module made itself skip it: the rows
-construct_code draws and the pairs run_simulation takes from its payload and
-broadcast.  The kernel checks none.  A row is one int with one lane per
+construct_code draws and the payload and broadcast run_simulation makes.
+The kernel checks none.  A row is one int with one lane per
 packet, lane i holding packet i, of 8 bits for e <= 8 and 16 above.  Adding
 is one XOR, and a client's view is one AND with its keep-mask, all ones on
 each packet it misses and 0 on each it holds; pivots are packet
@@ -34,11 +35,17 @@ entries dropped, at the first client it fails.  Rejected rows form a proper
 subspace per client, so with q >= k a good row always exists; with q < k it
 may not, which is warned about and attempted.
 
-run_simulation plays one broadcast end to end, on the clock of the plan's
-per-packet delays: a seeded payload, encode, and at each client decode's
-solver, _solve, on the (packet, value) and (row, symbol) pairs it takes from
-the payload and the broadcast.  No check of decode's could fail on those, so
-none runs; comparing the recovered packets with the payload is the check.
+run_simulation plays one broadcast end to end: a seeded payload, each
+packet's column times its value once (one translate for e <= 8), the
+broadcast as the XOR of all those products, and at each client decode's
+solver, _solve, on the XOR of its held packets' products (their share of
+every symbol) and the (row, symbol) pairs it takes from the broadcast.
+_solve takes a share, not side-information pairs, and returns its solution
+unsorted; decode computes the share with _column_product and sorts.  No check
+of decode's could fail on those, so none runs.  The check is one comparison
+with the payload: a client decodes only if its solution's keys are exactly
+its missing packets and each value is the payload's.  The clock sums each
+row's largest scaled delay as an int and divides by the scale once per row.
 """
 
 from __future__ import annotations
@@ -47,16 +54,17 @@ import random
 import struct
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import accumulate, chain, compress
-from operator import itemgetter
+from operator import itemgetter, xor
 from typing import Callable, Iterable, Sequence
 
-from .assignment import AssignmentMatrix, _check_client_count, is_feasible, total_delay
+from .assignment import AssignmentMatrix, _check_client_count, is_feasible
 from .gf import Field
 from .instance import DmsiInstance, _unchecked
 
+_ZERO = Fraction(0)
 _ROW_ATTEMPTS = 64  # draws of one row before construct_code gives up
 _BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))  # set bits of a byte
 
@@ -79,10 +87,11 @@ class CodingMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
-        for i, row in enumerate(self.rows):
-            if len(row) != self.n:
-                raise ValueError(f"row {i} has length {len(row)}, expected n={self.n}")
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
+        if set(map(len, self.rows)) - {self.n}:  # the loop only names the first short or long row
+            for i, row in enumerate(self.rows):
+                if len(row) != self.n:
+                    raise ValueError(f"row {i} has length {len(row)}, expected n={self.n}")
         self.field._check_all(list(chain.from_iterable(self.rows)))
 
     @property
@@ -346,26 +355,27 @@ def decode(
         raise ValueError("received rows do not match the assignment")
 
     code.field._check_all([value for _, value in (*view.side_info, *view.received)])
-    return _solve(instance, code, j, view.side_info, view.received)
+    share = _column_product(code, view.side_info)
+    return dict(sorted(_solve(instance, code, j, share, view.received).items()))
 
 
 def _solve(
     instance: DmsiInstance,
     code: CodingMatrix,
     j: int,
-    side_info: Iterable[tuple[int, int]],
+    share: int,
     received: Iterable[tuple[int, int]],
 ) -> dict[int, int]:
-    """decode's solver, unchecked: client j's missing packets from its (coord,
-    value) and (row, symbol) pairs of valid elements, which must hold every
-    packet it has and every row assigned to it.
+    """decode's solver, unchecked: client j's missing packets, in no order,
+    from the side information's share of every symbol (m lanes, the column
+    product of its held packets) and its (row, symbol) pairs of valid
+    elements, which must hold every row assigned to it.
 
     Raises ValueError when the system is singular or inconsistent.
     """
     field = code.field
     exp, log, width, lane = field._exp, field._log, instance.n, 8 if field.e <= 8 else 16
-    # the side information's share of every symbol, from the held packets' columns
-    known = _lanes(field, _column_product(code, side_info), code.m)
+    known = _lanes(field, share, code.m)
     # per received symbol: its coefficients on the missing packets, then the symbol less that share
     project, packed, shift = _projector(field, instance, j), code._kernel_rows, lane * width
     rows = [project(packed[h]) | (symbol ^ known[h]) << shift for h, symbol in received]
@@ -399,7 +409,7 @@ def _solve(
                 if c and v:
                     value ^= exp[log[c] + log[v]]
             solution[offset >> 4] = exp[inv_log + log[value]] if value else 0
-    return dict(sorted(solution.items()))
+    return solution
 
 
 @dataclass(frozen=True)
@@ -418,31 +428,43 @@ def run_simulation(
     code: CodingMatrix,
     payload_seed: int = 0,
 ) -> SimulationResult:
-    """Draw a payload, broadcast sequentially, decode at each completion time."""
+    """Draw a payload, broadcast sequentially, decode at each completion time.
+
+    A client decodes only if it recovers exactly its missing packets, each
+    with the payload's value.
+    """
     _check_shape(instance, matrix, code)
-    rng = random.Random(payload_seed)
-    payload = tuple(rng.randrange(code.field.q) for _ in range(instance.n))
-    broadcast = encode(code, payload)
-    report = total_delay(matrix, instance.delays())
-    clock = tuple(accumulate(report.per_packet))
+    field, rng = code.field, random.Random(payload_seed)
+    payload = tuple(rng.randrange(field.q) for _ in range(instance.n))
+    # value * column x once per packet: the broadcast is the XOR of all of them,
+    # and a client's share of each symbol the XOR of those it holds
+    products = [_column_product(code, (pair,)) for pair in enumerate(payload)]
+    broadcast = tuple(_lanes(field, reduce(xor, products, 0), code.m))
+    # the clock on scaled ints, each row costing its slowest recipient's delay
+    scale, ints = instance.scaled_delays()
+    row_ints = [max(compress(ints, row), default=0) for row in matrix.rows]
+    clock = tuple(Fraction(c, scale) for c in accumulate(row_ints))
     completion = []
     decoded_ok = []
-    for j, spec in enumerate(instance.clients):
+    for j, (spec, want) in enumerate(zip(instance.clients, instance.want_counts())):
         # decode's view, built from the ground truth, so none of its checks can fail
-        received = [(h, broadcast[h]) for h, row in enumerate(matrix.rows) if row[j]]
-        completion.append(clock[received[-1][0]] if received else Fraction(0))
+        received = list(compress(enumerate(broadcast), map(itemgetter(j), matrix.rows)))
+        completion.append(clock[received[-1][0]] if received else _ZERO)
+        share = reduce(xor, map(products.__getitem__, spec.has), 0)
         try:
-            recovered = _solve(instance, code, j, [(x, payload[x]) for x in spec.has], received)
+            recovered = _solve(instance, code, j, share, received)
         except ValueError:
             decoded_ok.append(False)
             continue
-        truth = {x: payload[x] for x in range(instance.n) if x not in spec.has}
-        decoded_ok.append(recovered == truth)
+        decoded_ok.append(
+            len(recovered) == want and spec.has.isdisjoint(recovered)
+            and list(map(payload.__getitem__, recovered)) == list(recovered.values())
+        )
     return SimulationResult(
         payload=payload,
         broadcast=broadcast,
         clock=clock,
         completion=tuple(completion),
         decoded_ok=tuple(decoded_ok),
-        final_clock=report.total,
+        final_clock=clock[-1] if clock else _ZERO,
     )

@@ -267,18 +267,3 @@ def parse_instance(text: str) -> DmsiInstance:
     instance = _unchecked(DmsiInstance, n=n, clients=tuple(clients))
     check_digits(instance, n)
     return instance
-
-
-def instance_document(instance: DmsiInstance) -> dict:
-    """Canonical JSON-ready form: 1-based sorted 'has', explicit delays."""
-    return {
-        "n": instance.n,
-        "clients": [
-            {
-                "has": [x + 1 for x in sorted(client.has)],
-                "delay": format_rational(client.delay),
-            }
-            for client in instance.clients
-        ],
-    }
-

@@ -10,7 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from dmsiplan import AssignmentMatrix, ClientSpec, DmsiInstance, instance_document, parse_instance
+from dmsiplan import (
+    AssignmentMatrix,
+    ClientSpec,
+    DmsiInstance,
+    format_rational,
+    parse_instance,
+)
 
 DEMO_DOC = {
     "n": 6,
@@ -89,6 +95,20 @@ def hand_plan_matrix():
 @pytest.fixture
 def optimal_plan_matrix():
     return AssignmentMatrix(rows=OPTIMAL_PLAN_ROWS, k=4)
+
+
+def instance_document(instance):
+    """The canonical JSON-ready form: 1-based sorted 'has', explicit delays."""
+    return {
+        "n": instance.n,
+        "clients": [
+            {
+                "has": [x + 1 for x in sorted(client.has)],
+                "delay": format_rational(client.delay),
+            }
+            for client in instance.clients
+        ],
+    }
 
 
 def serialize_instance(instance):

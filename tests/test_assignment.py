@@ -7,7 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import OPTIMAL_PLAN_ROWS, instance_with_exact_matrix, instances, make_instance
@@ -77,6 +77,52 @@ def test_matrix_validation():
 def test_matrix_names_the_bad_entry(bad):
     with pytest.raises(ValueError, match=re.escape(f"entry (1, 1) is {bad!r}, expected 0 or 1")):
         AssignmentMatrix(rows=((1, 0), (0, bad)), k=2)
+
+
+def _first_fault(rows, k):
+    """The row-by-row reference: the first short or long row, or bad entry,
+    in row order, as AssignmentMatrix names it; None for a valid matrix."""
+    for i, row in enumerate(rows):
+        if len(row) != k:
+            return f"row {i} has length {len(row)}, expected k={k}"
+        for j, a in enumerate(row):
+            if not isinstance(a, int) or isinstance(a, bool) or a not in (0, 1):
+                return f"entry ({i}, {j}) is {a!r}, expected 0 or 1"
+    return None
+
+
+BAD_CELLS = [True, False, 1.0, 0.0, 2, -1, "1", None]
+
+
+@given(
+    st.integers(0, 4).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(
+                st.lists(st.sampled_from([0, 1]) | st.sampled_from(BAD_CELLS),
+                         min_size=max(0, k - 1), max_size=k + 1),
+                max_size=6,
+            ),
+        )
+    )
+)
+@example((2, [[1, 0], [0, True], [2]]))
+@example((2, [[1, 0, 1], [0, 1.0]]))
+@example((3, [[0, 1, 0], [1, 1, -1], [1, False, 0]]))
+@example((1, [[0], [], [2]]))
+@example((0, [[], [0]]))
+@settings(max_examples=300, deadline=None)
+def test_matrix_names_its_first_fault_in_row_order(case):
+    """The whole-matrix check falls back to the row loop: bools, floats, 2,
+    -1, short and long rows, often several faults in one matrix, and the
+    first in row order is named with the row loop's message."""
+    k, rows = case
+    expected = _first_fault(rows, k)
+    if expected is None:
+        assert AssignmentMatrix(rows=rows, k=k).rows == tuple(map(tuple, rows))
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            AssignmentMatrix(rows=rows, k=k)
 
 
 def test_matrix_accepts_int_subclass_entries():

@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -27,9 +28,10 @@ from conftest import (
     LONG_INT,
     LONG_NUMBER_INSTANCES,
     OPTIMAL_PLAN_ROWS,
+    instance_document,
     requires_digit_limit,
 )
-from dmsiplan import Field, format_rational, instance_document, parse_instance
+from dmsiplan import Field, coding, format_rational, parse_instance
 from dmsiplan.cli import _build_parser, _rational_text, build_plan, main, plan_json
 
 
@@ -737,6 +739,112 @@ def test_python_dash_m_runs_the_cli(tmp_path, capsys, module):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
     assert "closed form: 20 (matches)" in expected
+
+
+def test_a_reader_that_closes_after_one_line_ends_plan_quietly(tmp_path, capsys):
+    """`plan` into a reader that stops after one line: exit 1, nothing on
+    stderr, and the plan file written in full, since it is written before
+    anything is printed.  The table (1,000 client columns over 40 rows) is
+    far larger than a pipe holds, so the write meets the closed pipe."""
+    n = 40
+    everything = {"has": list(range(1, n + 1)), "delay": 2}
+    inst = write_json(
+        tmp_path / "wide.json", {"n": n, "clients": [{"has": [], "delay": 1}] + [everything] * 999}
+    )
+    expected = tmp_path / "expected.json"
+    assert main(["plan", inst, "--output", str(expected)]) == 0
+    table = capsys.readouterr().out
+    assert len(table) > 10**5
+    out = tmp_path / "plan.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(dmsiplan.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered, as in a plain run
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dmsiplan", "plan", inst, "--output", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert first.decode() == table.splitlines(keepends=True)[0]
+    assert (status, err) == (1, b"")
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["plan", "verify", "simulate", "transform", "oracle"])
+def test_a_reader_gone_before_the_run_starts_ends_it_quietly(tmp_path, capsys, command):
+    """Output short enough to sit in stdout's buffer meets the closed pipe
+    only when it is flushed: still exit 1 and nothing on stderr."""
+    inst, out = make_plan(tmp_path, capsys)
+    argv = {"plan": [inst], "oracle": [inst, "--budget", "100000000"]}.get(command, [inst, str(out)])
+    env = dict(os.environ, PYTHONPATH=str(Path(dmsiplan.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered, as in a plain run
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dmsiplan", command, *argv],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+@pytest.mark.parametrize("command, options", [("plan", []), ("oracle", ["--budget", "100000000"])])
+def test_an_output_file_is_written_before_a_closed_reader_stops_the_run(
+    tmp_path, capsys, command, options
+):
+    """With stdout unbuffered the first print meets the closed pipe; the
+    `--output` file is already written in full by then."""
+    inst = write_json(tmp_path / "instance.json", DEMO_DOC)
+    expected, out = tmp_path / "expected.json", tmp_path / "out.json"
+    assert main([command, inst, *options, "--output", str(expected)]) == 0
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(Path(dmsiplan.__file__).parents[1]), PYTHONUNBUFFERED="1")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dmsiplan", command, inst, *options, "--output", str(out)],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("degree", ["2", "12"])
+@pytest.mark.parametrize("fault", ["value flipped", "held packet added", "missing packet dropped"])
+def test_simulate_fails_a_client_whose_solver_answer_is_wrong(tmp_path, capsys, degree, fault):
+    """Only C1's solution is damaged: C1 fails, the others decode, exit 3."""
+    inst, out = write_json(tmp_path / "instance.json", DEMO_DOC), tmp_path / "plan.json"
+    assert main(["plan", inst, "--field-degree", degree, "--output", str(out)]) == 0
+    assert main(["simulate", inst, str(out)]) == 0
+    capsys.readouterr()
+    original = coding._solve
+
+    def solve(instance, code, j, share, received):
+        solution = original(instance, code, j, share, received)
+        if j == 0:  # C1 holds packets 1, 3, 5 and 6
+            x = min(solution)
+            if fault == "value flipped":
+                solution[x] ^= 1
+            elif fault == "held packet added":
+                solution[0] = solution[x]
+            else:
+                del solution[x]
+        return solution
+
+    with mock.patch.object(coding, "_solve", solve):
+        assert main(["simulate", inst, str(out)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[-1] for line in lines if " complete at " in line] == [
+        "DECODE FAILED"] + ["decoded all missing packets"] * 3
 
 
 @pytest.mark.skipif(shutil.which("dmsiplan") is None, reason="dmsiplan is not on PATH")

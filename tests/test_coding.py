@@ -5,10 +5,12 @@ import json
 import random
 import re
 import warnings
+from fractions import Fraction
+from itertools import accumulate
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -21,9 +23,11 @@ from conftest import (
 )
 from dmsiplan import (
     AssignmentMatrix,
+    ClientSpec,
     ClientView,
     CodeConstructionError,
     CodingMatrix,
+    DmsiInstance,
     Field,
     client_view,
     construct_code,
@@ -35,6 +39,7 @@ from dmsiplan import (
     optimal_assignment,
     parse_instance,
     run_simulation,
+    total_delay,
 )
 from dmsiplan import coding
 from dmsiplan.cli import build_plan
@@ -158,8 +163,19 @@ def test_a_singular_and_inconsistent_system_is_reported_singular(e):
     view = ClientView(client=0, side_info=(), received=((0, 1), (1, 2)))
     with pytest.raises(ValueError, match="^singular system"):
         decode(view, inst, matrix, code)
-    with mock.patch.object(coding, "encode", return_value=(1, 2)):
+    # run_simulation broadcasts two equal symbols; its solver is given the view's
+    original, errors = coding._solve, []
+
+    def solve(instance, code, j, share, received):
+        try:
+            return original(instance, code, j, share, view.received)
+        except ValueError as err:
+            errors.append(str(err))
+            raise
+
+    with mock.patch.object(coding, "_solve", solve):
         assert run_simulation(inst, matrix, code).decoded_ok == (False,)
+    assert len(errors) == 1 and errors[0].startswith("singular system")
 
 
 def test_decode_validates_the_view(demo_instance, optimal_plan_matrix):
@@ -221,6 +237,30 @@ def test_every_code_consumer_rejects_a_code_of_the_wrong_shape(demo_instance, op
                 decode(view, demo_instance, optimal_plan_matrix, bad)
         with pytest.raises(ValueError, match=expected):
             run_simulation(demo_instance, optimal_plan_matrix, bad)
+
+
+@given(
+    st.integers(0, 4),
+    st.lists(st.tuples(st.integers(-1, 1), st.sampled_from([0, 1, 3, 4, True, -1])), max_size=6),
+)
+@example(2, [(0, 1), (1, 0), (-1, 0)])
+@example(3, [(0, 4), (-1, 0)])
+@settings(max_examples=200, deadline=None)
+def test_code_matrix_names_its_first_short_or_long_row(n, shapes):
+    """CodingMatrix checks row lengths at once and names the first bad row in
+    row order; its elements are checked only when every length is right."""
+    rows = [[value] * (n + delta) for delta, value in shapes]
+    bad = [(i, len(row)) for i, row in enumerate(rows) if len(row) != n]
+    cells = [v for row in rows for v in row]
+    if bad:
+        i, length = bad[0]
+        with pytest.raises(ValueError, match=f"^row {i} has length {length}, expected n={n}$"):
+            CodingMatrix(field=Field(2), n=n, rows=rows)
+    elif any(type(v) is not int or not 0 <= v < 4 for v in cells):
+        with pytest.raises(ValueError, match=" is not an element of GF"):
+            CodingMatrix(field=Field(2), n=n, rows=rows)
+    else:
+        assert CodingMatrix(field=Field(2), n=n, rows=rows).rows == tuple(map(tuple, rows))
 
 
 @pytest.mark.parametrize("client", [-1, 4])
@@ -512,9 +552,9 @@ def test_simulation_decodes_as_decode_does_on_each_view(case, damage, seed, rng)
 
     original, solved = coding._solve, {}
 
-    def solve(instance, code, j, side_info, received):
+    def solve(instance, code, j, share, received):
         try:
-            solved[j] = original(instance, code, j, side_info, received)
+            solved[j] = original(instance, code, j, share, received)
         except ValueError as err:
             solved[j] = str(err)
             raise
@@ -533,6 +573,78 @@ def test_simulation_decodes_as_decode_does_on_each_view(case, damage, seed, rng)
         assert sim.decoded_ok[j] == (recovered == truth)
     if damage == "intact":
         assert all(sim.decoded_ok)
+
+
+@pytest.mark.parametrize("e", [2, 12])
+@pytest.mark.parametrize(
+    "fault", ["value flipped", "held packet added", "missing packet dropped", "held for missing"]
+)
+def test_simulation_accepts_exactly_the_missing_packets_with_their_values(
+    demo_instance, optimal_plan_matrix, e, fault
+):
+    """A solution is accepted only if its keys are the client's missing packets
+    and each value is the payload's: a held packet, even with its true value,
+    a missing one dropped, or one value changed fails that client alone."""
+    code = construct_code(demo_instance, optimal_plan_matrix, field=Field(e), seed=1)
+    payload = run_simulation(demo_instance, optimal_plan_matrix, code, payload_seed=3).payload
+    original, target = coding._solve, 2  # C3 holds packets 3, 4 and 6 and misses 1, 2 and 5
+    held = min(demo_instance.clients[target].has)
+
+    def solve(instance, code, j, share, received):
+        solution = original(instance, code, j, share, received)
+        assert solution == {x: payload[x] for x in range(6) if x not in instance.clients[j].has}
+        if j == target:
+            x = min(solution)
+            if fault == "value flipped":
+                solution[x] ^= 1
+            if fault in ("held packet added", "held for missing"):
+                solution[held] = payload[held]
+            if fault in ("missing packet dropped", "held for missing"):
+                del solution[x]
+        return solution
+
+    with mock.patch.object(coding, "_solve", solve):
+        sim = run_simulation(demo_instance, optimal_plan_matrix, code, payload_seed=3)
+    assert sim.payload == payload
+    assert sim.decoded_ok == tuple(j != target for j in range(4))
+
+
+def _per_packet_clock(instance, matrix):
+    report = total_delay(matrix, instance.delays())
+    return tuple(accumulate(report.per_packet)), report.total
+
+
+PAST_FLOAT = Fraction(10**400, 3)
+
+
+@given(
+    instances(max_n=6, max_k=5),
+    st.lists(st.lists(st.booleans(), min_size=5, max_size=5), max_size=7),
+    st.lists(st.sampled_from([None, Fraction(0), PAST_FLOAT, Fraction(7, 3)]), max_size=5),
+)
+@example(make_instance(2, [set(), {0}], [0, 1]), [[False, False], [True, False], [False, True]], [])
+@example(make_instance(1, [set()], [1]), [[True], [False]], [PAST_FLOAT])
+@example(make_instance(3, [{1}, set()], [Fraction(5, 2), Fraction(7, 4)]), [[True, True]] * 3, [])
+@settings(max_examples=150, deadline=None)
+def test_simulated_clock_is_the_running_sum_of_the_per_packet_delays(instance, cells, delays):
+    """run_simulation's clock, built on scaled ints, equals the running sum of
+    total_delay's per-packet Fractions: p/q and zero delays, rows nobody
+    receives, delays past float range; completion reads it at each client's
+    last row, and the final clock is the total."""
+    clients = [
+        ClientSpec(has=c.has, delay=c.delay if d is None else d)
+        for c, d in zip(instance.clients, delays + [None] * instance.k)
+    ]
+    instance = DmsiInstance(n=instance.n, clients=clients)
+    matrix = AssignmentMatrix(rows=[[int(a) for a in row[: instance.k]] for row in cells], k=instance.k)
+    code = CodingMatrix(field=Field(1), n=instance.n, rows=[[0] * instance.n] * matrix.m)
+    sim = run_simulation(instance, matrix, code)
+    clock, total = _per_packet_clock(instance, matrix)
+    assert sim.clock == clock and sim.final_clock == total
+    assert {type(t) for t in (*sim.clock, *sim.completion, sim.final_clock)} == {Fraction}
+    for j in range(instance.k):
+        last = max((h for h, row in enumerate(matrix.rows) if row[j]), default=None)
+        assert sim.completion[j] == (Fraction(0) if last is None else clock[last])
 
 
 # ---------------------------------------------------------------- realistic size and packed view

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     DEMO_DOC,
     LONG_NUMBER_INSTANCES,
+    instance_document,
     instances,
     make_instance,
     requires_digit_limit,
@@ -21,7 +22,6 @@ from dmsiplan import (
     DmsiInstance,
     InstanceError,
     format_rational,
-    instance_document,
     parse_instance,
     parse_rational,
 )

@@ -16,6 +16,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 def run_script(name, *args, stdout=subprocess.PIPE):
     env = dict(os.environ, PYTHONPATH=str(Path(dmsiplan.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffer stdout as a plain run does, so a missing flush shows
     return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *args],
         stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
@@ -78,10 +79,11 @@ def _in_a_git_checkout():
 
 @pytest.mark.skipif(not _in_a_git_checkout(), reason="needs git and a checkout with commits")
 def test_bench_outputs_finds_no_difference_from_head():
-    """Two instances per seed: 48 commands, each run against HEAD and the checkout."""
+    """Two instances per seed of each corpus: 48 commands on the plan corpus
+    and 60 on the verify-simulate one, each run against HEAD and the checkout."""
     proc = run_script("bench.py", "--outputs", "HEAD", "--count", "2")
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == "0 of 48 commands differ between HEAD and the checkout\n"
+    assert proc.stdout == "0 of 108 commands differ between HEAD and the checkout\n"
 
 
 def test_bench_without_a_mode_exits_2():
