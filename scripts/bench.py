@@ -2,6 +2,7 @@
 """Parent-against-change checks for the dmsiplan CLI.
 
     python3 scripts/bench.py --outputs REF [--count N]
+    python3 scripts/bench.py --against REF --workload W [--pairs N] [--seconds S] [--seed S0]
 
 `--outputs REF` extracts the `src/` tree of git commit REF with `git archive`
 into a temporary directory and runs the same command corpus against it and
@@ -21,6 +22,17 @@ a path match.
 Exit code, stdout, stderr and, for `plan`, the written bytes are compared
 command by command.  Every command that differs is listed with what
 differs, and the script exits 1 if any does, 0 otherwise.
+
+`--against REF` times REF against this checkout with perfbench.  It builds
+two trees in a temporary directory, each holding this checkout's
+`perfbench/` and `BENCHMARK.json`: one with REF's `src/` (from `git
+archive`), one with this checkout's `src/` as it is on disk.  Pair i (from
+0) runs `perfbench/run.py --workload W --seed S0+i --seconds S` once in each
+tree, one process at a time, REF first in even pairs and the checkout first
+in odd ones.  It prints every end-to-end metric of `BENCHMARK.json` per
+pair, then per metric each side's median [q1, q3] over the pairs and in how
+many pairs the checkout was better (ties count for neither).  It exits 1 as
+soon as a run fails or reads `"correct": false`.
 """
 
 from __future__ import annotations
@@ -31,6 +43,8 @@ import hashlib
 import io
 import json
 import os
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -45,6 +59,7 @@ SEEDS = (1, 2)
 PAYLOAD_SEED = "1"
 VS_PAYLOAD_SEEDS = ("1", "2", "3", "4")
 FIELDS = ("exit", "stdout", "stderr", "plan")
+_BUILT = shutil.ignore_patterns("__pycache__", ".work")  # left behind by runs, not source
 
 
 def _digest(data: str | bytes | None) -> str | None:
@@ -121,17 +136,21 @@ def _tree_outputs(src: Path, work: Path, count: int) -> dict:
     return result["records"]
 
 
+def _extract_src(ref: str, tree: Path) -> None:
+    """REF's `src/` under `tree`, from `git archive`."""
+    argv = ["git", "-C", str(ROOT), "archive", ref, "src"]
+    archive = subprocess.run(argv, stdout=subprocess.PIPE)
+    if archive.returncode != 0:
+        raise SystemExit(f"error: git archive {ref} failed")
+    tree.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive.stdout, check=True)
+
+
 def compare_outputs(ref: str, count: int) -> int:
     """Print the commands whose outcomes differ between REF and this checkout."""
     with tempfile.TemporaryDirectory(prefix="dmsiplan-outputs-") as tmp:
         tmp = Path(tmp)
-        archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", ref, "src"], stdout=subprocess.PIPE
-        )
-        if archive.returncode != 0:
-            raise SystemExit(f"error: git archive {ref} failed")
-        (tmp / "ref").mkdir()
-        subprocess.run(["tar", "-x", "-C", str(tmp / "ref")], input=archive.stdout, check=True)
+        _extract_src(ref, tmp / "ref")
         before = _tree_outputs(tmp / "ref" / "src", tmp / "ref-run", count)
         after = _tree_outputs(ROOT / "src", tmp / "checkout-run", count)
     labels = list(before) + [label for label in after if label not in before]
@@ -147,6 +166,70 @@ def compare_outputs(ref: str, count: int) -> int:
     return 1 if differ else 0
 
 
+def _perfbench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, str]:
+    """One perfbench run in `tree`: its end-to-end metrics by name, and the
+    digest of the source it ran; exits 1 if the run fails or is not correct."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds)]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True)
+    lines = proc.stdout.splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
+    if result.get("correct") is not True:
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"error: perfbench on {tree.name}, seed {seed}, exited "
+                         f"{proc.returncode} with correct: {result.get('correct')}")
+    source = json.loads(lines[0])["meta"]["src_sha256"]
+    return {name: metric["value"] for name, metric in result["metrics"].items()}, source
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def compare_timings(ref: str, workload: str, pairs: int, seconds: float | None, seed: int) -> int:
+    """Alternating perfbench runs of REF and this checkout, of `seconds` each
+    (BENCHMARK.json's run_seconds if None); prints every end-to-end metric
+    per pair and per side."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    higher = {metric["name"]: metric["better"] == "higher" for metric in spec["end_to_end"]}
+    seconds = spec["run_seconds"] if seconds is None else seconds
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="dmsiplan-against-") as tmp:
+        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        _extract_src(ref, trees["parent"])
+        shutil.copytree(ROOT / "src", trees["change"] / "src", ignore=_BUILT)
+        for tree in trees.values():
+            shutil.copytree(ROOT / "perfbench", tree / "perfbench", ignore=_BUILT)
+            shutil.copy(ROOT / "BENCHMARK.json", tree)
+        sources = {}
+        for i in range(pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                metrics, sources[side] = _perfbench(trees[side], workload, seed + i, seconds)
+                runs[side].append(metrics)
+            print(f"pair {i + 1}, seed {seed + i}, {order[0]} first:")
+            before, after = runs["parent"][-1], runs["change"][-1]
+            for name in before:
+                print(f"  {name}: {before[name]:.6g} -> {after[name]:.6g}")
+            sys.stdout.flush()  # a pair at a time: a run of ten pairs takes minutes
+    print(f"{ref} (src {sources['parent']}) -> checkout (src {sources['change']}), "
+          f"{workload}, {pairs} pairs of {seconds:g} s, seeds {seed}-{seed + pairs - 1}:")
+    for name in runs["parent"][0]:
+        before = [metrics[name] for metrics in runs["parent"]]
+        after = [metrics[name] for metrics in runs["change"]]
+        sign = 1 if higher[name.rsplit("/", 1)[-1]] else -1
+        better = sum(sign * (b - a) > 0 for a, b in zip(before, after))
+        (q1, m, q3), (r1, n, r3) = _quartiles(before), _quartiles(after)
+        print(f"  {name}: {m:.6g} [{q1:.6g}, {q3:.6g}] -> {n:.6g} [{r1:.6g}, {r3:.6g}], "
+              f"change better in {better}/{pairs}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--outputs", metavar="REF",
@@ -154,14 +237,30 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--count", type=int, default=corpus.PLAN_POOL, metavar="N",
                         help=f"instances per corpus seed (default: all {corpus.PLAN_POOL} "
                              f"plan and {corpus.VS_PLANS} verify-simulate instances)")
+    parser.add_argument("--against", metavar="REF",
+                        help="git commit to time this checkout against with perfbench")
+    parser.add_argument("--workload", choices=["plan", "verify-simulate", "oracle-sweep", "all"],
+                        help="perfbench workload for --against")
+    parser.add_argument("--pairs", type=int, default=10, metavar="N",
+                        help="alternating pairs of runs (default: 10)")
+    parser.add_argument("--seconds", type=float, metavar="S",
+                        help="seconds per run (default: BENCHMARK.json's run_seconds)")
+    parser.add_argument("--seed", type=int, default=1, metavar="S0",
+                        help="workload seed of the first pair; pair i takes S0 + i (default: 1)")
     # internal: the per-tree subprocess that runs the corpus
     parser.add_argument("--corpus-run", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.corpus_run:
         print(json.dumps(run_corpus(args.count)))
         return 0
+    if args.against is not None:
+        if args.outputs is not None or args.workload is None:
+            parser.error("--against REF takes --workload W and not --outputs")
+        if args.pairs < 1:
+            parser.error("--pairs must be at least 1")
+        return compare_timings(args.against, args.workload, args.pairs, args.seconds, args.seed)
     if args.outputs is None:
-        parser.error("--outputs REF is required")
+        parser.error("--outputs REF is required, or --against REF with --workload W")
     return compare_outputs(args.outputs, args.count)
 
 

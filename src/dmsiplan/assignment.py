@@ -112,14 +112,16 @@ def optimal_assignment(instance: DmsiInstance) -> tuple[tuple[int, ...], Assignm
     non-increasing delay order (ties keep input order) and the matrix is in
     original column order with m* = max_j w_j rows.  The 1-pattern itself
     does not depend on the ranking; the ranking fixes the order in which
-    closed_form_delay accounts for the columns.
+    closed_form_delay accounts for the columns.  Equal rows are one tuple,
+    built once.
     """
     want = instance.want_counts()
-    m_star = max(want, default=0)
-    rows = tuple(
-        tuple(1 if i < w else 0 for w in want) for i in range(m_star)
-    )
-    return instance.delay_ranking(), _unchecked(AssignmentMatrix, rows=rows, k=instance.k)
+    stops, rows, row = set(want), [], ()
+    for i in range(max(want, default=0)):
+        if i in stops or not i:  # row i differs from row i - 1 only where a client stops
+            row = tuple([1 if i < w else 0 for w in want])
+        rows.append(row)
+    return instance.delay_ranking(), _unchecked(AssignmentMatrix, rows=tuple(rows), k=instance.k)
 
 
 def closed_form_delay(instance: DmsiInstance) -> Fraction:

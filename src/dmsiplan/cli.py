@@ -128,9 +128,10 @@ def plan_json(bundle: PlanBundle) -> str:
     With indent set, json.dumps runs its pure-Python encoder, one call per
     element.  The document's layout is fixed, so it is written here directly:
     each int list, or matrix row, in one join, and rationals through the C
-    string encoder json.dumps itself uses.
+    string encoder json.dumps itself uses.  The assignment repeats its rows
+    (client j takes the topmost w_j), so each distinct row is written once.
     """
-    instance, code = bundle.instance, bundle.code
+    instance, code, rows = bundle.instance, bundle.code, bundle.matrix.rows
     clients = _json_list(
         (
             f'{{\n        "has": {_json_list([str(x + 1) for x in sorted(c.has)], " " * 8)},'
@@ -139,7 +140,8 @@ def plan_json(bundle: PlanBundle) -> str:
         ),
         " " * 4,
     )
-    assignment = [_json_list(map(str, row), " " * 4) for row in bundle.matrix.rows]
+    row_texts = {row: _json_list(map(str, row), " " * 4) for row in set(rows)}
+    assignment = map(row_texts.__getitem__, rows)
     code_rows = [_json_list(map(str, row), " " * 6) for row in code.rows]
     per_packet = map(_rational_json, bundle.report.per_packet)
     return (
@@ -166,15 +168,17 @@ def _render_matrix_table(
     cell_width = max([2] + [len(h) for h in headers])
     delay_width = max([len("delay (s)"), len(total_text)] + [len(t) for t in delay_texts])
 
-    def fmt_row(label: str, cells: list[str], delay: str) -> str:
-        body = "  ".join(c.rjust(cell_width) for c in cells)
+    def fmt_row(label: str, body: str, delay: str) -> str:
         return f"{label.ljust(label_width)}  {body}  {delay.rjust(delay_width)}"
 
-    lines = [fmt_row("", headers, "delay (s)")]
+    # the matrix repeats its rows (client j takes the topmost w_j), so each
+    # distinct row's cells, padded once, are joined once
+    one, dot = "1".rjust(cell_width), ".".rjust(cell_width)
+    bodies = {row: "  ".join([one if a else dot for a in row]) for row in set(matrix.rows)}
+    lines = [fmt_row("", "  ".join(h.rjust(cell_width) for h in headers), "delay (s)")]
     for i, row in enumerate(matrix.rows):
-        cells = ["1" if a else "." for a in row]
-        lines.append(fmt_row(f"p{i + 1}", cells, delay_texts[i]))
-    lines.append(fmt_row("total", [""] * k, total_text))
+        lines.append(fmt_row(f"p{i + 1}", bodies[row], delay_texts[i]))
+    lines.append(fmt_row("total", "  ".join([" " * cell_width] * k), total_text))
     return "\n".join(lines)
 
 
@@ -271,9 +275,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     try:
         field = Field(degree)
     except ValueError as err:
-        raise _CommandError(
-            EXIT_VALIDATION, f"{err} for {instance.k} clients; GF(2^16) is the largest field"
-        )
+        message = str(err)
+        if args.field_degree is None:  # the default degree: too many clients for any field
+            message += f" for {instance.k} clients; GF(2^16) is the largest field"
+        raise _CommandError(EXIT_VALIDATION, message)
     try:
         bundle = build_plan(instance, field=field, seed=args.seed)
     except CodeConstructionError as err:

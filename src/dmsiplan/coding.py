@@ -7,10 +7,14 @@ its missing coordinates, have full rank w_j; decodability_check tests exactly
 that, and decode performs the recovery by subtracting the known side-info
 contribution and solving the remaining square system.
 
-One elimination kernel, _eliminate, serves rank, solve and construction:
-one call reduces a client's stream of rows into an echelon basis, whose
-entries it keys by their pivot's bit offset, sets up its tables and masks
-once per call, and reports whether any row left a nonzero remainder.  encode,
+One elimination kernel serves rank, solve and construction.  _kernel binds
+it to a field and a width, with the field's tables and the lane masks as
+locals of its loops, and each caller binds it once per call, never keeping
+it past that call: construct_code once per construction, decodability_check
+once for all clients, run_simulation once for all its solves, and decode and
+matrix_rank once each.  One call of the bound kernel reduces a client's
+stream of rows into an echelon basis, whose entries it keys by their pivot's
+bit offset, and reports whether any row left a nonzero remainder.  encode,
 decode and run_simulation share one column product, _column_product: the sum
 of value * column x over (x, value) pairs, G x for encode, the side
 information's share of every symbol for decode, and one packet's product for
@@ -100,7 +104,7 @@ class CodingMatrix:
 
     @cached_property
     def _kernel_rows(self) -> tuple[int, ...]:
-        """The rows in _eliminate's form: ints of n lanes."""
+        """The rows in the kernel's form: ints of n lanes."""
         return tuple(int.from_bytes(_lane_bytes(self.field, row), "little") for row in self.rows)
 
     @cached_property
@@ -136,72 +140,82 @@ def _overflow(field: Field, size: int) -> tuple[int, int]:
     return ((1 << 16 * size) - 1) // 0xFFFF << field.e, field.reduction_polynomial ^ field.q
 
 
-def _eliminate(field: Field, basis: list, rows: Iterable[int], width: int) -> bool:
-    """Reduce a stream of packed rows of valid elements into an echelon basis.
+def _kernel(field: Field, width: int) -> Callable[[list, Iterable[int]], bool]:
+    """The elimination over `width` columns, bound once per call of its caller.
 
-    A basis entry is nonzero on its pivot, one of the first `width` lanes, and
-    0 on the pivots of earlier entries; it is keyed by its pivot's bit offset,
-    8 or 16 times the lane.  Each row is reduced against the basis, and one
-    nonzero on those lanes becomes a new entry; lane `width` (a solve's
-    right-hand side, 0 elsewhere) rides along, so an entry has width + 1
-    lanes.  Returns whether any other row left a nonzero remainder.  For
-    e <= 8 an entry is the row's bytes, scaled to 1 on its pivot; above, (log
-    of the pivot's inverse, [row * x^i for i < e]), and eliminating c XORs in
-    the rows at the bits of c / pivot.  Unchecked.
+    The returned eliminate(basis, rows) reduces a stream of packed rows of
+    valid elements into an echelon basis.  A basis entry is nonzero on its
+    pivot, one of the first `width` lanes, and 0 on the pivots of earlier
+    entries; it is keyed by its pivot's bit offset, 8 or 16 times the lane.
+    Each row is reduced against the basis, and one nonzero on those lanes
+    becomes a new entry; lane `width` (a solve's right-hand side, 0
+    elsewhere) rides along, so an entry has width + 1 lanes.  It returns
+    whether any other row left a nonzero remainder.  For e <= 8 an entry is
+    the row's bytes, scaled to 1 on its pivot; above, (log of the pivot's
+    inverse, [row * x^i for i < e]), and eliminating c XORs in the rows at
+    the bits of c / pivot.  The field's tables and the lane masks ride as
+    its defaults, so its loops read them as locals; callers pass only basis
+    and rows.  Unchecked.
     """
-    exp, log, order, from_bytes = field._exp, field._log, field.q - 1, int.from_bytes
-    remainder = False
+    exp, log, order = field._exp, field._log, field.q - 1
     if field.e <= 8:
-        scale, lanes = field._byte_products, (1 << 8 * width) - 1
+
+        def eliminate(basis: list, rows: Iterable[int], exp=exp, log=log, order=order,
+                      scale=field._byte_products, lanes=(1 << 8 * width) - 1, size=width + 1,
+                      from_bytes=int.from_bytes) -> bool:
+            remainder = False
+            for row in rows:
+                for offset, entry in basis:
+                    c = row >> offset & 255
+                    if c:
+                        row ^= from_bytes(entry.translate(scale[c]), "little")
+                lead = row & lanes
+                if lead:
+                    data = row.to_bytes(size, "little")
+                    offset = (lead & -lead).bit_length() - 1 & ~7
+                    inverse = exp[order - log[data[offset >> 3]]]
+                    basis.append((offset, data.translate(scale[inverse])))
+                elif row:
+                    remainder = True
+            return remainder
+
+        return eliminate
+    top, low = _overflow(field, width + 1)
+
+    def eliminate(basis: list, rows: Iterable[int], exp=exp, log=log, order=order,
+                  bits=_BITS, e=field.e, lanes=(1 << 16 * width) - 1, top=top, low=low) -> bool:
+        remainder = False
         for row in rows:
-            for offset, entry in basis:
-                c = row >> offset & 255
+            for offset, (inv_log, powers) in basis:
+                c = row >> offset & 0xFFFF
                 if c:
-                    row ^= from_bytes(entry.translate(scale[c]), "little")
+                    d = exp[log[c] + inv_log]
+                    for i in bits[d & 255]:
+                        row ^= powers[i]
+                    for i in bits[d >> 8]:
+                        row ^= powers[8 + i]
             lead = row & lanes
             if lead:
-                data = row.to_bytes(width + 1, "little")
-                offset = (lead & -lead).bit_length() - 1 & ~7
-                basis.append((offset, data.translate(scale[exp[order - log[data[offset >> 3]]]])))
+                offset = (lead & -lead).bit_length() - 1 & ~15
+                powers = [row]
+                for _ in range(e - 1):  # row * x^i from the last
+                    row <<= 1
+                    over = row & top
+                    row ^= over ^ (over >> e) * low
+                    powers.append(row)
+                basis.append((offset, (order - log[powers[0] >> offset & 0xFFFF], powers)))
             elif row:
                 remainder = True
         return remainder
-    e, lanes, (top, low) = field.e, (1 << 16 * width) - 1, _overflow(field, width + 1)
-    for row in rows:
-        for offset, (inv_log, powers) in basis:
-            c = row >> offset & 0xFFFF
-            if c:
-                d = exp[log[c] + inv_log]
-                for i in _BITS[d & 255]:
-                    row ^= powers[i]
-                for i in _BITS[d >> 8]:
-                    row ^= powers[8 + i]
-        lead = row & lanes
-        if lead:
-            offset = (lead & -lead).bit_length() - 1 & ~15
-            powers = [row]
-            for _ in range(e - 1):  # row * x^i from the last
-                row <<= 1
-                over = row & top
-                row ^= over ^ (over >> e) * low
-                powers.append(row)
-            basis.append((offset, (order - log[powers[0] >> offset & 0xFFFF], powers)))
-        elif row:
-            remainder = True
-    return remainder
 
-
-def _rank(field: Field, rows: Iterable[int], width: int) -> int:
-    """Rank of rows in _eliminate's form over `width` columns."""
-    basis: list = []
-    _eliminate(field, basis, rows, width)
-    return len(basis)
+    return eliminate
 
 
 def matrix_rank(field: Field, rows: Sequence[Sequence[int]]) -> int:
     """Rank over the field; the rows are checked once, as a CodingMatrix's are."""
-    checked = CodingMatrix(field=field, n=len(rows[0]) if rows else 0, rows=rows)
-    return _rank(field, checked._kernel_rows, checked.n)
+    checked, basis = CodingMatrix(field=field, n=len(rows[0]) if rows else 0, rows=rows), []
+    _kernel(field, checked.n)(basis, checked._kernel_rows)
+    return len(basis)
 
 
 def _column_product(code: CodingMatrix, pairs: Iterable[tuple[int, int]]) -> int:
@@ -226,7 +240,7 @@ def _column_product(code: CodingMatrix, pairs: Iterable[tuple[int, int]]) -> int
 
 
 def _projector(field: Field, instance: DmsiInstance, client: int) -> Callable[[int], int]:
-    """Restricts a code row in _eliminate's form to the client's missing packets."""
+    """Restricts a code row in the kernel's form to the client's missing packets."""
     keep = bytearray(b"\xff") * instance.n  # 0xFF on each missing packet, 0 on each held one
     for x in instance.clients[client].has:
         keep[x] = 0
@@ -247,11 +261,12 @@ def decodability_check(
 ) -> tuple[bool, ...]:
     """Per client: do its assigned rows span its missing coordinates?"""
     _check_shape(instance, matrix, code)
-    verdicts = []
+    eliminate, verdicts = _kernel(code.field, instance.n), []
     for j, want in enumerate(instance.want_counts()):
         assigned = compress(code._kernel_rows, map(itemgetter(j), matrix.rows))
-        sub = map(_projector(code.field, instance, j), assigned)
-        verdicts.append(_rank(code.field, sub, instance.n) == want)
+        basis: list = []
+        eliminate(basis, map(_projector(code.field, instance, j), assigned))
+        verdicts.append(len(basis) == want)
     return tuple(verdicts)
 
 
@@ -279,7 +294,7 @@ def construct_code(
         )
     rng = random.Random(seed)
     mask = bytes(range(field.q)) * (256 // field.q) if field.e <= 8 else None  # b -> b mod q
-    n, want = instance.n, instance.want_counts()
+    n, want, eliminate = instance.n, instance.want_counts(), _kernel(field, instance.n)
     bases = [(j, _projector(field, instance, j), []) for j in range(instance.k)]
     rows = []
     for h, assigned in enumerate(matrix.rows):
@@ -290,7 +305,7 @@ def construct_code(
                    else [rng.getrandbits(field.e) for _ in range(n)])
             packed = int.from_bytes(row if field.e <= 8 else _lane_bytes(field, row), "little")
             for _, project, basis, size in short:
-                _eliminate(field, basis, (project(packed),), n)
+                eliminate(basis, (project(packed),))
                 if len(basis) == size:
                     break
             else:
@@ -299,7 +314,7 @@ def construct_code(
                 del basis[size:]
         else:
             for _, project, basis, _ in short:
-                _eliminate(field, basis, (project(packed),), n)
+                eliminate(basis, (project(packed),))
             failing = [j + 1 for j, _, basis, size in short if len(basis) == size]
             raise CodeConstructionError(
                 f"no verified code after {_ROW_ATTEMPTS} draws of row {h + 1} over "
@@ -355,8 +370,8 @@ def decode(
         raise ValueError("received rows do not match the assignment")
 
     code.field._check_all([value for _, value in (*view.side_info, *view.received)])
-    share = _column_product(code, view.side_info)
-    return dict(sorted(_solve(instance, code, j, share, view.received).items()))
+    share, eliminate = _column_product(code, view.side_info), _kernel(code.field, instance.n)
+    return dict(sorted(_solve(instance, code, j, share, view.received, eliminate).items()))
 
 
 def _solve(
@@ -365,11 +380,13 @@ def _solve(
     j: int,
     share: int,
     received: Iterable[tuple[int, int]],
+    eliminate: Callable[[list, Iterable[int]], bool],
 ) -> dict[int, int]:
     """decode's solver, unchecked: client j's missing packets, in no order,
     from the side information's share of every symbol (m lanes, the column
     product of its held packets) and its (row, symbol) pairs of valid
-    elements, which must hold every row assigned to it.
+    elements, which must hold every row assigned to it; `eliminate` is the
+    kernel bound for the code's field over the instance's n columns.
 
     Raises ValueError when the system is singular or inconsistent.
     """
@@ -380,7 +397,7 @@ def _solve(
     project, packed, shift = _projector(field, instance, j), code._kernel_rows, lane * width
     rows = [project(packed[h]) | (symbol ^ known[h]) << shift for h, symbol in received]
     basis: list = []
-    inconsistent = _eliminate(field, basis, rows, width)
+    inconsistent = eliminate(basis, rows)
     if len(basis) < instance.want_counts()[j]:
         raise ValueError("singular system: received symbols do not pin down the unknowns")
     if inconsistent:
@@ -444,15 +461,14 @@ def run_simulation(
     scale, ints = instance.scaled_delays()
     row_ints = [max(compress(ints, row), default=0) for row in matrix.rows]
     clock = tuple(Fraction(c, scale) for c in accumulate(row_ints))
-    completion = []
-    decoded_ok = []
+    completion, decoded_ok, eliminate = [], [], _kernel(field, instance.n)
     for j, (spec, want) in enumerate(zip(instance.clients, instance.want_counts())):
         # decode's view, built from the ground truth, so none of its checks can fail
         received = list(compress(enumerate(broadcast), map(itemgetter(j), matrix.rows)))
         completion.append(clock[received[-1][0]] if received else _ZERO)
         share = reduce(xor, map(products.__getitem__, spec.has), 0)
         try:
-            recovered = _solve(instance, code, j, share, received)
+            recovered = _solve(instance, code, j, share, received, eliminate)
         except ValueError:
             decoded_ok.append(False)
             continue

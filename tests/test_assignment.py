@@ -191,6 +191,20 @@ def test_optimal_assignment_empty_cases():
     assert closed_form_delay(inst) == 0
 
 
+@given(instances(max_n=8, max_k=5))
+@example(make_instance(4, [{0}, {0}, set(), {0, 1, 2, 3}], [1, 2, 3, 4]))
+@settings(max_examples=200, deadline=None)
+def test_optimal_assignment_is_the_staircase_row_by_row(inst):
+    """Row i gives a 1 to each client missing more than i packets; equal
+    rows, one per run of rows between two clients' stops, are one tuple."""
+    want = inst.want_counts()
+    _, matrix = optimal_assignment(inst)
+    assert matrix.rows == tuple(
+        tuple(1 if i < w else 0 for w in want) for i in range(max(want, default=0))
+    )
+    assert len(set(map(id, matrix.rows))) == len(set(matrix.rows))
+
+
 def test_closed_form_term_by_term(demo_instance):
     # contributions in ranked order: 8*2, 4*0 (covered), 2*1, 1*2
     want = demo_instance.want_counts()

@@ -31,8 +31,25 @@ from conftest import (
     instance_document,
     requires_digit_limit,
 )
-from dmsiplan import Field, coding, format_rational, parse_instance
-from dmsiplan.cli import _build_parser, _rational_text, build_plan, main, plan_json
+from dmsiplan import (
+    AssignmentMatrix,
+    CodingMatrix,
+    Field,
+    closed_form_delay,
+    coding,
+    format_rational,
+    parse_instance,
+    total_delay,
+)
+from dmsiplan.cli import (
+    PlanBundle,
+    _build_parser,
+    _rational_text,
+    build_plan,
+    main,
+    plan_json,
+    render_plan,
+)
 
 
 def write_json(path, doc):
@@ -327,7 +344,21 @@ def test_plan_beyond_the_largest_field_exits_2(tmp_path, capsys):
     doc = {"n": 1, "clients": [{"has": [], "delay": 1}] * 65_537}
     inst = write_json(tmp_path / "instance.json", doc)
     assert main(["plan", inst]) == 2
-    assert "GF(2^16) is the largest field" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: extension degree must be an int in [1, 16], got 17 "
+        "for 65537 clients; GF(2^16) is the largest field\n"
+    )
+
+
+@pytest.mark.parametrize("degree", ["0", "17", "-3"])
+def test_plan_with_a_field_degree_out_of_range_exits_2(tmp_path, capsys, degree):
+    """A degree given on the command line is refused as given: the client
+    count played no part in it."""
+    inst = write_json(tmp_path / "instance.json", DEMO_DOC)
+    assert main(["plan", inst, "--field-degree", degree]) == 2
+    shown = capsys.readouterr()
+    assert shown.err == f"error: extension degree must be an int in [1, 16], got {degree}\n"
+    assert shown.out == ""
 
 
 def test_plan_over_the_cell_limit_exits_2(tmp_path, capsys, monkeypatch):
@@ -660,6 +691,69 @@ def test_plan_json_matches_json_dumps_on_edge_plans():
         assert plan_json(bundle) == json.dumps(reference_document(bundle), indent=2) + "\n"
 
 
+@st.composite
+def matrix_cases(draw):
+    """An instance document and any 0/1 matrix with a column per client: rows
+    repeated, distinct or all zero, k from 0 (and 11, for three-character
+    headers).  Each row comes as a tuple, kept as it is, or as a list, which
+    AssignmentMatrix turns into a new tuple, so equal rows may be one tuple
+    or distinct ones."""
+    n, k = draw(st.integers(0, 4)), draw(st.sampled_from([0, 1, 2, 3, 11]))
+    has = st.sets(st.integers(1, n)) if n else st.just(set())
+    clients = [{"has": sorted(draw(has)), "delay": draw(DELAY_VALUES)} for _ in range(k)]
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 1)] * k), min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from([*pool, (0,) * k]), max_size=12))
+    rows = [list(row) if draw(st.booleans()) else row for row in picks]
+    return {"n": n, "clients": clients}, rows
+
+
+def row_by_row_table(bundle):
+    """render_plan's matrix table, each row formatted cell by cell."""
+    matrix = bundle.matrix
+    headers = [f"C{j + 1}" for j in range(matrix.k)]
+    delays = [_rational_text(d) for d in bundle.report.per_packet]
+    total = _rational_text(bundle.report.total)
+    label_width = max(5, len(f"p{matrix.m}"))
+    cell_width = max([2] + [len(h) for h in headers])
+    delay_width = max([len("delay (s)"), len(total)] + [len(t) for t in delays])
+
+    def line(label, cells, delay):
+        body = "  ".join(c.rjust(cell_width) for c in cells)
+        return f"{label.ljust(label_width)}  {body}  {delay.rjust(delay_width)}"
+
+    return [
+        line("", headers, "delay (s)"),
+        *(line(f"p{i + 1}", ["1" if a else "." for a in row], delays[i])
+          for i, row in enumerate(matrix.rows)),
+        line("total", [""] * matrix.k, total),
+    ]
+
+
+@given(matrix_cases(), st.sampled_from([1, 4, 12]), st.integers(0, 3))
+@example(({"n": 2, "clients": []}, [(), [], ()]), 1, 0)
+@example(({"n": 1, "clients": [{"has": [], "delay": "7/3"}]}, [(1,), [1], (0,), (1,)]), 4, 1)
+@settings(max_examples=200, deadline=None)
+def test_plan_rows_are_written_as_row_by_row(case, degree, seed):
+    """plan_json and render_plan write each distinct row once; on any matrix
+    they must still write what the reference document and a row-by-row
+    table give."""
+    doc, rows = case
+    instance = parse_instance(json.dumps(doc))
+    matrix = AssignmentMatrix(rows=rows, k=instance.k)
+    rng, field = random.Random(seed), Field(degree)
+    code = [[rng.randrange(field.q) for _ in range(instance.n)] for _ in rows]
+    bundle = PlanBundle(
+        instance=instance,
+        ranking=tuple(rng.sample(range(instance.k), instance.k)),
+        matrix=matrix,
+        report=total_delay(matrix, instance.delays()),
+        closed_form=closed_form_delay(instance),
+        code=CodingMatrix(field=field, n=instance.n, rows=code),
+    )
+    assert plan_json(bundle) == json.dumps(reference_document(bundle), indent=2) + "\n"
+    assert render_plan(bundle).split("\n")[1:-2] == row_by_row_table(bundle)
+
+
 def _declared_console_script(name):
     """The `[project.scripts]` entry for `name` in the repository's pyproject.toml."""
     try:
@@ -828,8 +922,8 @@ def test_simulate_fails_a_client_whose_solver_answer_is_wrong(tmp_path, capsys, 
     capsys.readouterr()
     original = coding._solve
 
-    def solve(instance, code, j, share, received):
-        solution = original(instance, code, j, share, received)
+    def solve(instance, code, j, share, received, eliminate):
+        solution = original(instance, code, j, share, received, eliminate)
         if j == 0:  # C1 holds packets 1, 3, 5 and 6
             x = min(solution)
             if fault == "value flipped":

@@ -166,9 +166,9 @@ def test_a_singular_and_inconsistent_system_is_reported_singular(e):
     # run_simulation broadcasts two equal symbols; its solver is given the view's
     original, errors = coding._solve, []
 
-    def solve(instance, code, j, share, received):
+    def solve(instance, code, j, share, received, eliminate):
         try:
-            return original(instance, code, j, share, view.received)
+            return original(instance, code, j, share, view.received, eliminate)
         except ValueError as err:
             errors.append(str(err))
             raise
@@ -552,9 +552,9 @@ def test_simulation_decodes_as_decode_does_on_each_view(case, damage, seed, rng)
 
     original, solved = coding._solve, {}
 
-    def solve(instance, code, j, share, received):
+    def solve(instance, code, j, share, received, eliminate):
         try:
-            solved[j] = original(instance, code, j, share, received)
+            solved[j] = original(instance, code, j, share, received, eliminate)
         except ValueError as err:
             solved[j] = str(err)
             raise
@@ -575,6 +575,46 @@ def test_simulation_decodes_as_decode_does_on_each_view(case, damage, seed, rng)
         assert all(sim.decoded_ok)
 
 
+def test_interleaved_calls_each_bind_the_kernel_for_their_own_code():
+    """decodability_check, decode and run_simulation each bind the kernel for
+    their code's field and n.  Interleaved in one process over two n and both
+    lane sizes, intact and damaged, each must agree with matrix_rank on the
+    client's assigned rows and with the payload."""
+    rng, cases = random.Random(25), []
+    for n, k in ((7, 3), (12, 5)):
+        has = [set(rng.sample(range(n), rng.randint(0, n - 2))) for _ in range(k)]
+        instance = make_instance(n, has, [rng.randint(1, 16) for _ in range(k)])
+        _, matrix = optimal_assignment(instance)
+        for e in (4, 12):
+            code = construct_code(instance, matrix, field=Field(e), seed=n)
+            rows = [list(row) for row in code.rows]
+            rows[0] = [0] * n  # every client missing a packet takes row 0
+            damaged = CodingMatrix(field=code.field, n=n, rows=rows)
+            cases += [(instance, matrix, code), (instance, matrix, damaged)]
+    assert len({(case[0].n, case[2].field.e) for case in cases}) == 4
+    failed = 0
+    for payload_seed in range(3):
+        rng.shuffle(cases)
+        for instance, matrix, code in cases:
+            verdicts = decodability_check(instance, matrix, code)
+            sim = run_simulation(instance, matrix, code, payload_seed=payload_seed)
+            for j, spec in enumerate(instance.clients):
+                missing = [x for x in range(instance.n) if x not in spec.has]
+                assigned = [row for row, a in zip(code.rows, matrix.rows) if a[j]]
+                rank = matrix_rank(code.field, [[row[x] for x in missing] for row in assigned])
+                assert verdicts[j] == (rank == len(missing))
+                view = client_view(instance, matrix, j, sim.payload, sim.broadcast)
+                try:
+                    recovered = decode(view, instance, matrix, code)
+                except ValueError:
+                    recovered = None
+                truth = {x: sim.payload[x] for x in missing}
+                assert (recovered == truth) == verdicts[j] == sim.decoded_ok[j]
+                assert recovered in (truth, None)
+                failed += not verdicts[j]
+    assert failed  # the damaged codes leave clients short
+
+
 @pytest.mark.parametrize("e", [2, 12])
 @pytest.mark.parametrize(
     "fault", ["value flipped", "held packet added", "missing packet dropped", "held for missing"]
@@ -590,8 +630,8 @@ def test_simulation_accepts_exactly_the_missing_packets_with_their_values(
     original, target = coding._solve, 2  # C3 holds packets 3, 4 and 6 and misses 1, 2 and 5
     held = min(demo_instance.clients[target].has)
 
-    def solve(instance, code, j, share, received):
-        solution = original(instance, code, j, share, received)
+    def solve(instance, code, j, share, received, eliminate):
+        solution = original(instance, code, j, share, received, eliminate)
         assert solution == {x: payload[x] for x in range(6) if x not in instance.clients[j].has}
         if j == target:
             x = min(solution)
