@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
-from operator import ge
+from operator import ge, itemgetter
 from typing import Sequence
 
 from .instance import DmsiInstance, _unchecked, scaled_delays
@@ -175,27 +175,24 @@ def reduce_to_exact_weights(
     column is under weight, i.e. the matrix was not feasible to begin with.
     """
     _check_client_count(matrix, instance)
-    want = instance.want_counts()
     _, ints = instance.scaled_delays()
-    rows = [list(row) for row in matrix.rows]
-
-    def row_delay(row: list[int]) -> int:
-        return max(compress(ints, row), default=0)
-
-    row_delays = [row_delay(row) for row in rows]
-    # clearing column j's surplus leaves the other columns' weights as they were
-    for j, (w, weight) in enumerate(zip(want, matrix.column_weights())):
+    rows = list(matrix.rows)  # a row is copied only when a 1 is cleared from it
+    row_delays = [max(compress(ints, row), default=0) for row in rows]
+    negated = range(0, -len(rows), -1)  # -i: of two equal delays the smaller i sorts last
+    for j, (w, weight) in enumerate(zip(instance.want_counts(), matrix.column_weights())):
         if weight < w:
             raise ValueError(f"column {j + 1} has weight {weight} < w={w}; infeasible")
-        while weight > w:
-            i = max(
-                (i for i in range(len(rows)) if rows[i][j]),
-                key=lambda i: (row_delays[i], -i),
-            )
-            rows[i][j] = 0
-            row_delays[i] = row_delay(rows[i])
-            weight -= 1
-    return _unchecked(AssignmentMatrix, rows=tuple(map(tuple, rows)), k=matrix.k)
+        if weight > w:
+            # clearing a row's 1 leaves the other rows' delays as they were, so
+            # the first weight - w picks are the costliest rows of the column now
+            column = [row[j] for row in rows]
+            costliest = sorted(zip(compress(row_delays, column), compress(negated, column)))
+            for _, minus_i in costliest[w - weight:]:
+                cleared = list(rows[-minus_i])
+                cleared[j] = 0
+                rows[-minus_i] = tuple(cleared)
+                row_delays[-minus_i] = max(compress(ints, cleared), default=0)
+    return _unchecked(AssignmentMatrix, rows=tuple(rows), k=matrix.k)
 
 
 def transform_to_optimal(
@@ -214,6 +211,12 @@ def transform_to_optimal(
     all-zero rows left at the bottom.  No step increases the total delay,
     which proves the target matrix optimal; the returned trace records every
     intermediate matrix with its total.
+
+    Each step leaves the rows with a 1 in its column or an earlier one as a
+    prefix, so the divider is carried: u grows to column j - 1's weight when
+    that is larger, and only that column is read to check the prefix.  A
+    row's delay is its first recipient's, the slowest in ranked order, and
+    equal totals share one Fraction.
     """
     _check_client_count(matrix, instance)
     ranking = instance.delay_ranking()
@@ -221,55 +224,70 @@ def transform_to_optimal(
     ranked_ints = [ints[j] for j in ranking]
     k = instance.k
 
-    rows = [[row[j] for j in ranking] for row in matrix.rows]
+    rows = [list(map(row.__getitem__, ranking)) for row in matrix.rows]
+    steps: list[TransformStep] = []
     scaled_totals: list[int] = []
+    as_fraction: dict[int, Fraction] = {}
+    new, set_field = object.__new__, object.__setattr__
 
-    def snapshot(label: str) -> TransformStep:
-        snap = _unchecked(AssignmentMatrix, rows=tuple(map(tuple, rows)), k=k)
-        total = sum(max(compress(ranked_ints, row), default=0) for row in snap.rows)
+    def snapshot(label: str) -> None:
+        snap = tuple(map(tuple, rows))
+        total = sum([next(compress(ranked_ints, row), 0) for row in snap])
         scaled_totals.append(total)
-        return TransformStep(label, snap, Fraction(total, scale))
+        if total not in as_fraction:
+            as_fraction[total] = Fraction(total, scale)
+        # built as _unchecked builds them, without its keyword dict: every entry is a 0/1 int
+        snap_matrix, step = new(AssignmentMatrix), new(TransformStep)
+        set_field(snap_matrix, "rows", snap)
+        set_field(snap_matrix, "k", k)
+        set_field(step, "label", label)
+        set_field(step, "matrix", snap_matrix)
+        set_field(step, "total", as_fraction[total])
+        steps.append(step)
 
-    steps = [snapshot("initial")]
+    snapshot("initial")
     if matrix.column_weights() != instance.want_counts():
         exact = reduce_to_exact_weights(matrix, instance)
-        rows = [[row[j] for j in ranking] for row in exact.rows]
-        steps.append(snapshot("surplus removed"))
+        rows = [list(map(row.__getitem__, ranking)) for row in exact.rows]
+        snapshot("surplus removed")
 
     if k > 0:
         # step 1: stable row partition, column 1's ones above its zeros
-        rows.sort(key=lambda row: 1 - row[0])
-        steps.append(snapshot("step 1"))
+        rows.sort(key=itemgetter(0), reverse=True)
+        snapshot("step 1")
 
+    u = 0  # the divider: rows[:u] carry a 1 in an earlier column, rows[u:] none
     for c in range(1, k):
-        u = sum(1 for row in rows if any(row[:c]))
-        assert all(any(row[:c]) for row in rows[:u]), "upper block is not a prefix"
-        ones_u = sum(rows[i][c] for i in range(u))
-        ones_l = sum(rows[i][c] for i in range(u, len(rows)))
+        done = [row[c - 1] for row in rows]
+        top = max(u, sum(done))
+        assert all(done[u:top]) and not any(done[top:]), "upper block is not a prefix"
+        u = top
+        column = [row[c] for row in rows]
+        ones_u = sum(column[:u])
+        ones_l = sum(column[u:])
+        if ones_l > 0:
+            lift = min(ones_l, u - ones_u)
+            cleared = 0
+            for row in rows[u:]:  # the first `lift` lower ones move up
+                if cleared == lift:
+                    break
+                if row[c]:
+                    row[c] = 0
+                    cleared += 1
+            ones_u += lift
+            # surviving lower ones float to the top of the lower block
+            rows[u:] = sorted(rows[u:], key=itemgetter(c), reverse=True)
         # inside the upper block column c is freely rewritable: ones on top
         for i in range(u):
             rows[i][c] = 1 if i < ones_u else 0
-        if ones_l > 0:
-            lift = min(ones_l, u - ones_u)
-            for i in range(ones_u, ones_u + lift):
-                rows[i][c] = 1
-            cleared = 0
-            for i in range(u, len(rows)):
-                if rows[i][c] and cleared < lift:
-                    rows[i][c] = 0
-                    cleared += 1
-            # surviving lower ones float to the top of the lower block
-            rows[u:] = sorted(rows[u:], key=lambda row: 1 - row[c])
-        steps.append(snapshot(f"step {c + 1}"))
+        snapshot(f"step {c + 1}")
 
     while rows and not any(rows[-1]):
         rows.pop()
-    steps.append(snapshot(f"step {k + 1}"))
+    snapshot(f"step {k + 1}")
 
     _, optimal = optimal_assignment(instance)
-    target = [[row[j] for j in ranking] for row in optimal.rows]
+    target = [list(map(row.__getitem__, ranking)) for row in optimal.rows]
     assert rows == target, "rewrite did not reach the optimal matrix"
-    assert all(
-        a >= b for a, b in zip(scaled_totals, scaled_totals[1:])
-    ), "a rewrite step increased the total delay"
+    assert all(map(ge, scaled_totals, scaled_totals[1:])), "a rewrite step increased the total delay"
     return TransformTrace(ranking=ranking, steps=tuple(steps))

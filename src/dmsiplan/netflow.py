@@ -66,7 +66,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import compress, filterfalse
+from itertools import compress, filterfalse, repeat
+from operator import itemgetter
 
 from .assignment import AssignmentMatrix, _check_client_count
 from .instance import DmsiInstance
@@ -193,6 +194,7 @@ def max_flow(network: FlowNetwork, sink: int) -> int:
                 pointer[node] += 1
 
 
+_PACKET, _ROW = itemgetter(0), itemgetter(1)
 # (held packets, (packet, row) pairs through the hub, sink side or None for {s})
 _Witness = tuple[list[int], list[tuple[int, int]], tuple[list[int], list[int]] | None]
 
@@ -217,8 +219,8 @@ def _checked_value(
     """The witness's flow value, once each path and the cut obey the edge rules."""
     held, pairs, sink_side = witness
     packets = set(held)
-    packets.update(i for i, _ in pairs)
-    rows = {h for _, h in pairs}
+    packets.update(map(_PACKET, pairs))
+    rows = set(map(_ROW, pairs))
     assigned = set(compress(range(len(column)), column))
     if not has.issuperset(held):
         raise RuntimeError("a direct path leaves a packet the client lacks: no x_i -> t_j")
@@ -249,10 +251,10 @@ def _checked_value(
 def _sink_flows(instance: DmsiInstance, matrix: AssignmentMatrix) -> Iterator[int]:
     _check_client_count(matrix, instance)  # zip below would drop a column silently
     n = instance.n
-    columns = list(zip(*matrix.rows)) if matrix.rows else [()] * instance.k
+    columns = zip(*matrix.rows) if matrix.rows else repeat((), instance.k)
     for client, column in zip(instance.clients, columns):
-        witness = _witness(n, client.has, column)
-        yield _checked_value(n, client.has, column, witness)
+        has = client.has
+        yield _checked_value(n, has, column, _witness(n, has, column))
 
 
 def sink_flows(instance: DmsiInstance, matrix: AssignmentMatrix) -> tuple[int, ...]:
@@ -262,5 +264,4 @@ def sink_flows(instance: DmsiInstance, matrix: AssignmentMatrix) -> tuple[int, .
 
 def is_solvable(instance: DmsiInstance, matrix: AssignmentMatrix) -> bool:
     """True iff every client's sink can absorb n units of flow."""
-    n = instance.n
-    return all(flow >= n for flow in _sink_flows(instance, matrix))
+    return all(map(instance.n.__le__, _sink_flows(instance, matrix)))

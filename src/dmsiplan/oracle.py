@@ -36,7 +36,11 @@ per-column count sum_m prod_j C(m, w_j); the walked multiset space is far
 smaller, but the formula is cheap and monotone, which is what a guard needs.
 Its terms never shrink as m grows, so the sum stops at the first m where
 the sum so far plus that term for every m left passes the budget: a huge
-m_cap is refused at once rather than summed to the end.
+m_cap is refused at once rather than summed to the end.  The walk's pattern
+table, one row per nonzero subset of the L columns with a nonzero weight,
+is checked too, before it is built: 2^L - 1 patterns may not pass the
+budget either.  The formula alone admits every L when each client misses
+all n packets and m_cap = n, since each term is then 1.
 
 Totals stay exact without Fraction arithmetic in the walk: the delays are
 scaled to ints by instance.scaled_delays, the helper the assignment layer
@@ -50,6 +54,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, product
+from operator import gt
 from typing import Sequence
 
 from .assignment import AssignmentMatrix
@@ -86,18 +92,22 @@ def _row_patterns(
     Each pattern is (mask, row, delay, set columns, other columns with a
     nonzero weight).  A pattern touching a column with w_j = 0 can never
     appear in an exact-weight matrix, so only subsets of the other columns
-    are built.
+    are built: the product of (1, 0) per live column and (0,) per other one
+    yields their rows in descending order, the zero row last.
     """
     k = len(want)
-    live = sum(1 << (k - 1 - j) for j in range(k) if want[j])
+    columns = range(k)
+    live_bits = [1 if w else 0 for w in want]
+    live = sum([bit << (k - 1 - j) for j, bit in enumerate(live_bits)])
     patterns = []
     mask = live
-    while mask:  # (mask - 1) & live steps down through the nonzero submasks of live
-        bits = tuple((mask >> (k - 1 - j)) & 1 for j in range(k))
-        cols = tuple(j for j in range(k) if bits[j])
-        others = tuple(j for j in range(k) if want[j] and not bits[j])
-        patterns.append((mask, bits, max(delays[j] for j in cols), cols, others))
-        mask = (mask - 1) & live
+    for bits in product(*[(1, 0) if w else (0,) for w in want]):
+        if not mask:
+            break  # the zero row
+        cols = tuple(compress(columns, bits))
+        others = tuple(compress(columns, map(gt, live_bits, bits)))
+        patterns.append((mask, bits, max(map(delays.__getitem__, cols)), cols, others))
+        mask = (mask - 1) & live  # the next submask of live, as product's next row
     return patterns
 
 
@@ -218,6 +228,13 @@ def brute_force_optimum(
                 f"search space for m in [{m_star}, {m_cap}] exceeds budget {budget}; "
                 "raise the budget or lower m_cap"
             )
+    # the walk's pattern table has a row for each nonzero subset of the live columns
+    patterns = (1 << (len(want) - want.count(0))) - 1
+    if patterns > budget:
+        raise BudgetExceededError(
+            f"{patterns} row patterns over the clients that miss a packet exceed budget "
+            f"{budget}; raise the budget"
+        )
 
     scale, ints = instance.scaled_delays()
     best, examined = _explore(want, ints, m_cap)

@@ -26,6 +26,8 @@ from dmsiplan import (
     total_delay,
     transform_to_optimal,
 )
+from dmsiplan import assignment
+from dmsiplan.assignment import TransformStep, TransformTrace
 
 # the worked walkthrough's intermediate matrices, in ranked column order
 STEP_1_ROWS = ((1, 0, 1, 1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 1, 1))
@@ -377,6 +379,117 @@ def test_transform_is_monotone_and_lands_on_optimal(case):
     ranked = tuple(tuple(row[j] for j in trace.ranking) for row in optimal.rows)
     assert trace.final_matrix == AssignmentMatrix(rows=ranked, k=inst.k)
     assert trace.final_total == closed_form_delay(inst)
+
+
+def _reference_transform(matrix, instance):
+    """transform_to_optimal as it stood before its steps were made lean, the
+    reference for the whole trace: a validated snapshot per step, each row
+    priced as the largest Fraction delay among its recipients, the divider
+    rescanned from every row at every step, and the surplus cleared by the
+    rebuilding reference below."""
+    ranking = instance.delay_ranking()
+    delays = instance.delays()
+    ranked = [delays[j] for j in ranking]
+    k = instance.k
+    rows = [[row[j] for j in ranking] for row in matrix.rows]
+    steps = []
+
+    def snapshot(label):
+        snap = AssignmentMatrix(rows=tuple(map(tuple, rows)), k=k)
+        total = sum(
+            (max((d for d, a in zip(ranked, row) if a), default=Fraction(0)) for row in snap.rows),
+            Fraction(0),
+        )
+        steps.append(TransformStep(label, snap, total))
+
+    snapshot("initial")
+    if matrix.column_weights() != instance.want_counts():
+        exact = _reduce_by_rebuilding(matrix, instance)
+        rows = [[row[j] for j in ranking] for row in exact.rows]
+        snapshot("surplus removed")
+    if k > 0:
+        rows.sort(key=lambda row: 1 - row[0])
+        snapshot("step 1")
+    for c in range(1, k):
+        u = sum(1 for row in rows if any(row[:c]))
+        assert all(any(row[:c]) for row in rows[:u])
+        ones_u = sum(rows[i][c] for i in range(u))
+        ones_l = sum(rows[i][c] for i in range(u, len(rows)))
+        for i in range(u):
+            rows[i][c] = 1 if i < ones_u else 0
+        if ones_l > 0:
+            lift = min(ones_l, u - ones_u)
+            for i in range(ones_u, ones_u + lift):
+                rows[i][c] = 1
+            cleared = 0
+            for i in range(u, len(rows)):
+                if rows[i][c] and cleared < lift:
+                    rows[i][c] = 0
+                    cleared += 1
+            rows[u:] = sorted(rows[u:], key=lambda row: 1 - row[c])
+        snapshot(f"step {c + 1}")
+    while rows and not any(rows[-1]):
+        rows.pop()
+    snapshot(f"step {k + 1}")
+    return TransformTrace(ranking=ranking, steps=tuple(steps))
+
+
+@st.composite
+def _parsed_instance_with_feasible_matrix(draw):
+    """A parsed instance with p/q, bandwidth, zero and tied delays, some
+    clients holding every packet (zero-weight columns), and a feasible matrix
+    whose columns carry up to three surplus ones and whose rows may be zero."""
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, 6))
+    specs: list[dict] = []
+    for _ in range(k):
+        if specs and draw(st.booleans()):
+            specs.append(draw(st.sampled_from(specs)))  # a tie
+        else:
+            specs.append(draw(_delay_docs()))
+    clients = []
+    for spec in specs:
+        held = list(range(1, n + 1)) if draw(st.integers(0, 3)) == 0 else sorted(
+            draw(st.frozensets(st.integers(1, n))) if n else []
+        )
+        clients.append({"has": held, **spec})
+    doc = {"n": n, "packet_size": str(draw(st.integers(1, 10**12))), "clients": clients}
+    inst = parse_instance(json.dumps(doc))
+    want = inst.want_counts()
+    m = max(want, default=0) + draw(st.integers(0, 3))
+    rows = [[0] * k for _ in range(m)]
+    for j, w in enumerate(want):
+        for i in draw(st.permutations(range(m)))[: w + draw(st.integers(0, 3))]:
+            rows[i][j] = 1
+    return inst, AssignmentMatrix(rows=tuple(map(tuple, rows)), k=k)
+
+
+@given(_parsed_instance_with_feasible_matrix())
+@example((make_instance(0, [], []), AssignmentMatrix(rows=(), k=0)))
+@example((make_instance(3, [], []), AssignmentMatrix(rows=((), ()), k=0)))
+@example((make_instance(2, [{0, 1}, set()], [3, 0]), AssignmentMatrix(rows=((1, 1), (0, 1), (1, 1)), k=2)))
+@settings(max_examples=400)
+def test_transform_trace_equals_the_reference(case):
+    """Ranking, labels, every matrix and every total, step by step."""
+    inst, matrix = case
+    trace = transform_to_optimal(matrix, inst)
+    assert trace == _reference_transform(matrix, inst)
+    assert all(type(step.total) is Fraction for step in trace.steps)
+    assert all(type(step.matrix) is AssignmentMatrix for step in trace.steps)
+
+
+def test_a_step_that_raises_the_total_trips_the_monotonicity_check(monkeypatch):
+    """Three clients of delay 1 want the one packet.  Two all-ones rows cost
+    2; a reduction that returned three single-one rows, exact weights at
+    total 3, raises the total, and the rewrite must refuse rather than
+    reach the optimum through it."""
+    inst = make_instance(1, [set()] * 3, [1, 1, 1])
+    padded = AssignmentMatrix(rows=((1, 1, 1),) * 2, k=3)
+    assert transform_to_optimal(padded, inst).final_total == 1
+    split = AssignmentMatrix(rows=((1, 0, 0), (0, 1, 0), (0, 0, 1)), k=3)
+    monkeypatch.setattr(assignment, "reduce_to_exact_weights", lambda matrix, instance: split)
+    with pytest.raises(AssertionError, match="increased the total delay"):
+        transform_to_optimal(padded, inst)
 
 
 def test_reduce_clears_most_expensive_rows_first():

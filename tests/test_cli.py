@@ -38,6 +38,7 @@ from dmsiplan import (
     closed_form_delay,
     coding,
     format_rational,
+    oracle,
     parse_instance,
     total_delay,
 )
@@ -195,6 +196,22 @@ def test_oracle_default_budget_refuses_demo(tmp_path, capsys):
     inst = write_json(tmp_path / "instance.json", DEMO_DOC)
     assert main(["oracle", inst]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_oracle_refuses_a_pattern_table_past_the_budget(tmp_path, capsys, monkeypatch):
+    """24 clients that hold none of 12 packets pass the search-space count (1
+    candidate) but would need 2^24 - 1 row patterns."""
+
+    def built(*args):
+        raise AssertionError("the pattern table was built")
+
+    monkeypatch.setattr(oracle, "_row_patterns", built)
+    doc = {"n": 12, "clients": [{"has": [], "delay": 1}] * 24}
+    inst = write_json(tmp_path / "instance.json", doc)
+    assert main(["oracle", inst]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 16777215 row patterns") and "budget" in captured.err
 
 
 def test_oracle_refuses_a_huge_m_cap_at_once(tmp_path, capsys):

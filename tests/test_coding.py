@@ -788,6 +788,42 @@ def _check_forty_packets(e):
     assert (True,) * 8 in outcomes and any(False in v for v in outcomes if isinstance(v, tuple))
 
 
+def test_a_pivot_lane_of_exactly_0x8000_at_gf_2_16():
+    """A 16-bit lane holding exactly 0x8000 has its lowest set bit at bit 15,
+    the top of the lane, which only GF(2^16) elements reach; the kernel must
+    still take that lane, not the next one, as the pivot.  Many client views
+    here start with such a lane.  Rank, decodability, decode and the
+    simulation must all agree with the reference elimination and the payload."""
+    f = FIELDS[16]
+    rng = random.Random(0x8000)
+    n = 5
+    instance = make_instance(n, [set(), {0}, {0, 1}, {2}], [1, 2, 3, 4])
+    matrix = AssignmentMatrix(rows=((1, 1, 1, 1),) * n, k=4)
+    starts, outcomes = 0, set()
+    for payload_seed in range(30):
+        rows = [[rng.choice((0, 0x8000, 0x8000, rng.randrange(1, f.q))) for _ in range(n)]
+                for _ in range(n)]
+        code = CodingMatrix(field=f, n=n, rows=rows)
+        verdicts = decodability_check(instance, matrix, code)
+        sim = run_simulation(instance, matrix, code, payload_seed=payload_seed)
+        assert sim.decoded_ok == verdicts
+        for j, spec in enumerate(instance.clients):
+            missing = [x for x in range(n) if x not in spec.has]
+            view_rows = [[row[x] for x in missing] for row in rows]
+            starts += any(next(filter(None, row), 0) == 0x8000 for row in view_rows)
+            rank = reference_rank(f, view_rows)
+            assert matrix_rank(f, view_rows) == rank
+            assert verdicts[j] == (rank == len(missing))
+            view = client_view(instance, matrix, j, sim.payload, sim.broadcast)
+            if verdicts[j]:
+                assert decode(view, instance, matrix, code) == {x: sim.payload[x] for x in missing}
+            else:
+                with pytest.raises(ValueError, match="singular"):
+                    decode(view, instance, matrix, code)
+            outcomes.add(verdicts[j])
+    assert starts > 30 and outcomes == {True, False}
+
+
 def test_packed_view_leaves_equality_and_hash_alone(demo_instance, optimal_plan_matrix):
     used = CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS)
     fresh = CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS)

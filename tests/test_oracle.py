@@ -20,6 +20,7 @@ from dmsiplan import (
     search_space_size,
     total_delay,
 )
+from dmsiplan import oracle
 
 DEMO_BUDGET = 10**8
 
@@ -87,6 +88,68 @@ def test_budget_guard_refuses_a_huge_m_cap_at_once(doc, monkeypatch):
     with pytest.raises(BudgetExceededError, match="budget"):
         brute_force_optimum(parse_instance(json.dumps(doc)), m_cap=10**8)
     assert max(calls) < 20
+
+
+def _holding_nothing(k, n=12):
+    """k clients of delay 1 that hold none of n packets: the per-column count
+    is 1 at m_cap = m* = n, while the pattern table has 2^k - 1 rows."""
+    return make_instance(n, [set()] * k, [1] * k)
+
+
+@pytest.mark.parametrize("k, budget", [(24, oracle.DEFAULT_BUDGET), (18, 100_000)])
+def test_pattern_guard_refuses_before_building_the_table(k, budget, monkeypatch):
+    """16,777,215 patterns at k = 24 would take gigabytes; 262,143 at k = 18
+    pass a budget of 10^5.  Neither table may be built."""
+
+    def built(*args):
+        raise AssertionError("the pattern table was built")
+
+    monkeypatch.setattr(oracle, "_row_patterns", built)
+    with pytest.raises(BudgetExceededError, match=f"^{2**k - 1} row patterns .* budget {budget};"):
+        brute_force_optimum(_holding_nothing(k), budget=budget)
+
+
+def test_pattern_guard_admits_twelve_clients_that_hold_nothing():
+    instance = _holding_nothing(12)
+    result = brute_force_optimum(instance)
+    assert result.m_range == (12, 12)
+    assert result.matrices_examined == 1
+    assert result.best_matrix.rows == ((1,) * 12,) * 12
+    assert result.best_total == closed_form_delay(instance) == 12
+
+
+def _reference_row_patterns(want, delays):
+    """_row_patterns as it stood before its rows came from one product: each
+    row, its columns, its other live columns and its delay built bit by bit
+    from the mask, the reference for the list and its order."""
+    k = len(want)
+    live = sum(1 << (k - 1 - j) for j in range(k) if want[j])
+    patterns = []
+    mask = live
+    while mask:
+        bits = tuple((mask >> (k - 1 - j)) & 1 for j in range(k))
+        cols = tuple(j for j in range(k) if bits[j])
+        others = tuple(j for j in range(k) if want[j] and not bits[j])
+        patterns.append((mask, bits, max(delays[j] for j in cols), cols, others))
+        mask = (mask - 1) & live
+    return patterns
+
+
+@given(
+    st.integers(0, 7).flatmap(
+        lambda k: st.tuples(
+            st.tuples(*[st.sampled_from([0, 0, 1, 2, 5])] * k),
+            st.tuples(*[st.sampled_from([0, 1, 1, 3, 10**30])] * k),
+        )
+    )
+)
+@settings(max_examples=300)
+def test_row_patterns_equal_the_reference(case):
+    """Zero and tied delays, zero-weight columns anywhere, and k = 0."""
+    want, delays = case
+    patterns = oracle._row_patterns(want, delays)
+    assert patterns == _reference_row_patterns(want, delays)
+    assert len(patterns) == 2 ** (len(want) - want.count(0)) - 1
 
 
 def test_search_space_size_terms():
