@@ -21,7 +21,6 @@ from dmsiplan.cli import _rational_text, build_plan, render_plan
 HAND_PLAN = ((1, 0, 1, 1), (0, 1, 0, 1), (1, 0, 0, 1), (0, 0, 1, 1), (0, 0, 1, 1))
 
 INSTANCE = Path(__file__).resolve().parent.parent / "data" / "demo_instance.json"
-BUDGET = 10**8  # bound on the oracle's raw search space
 PAYLOAD_SEED = 0
 
 
@@ -53,7 +52,7 @@ def main() -> None:
     print(render_plan(bundle))
 
     print("\nexhaustive confirmation:")
-    result = brute_force_optimum(instance, budget=BUDGET)
+    result = brute_force_optimum(instance)
     print(
         f"   {result.matrices_examined} candidates over m in "
         f"[{result.m_range[0]}, {result.m_range[1]}]; "

@@ -32,7 +32,6 @@ from dmsiplan import (
 SEED = 0
 MAX_N = 6  # packets per draw, at most
 MAX_K = 4  # clients per draw, at most
-BUDGET = 10**13  # bound on each draw's raw oracle search space
 
 
 def draw_instance(rng: random.Random) -> DmsiInstance:
@@ -72,7 +71,7 @@ def sweep(count: int) -> tuple[int, list[str]]:
     for i in range(count):
         instance = draw_instance(rng)
         t1 = time.perf_counter()
-        result = brute_force_optimum(instance, budget=BUDGET)
+        result = brute_force_optimum(instance)
         dt = time.perf_counter() - t1
         if dt > slowest[0]:
             slowest = (dt, instance)

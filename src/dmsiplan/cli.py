@@ -468,8 +468,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="exhaustively confirm the closed-form minimum")
     p.add_argument("instance")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--m-cap", type=int, dest="m_cap")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="exit 2 past this many search nodes plus candidates, or row patterns")
+    p.add_argument("--m-cap", type=int, dest="m_cap",
+                   help="most rows per candidate; past the sum of wants it adds no work")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(handler=cmd_oracle)
 

@@ -31,16 +31,15 @@ than {j} touches a column whose remaining weight is 0, so its count bound is
 completes nor leaves a pattern to finish j.  The count rem[j] fits, since the
 child keeps rows left >= max(rem).
 
-The budget is checked before enumerating, against the unquotiented
-per-column count sum_m prod_j C(m, w_j); the walked multiset space is far
-smaller, but the formula is cheap and monotone, which is what a guard needs.
-Its terms never shrink as m grows, so the sum stops at the first m where
-the sum so far plus that term for every m left passes the budget: a huge
-m_cap is refused at once rather than summed to the end.  The walk's pattern
-table, one row per nonzero subset of the L columns with a nonzero weight,
-is checked too, before it is built: 2^L - 1 patterns may not pass the
-budget either.  The formula alone admits every L when each client misses
-all n packets and m_cap = n, since each term is then 1.
+The budget bounds the walk's work, nodes entered plus candidates scored
+(in place or not): the walk checks it on entering each node and at its
+end, raising BudgetExceededError once the work has passed it.  A node
+costs one pass over the 2^L - 1 patterns (one per nonzero subset of the L
+columns with a nonzero weight), at most the largest weight counts per
+pattern, O(L) each, so the work bounds the walk's time; the pattern count
+is checked against the budget before the table is built.  A huge m_cap
+adds no work: no candidate has more than sum w_j rows, and with that many
+rows left the rows-left bounds never bind.
 
 Totals stay exact without Fraction arithmetic in the walk: the delays are
 scaled to ints by instance.scaled_delays, the helper the assignment layer
@@ -62,6 +61,7 @@ from .assignment import AssignmentMatrix
 from .instance import DmsiInstance, _unchecked
 
 DEFAULT_BUDGET = 10**7
+_OVER_BUDGET = "search nodes entered plus candidates scored exceed budget {}; raise the budget"
 
 
 class BudgetExceededError(RuntimeError):
@@ -112,7 +112,7 @@ def _row_patterns(
 
 
 def _explore(
-    want: tuple[int, ...], delays: tuple[int, ...], m_cap: int
+    want: tuple[int, ...], delays: tuple[int, ...], m_cap: int, budget: int
 ) -> tuple[tuple[int, int, tuple[tuple[int, ...], ...]] | None, int]:
     """Walk the candidate space; returns (best key, examined).
 
@@ -135,6 +135,7 @@ def _explore(
     # (scaled int total, row count, rows) while walking
     best: tuple[int, int, tuple[tuple[int, ...], ...]] | None = None
     examined = 0
+    nodes = 0  # entered; with examined, the walk's work
     chosen: list[tuple[int, int]] = []
     rem = list(want)
 
@@ -153,6 +154,10 @@ def _explore(
     def dfs(t: int, rows_left: int, total: int, rows_used: int, need: int) -> None:
         # need is nonzero and rows_left >= max(rem); each child is checked
         # below before it is entered, and keeps both
+        nonlocal nodes
+        nodes += 1
+        if nodes + examined > budget:
+            raise BudgetExceededError(_OVER_BUDGET.format(budget))
         slack = rows_left - max(rem)
         for p in range(t, len(patterns)):
             if need & ~suffix_cover[p]:
@@ -198,6 +203,8 @@ def _explore(
         dfs(0, m_cap, 0, 0, suffix_cover[0])
     else:
         note_complete(0, 0)
+    if nodes + examined > budget:
+        raise BudgetExceededError(_OVER_BUDGET.format(budget))
     return best, examined
 
 
@@ -211,6 +218,7 @@ def brute_force_optimum(
     The witness is canonical: rows sorted descending (column 1 most
     significant); ties in total delay break toward fewer rows, then the
     smallest such matrix.  m_cap defaults to max(m*, min(sum w_j, 12)).
+    Raises BudgetExceededError when the row patterns or the walk's work pass budget.
     """
     want = instance.want_counts()
     m_star = max(want, default=0)
@@ -218,17 +226,6 @@ def brute_force_optimum(
         m_cap = max(m_star, min(sum(want), 12))
     if m_cap < m_star:
         raise ValueError(f"m_cap={m_cap} is below the {m_star} rows feasibility needs")
-    size = 0
-    for m in range(m_star, m_cap + 1):
-        term = math.prod(math.comb(m, w) for w in want)
-        size += term
-        # no later term is smaller, so this bounds the full sum from below
-        if size + term * (m_cap - m) > budget:
-            raise BudgetExceededError(
-                f"search space for m in [{m_star}, {m_cap}] exceeds budget {budget}; "
-                "raise the budget or lower m_cap"
-            )
-    # the walk's pattern table has a row for each nonzero subset of the live columns
     patterns = (1 << (len(want) - want.count(0))) - 1
     if patterns > budget:
         raise BudgetExceededError(
@@ -237,7 +234,7 @@ def brute_force_optimum(
         )
 
     scale, ints = instance.scaled_delays()
-    best, examined = _explore(want, ints, m_cap)
+    best, examined = _explore(want, ints, m_cap, budget)
     assert best is not None, "exact-weight candidates always exist"
     total, _, rows = best
     return OracleResult(

@@ -42,7 +42,6 @@ from dmsiplan.cli import main
 
 CORPUS_SEED = 20260815
 CORPUS_SIZE = 200
-CORPUS_BUDGET = 10**13
 
 
 def corpus():
@@ -106,7 +105,7 @@ def test_criterion_3_theorem_regression(criterion_report):
     try:
         t0 = time.perf_counter()
         for instance in corpus():
-            enumerated = brute_force_optimum(instance, budget=CORPUS_BUDGET)
+            enumerated = brute_force_optimum(instance)
             closed = closed_form_delay(instance)
             _, matrix = optimal_assignment(instance)
             constructed = total_delay(matrix, instance.delays()).total
@@ -249,8 +248,8 @@ def test_criterion_7_determinism(tmp_path, capsys, demo_instance, criterion_repo
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
 
-        first_run = brute_force_optimum(demo_instance, budget=10**8)
-        assert brute_force_optimum(demo_instance, budget=10**8) == first_run
+        first_run = brute_force_optimum(demo_instance)
+        assert brute_force_optimum(demo_instance) == first_run
         ok = True
     finally:
         criterion_report(7, "plans and oracle runs are deterministic", ok)

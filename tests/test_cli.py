@@ -178,11 +178,12 @@ def test_verify_accepts_bare_scheme_file(tmp_path, capsys):
 
 
 def test_oracle_command_agrees(tmp_path, capsys):
+    """At the default budget."""
     inst = write_json(tmp_path / "instance.json", DEMO_DOC)
     out = tmp_path / "oracle.json"
-    assert main(["oracle", inst, "--budget", str(10**8), "--output", str(out)]) == 0
+    assert main(["oracle", inst, "--output", str(out)]) == 0
     shown = capsys.readouterr().out
-    assert "147 candidates examined" in shown
+    assert "searched m in [5, 11]; 147 candidates examined\n" in shown
     assert "agreement: yes" in shown
     doc = json.loads(out.read_text())
     assert doc["best_total"] == 20
@@ -192,15 +193,22 @@ def test_oracle_command_agrees(tmp_path, capsys):
     assert doc["agrees"] is True
 
 
-def test_oracle_default_budget_refuses_demo(tmp_path, capsys):
+def test_oracle_budget_counts_the_walks_work(tmp_path, capsys):
+    """The demo's walk enters 109 nodes and scores 147 candidates."""
     inst = write_json(tmp_path / "instance.json", DEMO_DOC)
-    assert main(["oracle", inst]) == 2
-    assert "budget" in capsys.readouterr().err
+    assert main(["oracle", inst, "--budget", "255"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: search nodes entered plus candidates scored exceed budget 255; raise the budget\n"
+    )
+    assert main(["oracle", inst, "--budget", "256"]) == 0
+    assert "agreement: yes" in capsys.readouterr().out
 
 
 def test_oracle_refuses_a_pattern_table_past_the_budget(tmp_path, capsys, monkeypatch):
-    """24 clients that hold none of 12 packets pass the search-space count (1
-    candidate) but would need 2^24 - 1 row patterns."""
+    """24 clients that hold none of 12 packets have one candidate but would
+    need 2^24 - 1 row patterns."""
 
     def built(*args):
         raise AssertionError("the pattern table was built")
@@ -214,12 +222,16 @@ def test_oracle_refuses_a_pattern_table_past_the_budget(tmp_path, capsys, monkey
     assert captured.err.startswith("error: 16777215 row patterns") and "budget" in captured.err
 
 
-def test_oracle_refuses_a_huge_m_cap_at_once(tmp_path, capsys):
+def test_oracle_a_huge_m_cap_adds_no_work(tmp_path, capsys):
+    """No candidate has more than sum w_j = 11 rows, so the walk is the
+    default one: same candidates, within the same budget."""
     inst = write_json(tmp_path / "instance.json", DEMO_DOC)
     start = time.perf_counter()
-    assert main(["oracle", inst, "--m-cap", str(10**8)]) == 2
+    assert main(["oracle", inst, "--m-cap", str(10**8), "--budget", "256"]) == 0
     assert time.perf_counter() - start < 1
-    assert "budget" in capsys.readouterr().err
+    shown = capsys.readouterr().out
+    assert "searched m in [5, 100000000]; 147 candidates examined\n" in shown
+    assert "agreement: yes" in shown
 
 
 def test_simulate_round_trips(tmp_path, capsys):
@@ -435,11 +447,11 @@ def test_a_file_that_cannot_be_decoded_exits_2(tmp_path, capsys, command, bad, c
     assert shown.out == ""
 
 
-@pytest.mark.parametrize("command, options", [("plan", []), ("oracle", ["--budget", "100000000"])])
-def test_an_unwritable_output_exits_2(tmp_path, capsys, command, options):
+@pytest.mark.parametrize("command", ["plan", "oracle"])
+def test_an_unwritable_output_exits_2(tmp_path, capsys, command):
     inst = write_json(tmp_path / "instance.json", DEMO_DOC)
     target = tmp_path / "missing" / "out.json"
-    assert main([command, inst, *options, "--output", str(target)]) == 2
+    assert main([command, inst, "--output", str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
     assert not target.exists()
@@ -890,7 +902,7 @@ def test_a_reader_gone_before_the_run_starts_ends_it_quietly(tmp_path, capsys, c
     """Output short enough to sit in stdout's buffer meets the closed pipe
     only when it is flushed: still exit 1 and nothing on stderr."""
     inst, out = make_plan(tmp_path, capsys)
-    argv = {"plan": [inst], "oracle": [inst, "--budget", "100000000"]}.get(command, [inst, str(out)])
+    argv = [inst] if command in ("plan", "oracle") else [inst, str(out)]
     env = dict(os.environ, PYTHONPATH=str(Path(dmsiplan.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered, as in a plain run
     read_end, write_end = os.pipe()
@@ -905,22 +917,20 @@ def test_a_reader_gone_before_the_run_starts_ends_it_quietly(tmp_path, capsys, c
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
-@pytest.mark.parametrize("command, options", [("plan", []), ("oracle", ["--budget", "100000000"])])
-def test_an_output_file_is_written_before_a_closed_reader_stops_the_run(
-    tmp_path, capsys, command, options
-):
+@pytest.mark.parametrize("command", ["plan", "oracle"])
+def test_an_output_file_is_written_before_a_closed_reader_stops_the_run(tmp_path, capsys, command):
     """With stdout unbuffered the first print meets the closed pipe; the
     `--output` file is already written in full by then."""
     inst = write_json(tmp_path / "instance.json", DEMO_DOC)
     expected, out = tmp_path / "expected.json", tmp_path / "out.json"
-    assert main([command, inst, *options, "--output", str(expected)]) == 0
+    assert main([command, inst, "--output", str(expected)]) == 0
     capsys.readouterr()
     env = dict(os.environ, PYTHONPATH=str(Path(dmsiplan.__file__).parents[1]), PYTHONUNBUFFERED="1")
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "dmsiplan", command, inst, *options, "--output", str(out)],
+            [sys.executable, "-m", "dmsiplan", command, inst, "--output", str(out)],
             stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=env,
         )
     finally:

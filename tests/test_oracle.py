@@ -1,17 +1,17 @@
 """Brute-force oracle: frozen results on the worked example, an independent
-unquotiented enumeration on random instances, and the budget guard."""
+unquotiented enumeration on random instances, and the work budget."""
 
 import itertools
 import json
-import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEMO_DOC, OPTIMAL_PLAN_ROWS, instances, make_instance, random_instance
+from conftest import OPTIMAL_PLAN_ROWS, instances, make_instance, random_instance
 from dmsiplan import (
     BudgetExceededError,
     brute_force_optimum,
@@ -22,7 +22,7 @@ from dmsiplan import (
 )
 from dmsiplan import oracle
 
-DEMO_BUDGET = 10**8
+DEMO_WORK = 256  # the demo's walk: 109 nodes entered plus 147 candidates scored
 
 
 def naive_optimum(instance, m_cap):
@@ -60,39 +60,50 @@ def naive_minimum(instance, m_cap):
 
 
 def test_demo_frozen_result(demo_instance):
-    result = brute_force_optimum(demo_instance, budget=DEMO_BUDGET)
+    """At the default budget."""
+    result = brute_force_optimum(demo_instance)
     assert result.best_total == Fraction(20)
     assert result.best_matrix.rows == OPTIMAL_PLAN_ROWS
     assert result.m_range == (5, 11)
     assert result.matrices_examined == 147
 
 
-def test_demo_exceeds_default_budget(demo_instance):
-    with pytest.raises(BudgetExceededError, match="budget"):
-        brute_force_optimum(demo_instance)
+def test_budget_counts_nodes_entered_plus_candidates_scored(demo_instance):
+    with pytest.raises(BudgetExceededError, match=f"scored exceed budget {DEMO_WORK - 1};"):
+        brute_force_optimum(demo_instance, budget=DEMO_WORK - 1)
+    assert brute_force_optimum(demo_instance, budget=DEMO_WORK).matrices_examined == 147
 
 
-@pytest.mark.parametrize("doc", [DEMO_DOC, {"n": 2, "clients": [{"has": [1, 2], "delay": 1}]}])
-def test_budget_guard_refuses_a_huge_m_cap_at_once(doc, monkeypatch):
-    """Summing every m up to 10^8 would take minutes; the guard stops early,
-    also where every term is 1 and the running sum alone grows slowly."""
-    calls = []
-    comb = math.comb
+def test_a_refused_walk_stops_at_the_next_node():
+    """Six clients missing 11, 5, 6, 7, 2 and 2 of 12 packets: the full walk
+    takes 3.4 M units and seconds; at a budget of 1,000 it stops at once."""
+    doc = {"n": 12, "clients": [
+        {"has": [5], "delay": 4}, {"has": [8, 12, 7, 4, 2, 9, 1], "delay": 13},
+        {"has": [10, 1, 8, 5, 4, 9], "delay": 4}, {"has": [1, 12, 11, 9, 10], "delay": 13},
+        {"has": [4, 7, 1, 9, 12, 11, 8, 6, 2, 5], "delay": 8},
+        {"has": [4, 8, 5, 1, 7, 11, 10, 9, 2, 3], "delay": 10},
+    ]}
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="scored exceed budget 1000;"):
+        brute_force_optimum(parse_instance(json.dumps(doc)), budget=1000)
+    assert time.perf_counter() - start < 0.5
 
-    def counted_comb(m, w):
-        calls.append(m)
-        assert len(calls) < 1000, "the guard kept summing past the budget"
-        return comb(m, w)
 
-    monkeypatch.setattr(math, "comb", counted_comb)
-    with pytest.raises(BudgetExceededError, match="budget"):
-        brute_force_optimum(parse_instance(json.dumps(doc)), m_cap=10**8)
-    assert max(calls) < 20
+def test_a_huge_m_cap_adds_no_work(demo_instance):
+    """No candidate has more than sum w_j = 11 rows, so m_cap = 10^8 walks
+    the default search: the same result within the same budget, at once."""
+    start = time.perf_counter()
+    result = brute_force_optimum(demo_instance, m_cap=10**8, budget=DEMO_WORK)
+    assert time.perf_counter() - start < 1
+    assert result.best_total == 20
+    assert result.best_matrix.rows == OPTIMAL_PLAN_ROWS
+    assert result.matrices_examined == 147
+    assert result.m_range == (5, 10**8)
 
 
 def _holding_nothing(k, n=12):
-    """k clients of delay 1 that hold none of n packets: the per-column count
-    is 1 at m_cap = m* = n, while the pattern table has 2^k - 1 rows."""
+    """k clients of delay 1 that hold none of n packets: one candidate at
+    m_cap = m* = n, while the pattern table has 2^k - 1 rows."""
     return make_instance(n, [set()] * k, [1] * k)
 
 
@@ -189,7 +200,7 @@ def test_nothing_wanted_is_the_empty_matrix():
 
 def test_m_cap_below_largest_want_rejected(demo_instance):
     with pytest.raises(ValueError, match="rows"):
-        brute_force_optimum(demo_instance, m_cap=4, budget=DEMO_BUDGET)
+        brute_force_optimum(demo_instance, m_cap=4)
 
 
 def test_agrees_with_naive_enumeration():
@@ -385,7 +396,7 @@ PINNED_DEEP_SEARCHES = [
 )
 def test_pinned_fractional_searches(n, has, delays, m_cap, best_total, examined):
     instance = make_instance(n, has, [Fraction(d) for d in delays])
-    result = brute_force_optimum(instance, m_cap=m_cap, budget=10**12)
+    result = brute_force_optimum(instance, m_cap=m_cap)
     assert result.best_total == best_total
     assert result.matrices_examined == examined
     assert result.best_total == closed_form_delay(instance)
