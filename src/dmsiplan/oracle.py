@@ -10,36 +10,48 @@ still-needed column that no remaining pattern covers), never objective
 bounds, so matrices_examined counts every quotiented candidate.  The pinned
 searches in the tests and the benchmark's examined ratio rely on that count.
 
-A node checks its children before descending: a complete child is counted
-on the spot, and an infeasible one is never entered.  Every node has at
-least as many rows left as any remaining weight (at the root because
-m_cap >= m*), so a pattern's count is bounded before its loop: by the
-remaining weight of each of its columns, and by rows left less the
-remaining weight of each other column, since a larger count leaves that
-column more rows to fill than remain.  The other columns are read only when
-the bound passes the node's slack, rows left less the largest remaining
-weight.  The pattern loop stops at the first pattern p where a still-needed
-column is covered by no pattern from p on.  Both cut only subtrees without
-a candidate, so the candidates are the same as with the checks made on
-entry.
+A node walks only the patterns whose columns all still need rows: the
+submasks s of its still-needed columns, need, in descending order, by
+s = (s - 1) & need.  A pattern touching a finished column has count bound
+0, so leaving those out changes nothing.  The walk starts at the largest
+submask of need below the parent's pattern p, since p's children take the
+patterns after p: if p finished columns, p's columns above the top one it
+finished and every column of need below that one; if not, (p - 1) & need.
+It stops at the first s without need's top column, which then has no
+pattern left, since no pattern at or below s holds a column above s's top
+one.
 
-A child left with one column j to fill is never entered either: it holds
-exactly one candidate, the chosen rows plus the pattern {j} taken rem[j]
-times, and that candidate is scored in place.  Every pattern after p other
-than {j} touches a column whose remaining weight is 0, so its count bound is
-0.  {j} is the last pattern holding j, so a count of {j} below rem[j] neither
-completes nor leaves a pattern to finish j.  The count rem[j] fits, since the
-child keeps rows left >= max(rem).
+A node checks its children before descending: a complete child is counted
+on the spot, and an infeasible one is never entered.  A child left needing
+the columns of still is entered only if the top one of them has a pattern
+after p, that is if still's top bit is below p.  Every node has at least as many
+rows left as any remaining weight (at the root because m_cap >= m*), so a
+pattern's count is bounded before its loop: by the remaining weight of
+each of its columns, and by rows left less the remaining weight of each
+other column, since a larger count leaves that column more rows to fill
+than remain.  The other columns are read only when the bound passes the
+node's slack, rows left less the largest remaining weight.  These checks
+cut only subtrees without a candidate, so the candidates are the same as
+with the checks made on entry.  The walk keeps the best candidate's total
+and row count as two ints: a candidate above them is counted and dropped,
+and only one that can tie or beat them builds its rows.
+
+A child left with one column j to fill (still a power of two) is never
+entered either: it holds exactly one candidate, the chosen rows plus the
+pattern {j} taken rem[j] times, and that candidate is scored in place.
+{j} is the one submask of still, so a count of {j} below rem[j] neither
+completes nor leaves a pattern to finish j.  The count rem[j] fits, since
+the child keeps rows left >= max(rem).
 
 The budget bounds the walk's work, nodes entered plus candidates scored
 (in place or not): the walk checks it on entering each node and at its
 end, raising BudgetExceededError once the work has passed it.  A node
-costs one pass over the 2^L - 1 patterns (one per nonzero subset of the L
-columns with a nonzero weight), at most the largest weight counts per
-pattern, O(L) each, so the work bounds the walk's time; the pattern count
-is checked against the budget before the table is built.  A huge m_cap
-adds no work: no candidate has more than sum w_j rows, and with that many
-rows left the rows-left bounds never bind.
+costs one step per submask of its still-needed columns that holds the top
+one, at most 2^(L-1) for the L columns with a nonzero weight, and at most
+the largest weight counts per step, O(L) each, so the work bounds the
+walk's time; the 2^L - 1 patterns are checked against the budget before
+the table is built.  A huge m_cap adds no work: no candidate has more than
+sum w_j rows, and with that many rows left the rows-left bounds never bind.
 
 Totals stay exact without Fraction arithmetic in the walk: the delays are
 scaled to ints by instance.scaled_delays, the helper the assignment layer
@@ -86,27 +98,29 @@ def search_space_size(want: Sequence[int], m_range: tuple[int, int]) -> int:
 
 def _row_patterns(
     want: Sequence[int], delays: Sequence[int]
-) -> list[tuple[int, tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]]:
-    """Nonzero 0/1 rows in descending order, skipping zero-weight columns.
+) -> dict[int, tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]]:
+    """Nonzero 0/1 rows keyed by mask, in descending order, skipping
+    zero-weight columns.
 
-    Each pattern is (mask, row, delay, set columns, other columns with a
-    nonzero weight).  A pattern touching a column with w_j = 0 can never
-    appear in an exact-weight matrix, so only subsets of the other columns
-    are built: the product of (1, 0) per live column and (0,) per other one
-    yields their rows in descending order, the zero row last.
+    A mask holds column j at bit k - 1 - j and maps to (row, delay, set
+    columns, other columns with a nonzero weight).  A pattern touching a
+    column with w_j = 0 can never appear in an exact-weight matrix, so only
+    subsets of the other columns are built: the product of (1, 0) per live
+    column and (0,) per other one yields their rows in descending order, the
+    zero row last.
     """
     k = len(want)
     columns = range(k)
     live_bits = [1 if w else 0 for w in want]
     live = sum([bit << (k - 1 - j) for j, bit in enumerate(live_bits)])
-    patterns = []
+    patterns = {}
     mask = live
     for bits in product(*[(1, 0) if w else (0,) for w in want]):
         if not mask:
             break  # the zero row
         cols = tuple(compress(columns, bits))
         others = tuple(compress(columns, map(gt, live_bits, bits)))
-        patterns.append((mask, bits, max(map(delays.__getitem__, cols)), cols, others))
+        patterns[mask] = (bits, max(map(delays.__getitem__, cols)), cols, others)
         mask = (mask - 1) & live  # the next submask of live, as product's next row
     return patterns
 
@@ -122,47 +136,47 @@ def _explore(
     k = len(want)
     patterns = _row_patterns(want, delays)
     colbit = [1 << (k - 1 - j) for j in range(k)]
-    suffix_cover = [0] * (len(patterns) + 1)
-    for t in range(len(patterns) - 1, -1, -1):
-        suffix_cover[t] = suffix_cover[t + 1] | patterns[t][0]
-    # single-column mask -> (pattern index, column, delay)
-    single = {
-        mask: (t, cols[0], delay)
-        for t, (mask, _, delay, cols, _) in enumerate(patterns)
-        if len(cols) == 1
-    }
 
-    # (scaled int total, row count, rows) while walking
+    # (scaled int total, row count, rows) while walking; best_total and
+    # best_rows mirror its first two, and start above any candidate's total
+    # (at most sum w_j rows, each costing at most the largest delay)
     best: tuple[int, int, tuple[tuple[int, ...], ...]] | None = None
+    best_total, best_rows = sum(want) * max(delays, default=0) + 1, 0
     examined = 0
     nodes = 0  # entered; with examined, the walk's work
-    chosen: list[tuple[int, int]] = []
+    chosen: list[tuple[int, int]] = []  # (mask, count) taken above the node
     rem = list(want)
 
-    def note_complete(total: int, rows_used: int) -> None:
-        nonlocal best, examined
-        examined += 1
-        if best is not None and (total, rows_used) > best[:2]:
-            return
+    def note_complete(total: int, rows_used: int, tail: tuple[tuple[int, int], ...]) -> None:
+        # a candidate, already counted, that ties or beats the best's total
+        # and row count; tail holds the node's own (mask, count) pairs
+        nonlocal best, best_total, best_rows
         rows: list[tuple[int, ...]] = []
-        for t, count in chosen:
-            rows.extend([patterns[t][1]] * count)
+        for mask, count in (*chosen, *tail):
+            rows.extend([patterns[mask][0]] * count)
         key = (total, rows_used, tuple(rows))
         if best is None or key < best:
-            best = key
+            best, best_total, best_rows = key, total, rows_used
 
-    def dfs(t: int, rows_left: int, total: int, rows_used: int, need: int) -> None:
+    def dfs(above: int, rows_left: int, total: int, rows_used: int, need: int) -> None:
         # need is nonzero and rows_left >= max(rem); each child is checked
-        # below before it is entered, and keeps both
-        nonlocal nodes
+        # below before it is entered, and keeps both.  The walk takes the
+        # submasks of need below the parent's pattern, above, descending.
+        nonlocal nodes, examined
         nodes += 1
         if nodes + examined > budget:
             raise BudgetExceededError(_OVER_BUDGET.format(budget))
         slack = rows_left - max(rem)
-        for p in range(t, len(patterns)):
-            if need & ~suffix_cover[p]:
-                break  # nor does any later pattern
-            _, _, delay, cols, others = patterns[p]
+        over = above & ~need  # the columns the parent's pattern finished
+        if over:  # above's columns over the top finished one, then need's under it
+            b = 1 << over.bit_length() - 1
+            s = need & (above | b - 1)
+        else:
+            s = need & (above - 1)
+        top = 1 << need.bit_length() - 1
+        while s >= top:  # without need's top column, it has no pattern left
+            p, s = s, need & (s - 1)
+            _, delay, cols, others = patterns[p]
             last = rows_left
             for j in cols:
                 if rem[j] < last:
@@ -173,36 +187,39 @@ def _explore(
                         last = rows_left - rem[j]
             if not last:
                 continue
-            chosen.append((p, 0))
-            still, cover = need, suffix_cover[p + 1]
+            below = 1 << (p - 1).bit_length()  # the least power of two >= p
+            still = need
             for count in range(1, last + 1):
                 for j in cols:
                     rem[j] -= 1
                     if not rem[j]:
                         still ^= colbit[j]
-                chosen[-1] = (p, count)
                 if not still:
-                    note_complete(total + count * delay, rows_used + count)
-                elif not still & ~cover:
-                    alone = single.get(still)
-                    if alone is None:
-                        dfs(p + 1, rows_left - count, total + count * delay,
-                            rows_used + count, still)
-                    else:  # the child's one candidate: {j} taken rem[j] times
-                        s, j, d = alone
-                        chosen.append((s, rem[j]))
-                        note_complete(
-                            total + count * delay + rem[j] * d, rows_used + count + rem[j]
-                        )
+                    examined += 1
+                    cost = total + count * delay
+                    if cost < best_total or cost == best_total and rows_used + count <= best_rows:
+                        note_complete(cost, rows_used + count, ((p, count),))
+                elif still < below:  # still's top column has a pattern below p
+                    if still & (still - 1):
+                        chosen.append((p, count))
+                        dfs(p, rows_left - count, total + count * delay, rows_used + count, still)
                         chosen.pop()
+                    else:  # the child's one candidate: {j} taken rem[j] times
+                        j = k - still.bit_length()
+                        examined += 1
+                        cost = total + count * delay + rem[j] * delays[j]
+                        used = rows_used + count + rem[j]
+                        if cost < best_total or cost == best_total and used <= best_rows:
+                            note_complete(cost, used, ((p, count), (still, rem[j])))
             for j in cols:
                 rem[j] += last
-            chosen.pop()
 
-    if suffix_cover[0]:
-        dfs(0, m_cap, 0, 0, suffix_cover[0])
+    live = next(iter(patterns), 0)  # the first pattern holds every live column
+    if live:
+        dfs(1 << k, m_cap, 0, 0, live)  # 1 << k: above every pattern
     else:
-        note_complete(0, 0)
+        examined = 1
+        note_complete(0, 0, ())
     if nodes + examined > budget:
         raise BudgetExceededError(_OVER_BUDGET.format(budget))
     return best, examined

@@ -824,6 +824,37 @@ def test_a_pivot_lane_of_exactly_0x8000_at_gf_2_16():
     assert starts > 30 and outcomes == {True, False}
 
 
+@pytest.mark.parametrize("e, top", [(8, 0x80), (16, 0x8000)])
+def test_every_kernel_row_led_by_a_lane_of_only_its_top_bit(e, top):
+    """Directed: client t holds packets 0 .. t-1 and is sent rows t .. n-1,
+    and row h is 0 before lane h and holds exactly `top` (the lane's top bit,
+    0x80 in 8-bit lanes, 0x8000 in 16-bit ones) on it.  So every row the
+    kernel meets on that code, in decodability_check and in run_simulation's
+    solves, is led by such a lane, unreduced, and the pivot must be that
+    lane, not the next.  A copy with one row repeated leaves some clients short.  Verdicts
+    and decoded flags must match the reference elimination."""
+    f = FIELDS[e]
+    rng = random.Random(top)
+    n, k = 6, 4
+    instance = make_instance(n, [set(range(t)) for t in range(k)], [1, 2, 3, 4])
+    matrix = AssignmentMatrix(rows=tuple(tuple(int(h >= t) for t in range(k)) for h in range(n)), k=k)
+    outcomes = set()
+    for trial in range(12):
+        rows = [[0] * h + [top] + [rng.choice((0, top, rng.randrange(1, f.q))) for _ in range(h + 1, n)]
+                for h in range(n)]
+        repeated = rng.randrange(n - 1)
+        damaged = rows[: repeated + 1] + [rows[repeated]] + rows[repeated + 2:]
+        for code_rows in (rows, damaged):
+            code = CodingMatrix(field=f, n=n, rows=code_rows)
+            expected = tuple(
+                reference_rank(f, [row[t:] for row in code_rows[t:]]) == n - t for t in range(k)
+            )
+            assert decodability_check(instance, matrix, code) == expected
+            assert run_simulation(instance, matrix, code, payload_seed=trial).decoded_ok == expected
+            outcomes.update(expected)
+    assert outcomes == {True, False}
+
+
 def test_packed_view_leaves_equality_and_hash_alone(demo_instance, optimal_plan_matrix):
     used = CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS)
     fresh = CodingMatrix(field=Field(2), n=6, rows=KNOWN_GF4_ROWS)

@@ -1,5 +1,6 @@
 """Brute-force oracle: frozen results on the worked example, an independent
-unquotiented enumeration on random instances, and the work budget."""
+unquotiented enumeration on random instances, the work budget, and the
+walk against its reference, the walk over every pattern it replaced."""
 
 import itertools
 import json
@@ -8,7 +9,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import OPTIMAL_PLAN_ROWS, instances, make_instance, random_instance
@@ -159,8 +160,135 @@ def test_row_patterns_equal_the_reference(case):
     """Zero and tied delays, zero-weight columns anywhere, and k = 0."""
     want, delays = case
     patterns = oracle._row_patterns(want, delays)
-    assert patterns == _reference_row_patterns(want, delays)
+    assert [(mask, *pattern) for mask, pattern in patterns.items()] == _reference_row_patterns(
+        want, delays
+    )
     assert len(patterns) == 2 ** (len(want) - want.count(0)) - 1
+
+
+def reference_explore(want, delays, m_cap):
+    """oracle._explore as it stood before it walked only the submasks of the
+    still-needed columns, with no budget: (best key, examined, nodes entered).
+
+    A node steps over every pattern from its start index on, skips each that
+    touches a finished column (its count bound is 0), stops where a
+    still-needed column has no pattern left (suffix_cover), and looks a
+    one-column child up in a dict; every candidate goes through one call.
+    """
+    k = len(want)
+    patterns = _reference_row_patterns(want, delays)
+    colbit = [1 << (k - 1 - j) for j in range(k)]
+    suffix_cover = [0] * (len(patterns) + 1)
+    for t in range(len(patterns) - 1, -1, -1):
+        suffix_cover[t] = suffix_cover[t + 1] | patterns[t][0]
+    # single-column mask -> (pattern index, column, delay)
+    single = {
+        mask: (t, cols[0], delay)
+        for t, (mask, _, delay, cols, _) in enumerate(patterns)
+        if len(cols) == 1
+    }
+    best = None
+    examined = nodes = 0
+    chosen = []
+    rem = list(want)
+
+    def note_complete(total, rows_used):
+        nonlocal best, examined
+        examined += 1
+        if best is not None and (total, rows_used) > best[:2]:
+            return
+        rows = []
+        for t, count in chosen:
+            rows.extend([patterns[t][1]] * count)
+        key = (total, rows_used, tuple(rows))
+        if best is None or key < best:
+            best = key
+
+    def dfs(t, rows_left, total, rows_used, need):
+        nonlocal nodes
+        nodes += 1
+        slack = rows_left - max(rem)
+        for p in range(t, len(patterns)):
+            if need & ~suffix_cover[p]:
+                break
+            _, _, delay, cols, others = patterns[p]
+            last = rows_left
+            for j in cols:
+                last = min(last, rem[j])
+            if last > slack:
+                for j in others:
+                    last = min(last, rows_left - rem[j])
+            if not last:
+                continue
+            chosen.append((p, 0))
+            still, cover = need, suffix_cover[p + 1]
+            for count in range(1, last + 1):
+                for j in cols:
+                    rem[j] -= 1
+                    if not rem[j]:
+                        still ^= colbit[j]
+                chosen[-1] = (p, count)
+                if not still:
+                    note_complete(total + count * delay, rows_used + count)
+                elif not still & ~cover:
+                    alone = single.get(still)
+                    if alone is None:
+                        dfs(p + 1, rows_left - count, total + count * delay,
+                            rows_used + count, still)
+                    else:
+                        s, j, d = alone
+                        chosen.append((s, rem[j]))
+                        note_complete(
+                            total + count * delay + rem[j] * d, rows_used + count + rem[j]
+                        )
+                        chosen.pop()
+            for j in cols:
+                rem[j] += last
+            chosen.pop()
+
+    if suffix_cover[0]:
+        dfs(0, m_cap, 0, 0, suffix_cover[0])
+    else:
+        note_complete(0, 0)
+    return best, examined, nodes
+
+
+@st.composite
+def walk_cases(draw):
+    """(instance, m_cap): k <= 5 clients over n <= 7 packets, some holding
+    every packet (a zero-weight column anywhere), delays from {0, 1, 1, 2, 3}
+    so that zero and tied delays are common, m_cap from m* to m* + 2."""
+    n = draw(st.integers(0, 7))
+    k = draw(st.integers(0, 5))
+    held = st.frozensets(st.integers(0, n - 1)) if n else st.just(frozenset())
+    has = [draw(st.one_of(st.just(frozenset(range(n))), held)) for _ in range(k)]
+    delays = [draw(st.sampled_from([0, 1, 1, 2, 3])) for _ in range(k)]
+    instance = make_instance(n, has, delays)
+    return instance, max(instance.want_counts(), default=0) + draw(st.integers(0, 2))
+
+
+@given(walk_cases())
+@example((make_instance(3, [set(), {0, 1}, {0, 1}], [0, 0, 0]), 3))  # every candidate ties
+@settings(max_examples=150, deadline=None)
+def test_walk_equals_the_reference_in_result_and_work(case):
+    """The same result, the same candidates and the same nodes: the walk runs
+    at a budget of the reference's nodes plus candidates, W, and refuses at
+    W - 1."""
+    instance, m_cap = case
+    want = instance.want_counts()
+    scale, ints = instance.scaled_delays()
+    (total, used, rows), examined, nodes = reference_explore(want, ints, m_cap)
+    result = brute_force_optimum(instance, m_cap=m_cap)
+    assert result.best_total == Fraction(total, scale)
+    assert result.best_matrix.rows == rows
+    assert result.matrices_examined == examined
+    assert result.m_range == (max(want, default=0), m_cap)
+    # the walk itself, since brute_force_optimum also refuses a budget below
+    # its 2^L - 1 patterns, which can pass W
+    work = nodes + examined
+    assert oracle._explore(want, ints, m_cap, work) == ((total, used, rows), examined)
+    with pytest.raises(BudgetExceededError, match=f"scored exceed budget {work - 1};"):
+        oracle._explore(want, ints, m_cap, work - 1)
 
 
 def test_search_space_size_terms():
