@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Random-instance sweep over --count seeded draws (seed 0, n <= 6 packets,
 k <= 4 clients): on every draw the closed form, the constructed optimal plan,
-and the exhaustive enumeration must agree exactly; a code built for the plan
+and the oracle's enumeration (complete on draws that want at most 12 packets
+in all) must agree exactly; a code built for the plan
 (default field) must pass decodability_check and let every client decode a
 random payload; and the weight and max-flow feasibility tests must give the
 same verdict on a random matrix.  Exits nonzero on the first failure."""

@@ -24,7 +24,6 @@ from .coding import (
     CodeConstructionError,
     CodingMatrix,
     SimulationResult,
-    client_view,
     construct_code,
     decodability_check,
     decode,
@@ -68,7 +67,6 @@ __all__ = [
     "TransformTrace",
     "brute_force_optimum",
     "build_network",
-    "client_view",
     "closed_form_delay",
     "construct_code",
     "decodability_check",

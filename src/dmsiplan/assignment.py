@@ -63,9 +63,6 @@ class AssignmentMatrix:
     def m(self) -> int:
         return len(self.rows)
 
-    def column_weight(self, j: int) -> int:
-        return sum(row[j] for row in self.rows)
-
     def column_weights(self) -> tuple[int, ...]:
         """Every column's weight, in one pass over the rows; k zeros when m = 0."""
         return tuple(map(sum, zip(*self.rows))) if self.rows else (0,) * self.k
@@ -154,10 +151,6 @@ class TransformTrace:
 
     ranking: tuple[int, ...]
     steps: tuple[TransformStep, ...]
-
-    @property
-    def final_matrix(self) -> AssignmentMatrix:
-        return self.steps[-1].matrix
 
     @property
     def final_total(self) -> Fraction:

@@ -466,12 +466,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("plan")
     p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("oracle", help="exhaustively confirm the closed-form minimum")
+    p = sub.add_parser("oracle",
+                       help="confirm the closed-form minimum by search over up to --m-cap rows")
     p.add_argument("instance")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="exit 2 past this many search nodes plus candidates, or row patterns")
+                   help="exit 2 past this many search nodes plus candidates, row patterns, "
+                        "or m* rows")
     p.add_argument("--m-cap", type=int, dest="m_cap",
-                   help="most rows per candidate; past the sum of wants it adds no work")
+                   help="most rows per candidate, default max(m*, min(sum of wants, 12)); "
+                        "the search is complete from the sum of wants on, and past it adds no work")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(handler=cmd_oracle)
 

@@ -332,21 +332,6 @@ def encode(code: CodingMatrix, payload: Sequence[int]) -> tuple[int, ...]:
     return tuple(_lanes(code.field, _column_product(code, enumerate(payload)), code.m))
 
 
-def client_view(
-    instance: DmsiInstance,
-    matrix: AssignmentMatrix,
-    client: int,
-    payload: Sequence[int],
-    broadcast: Sequence[int],
-) -> ClientView:
-    """Assemble what the given client sees from the ground truth."""
-    return ClientView(
-        client=client,
-        side_info=tuple((x, payload[x]) for x in sorted(instance.clients[client].has)),
-        received=tuple((h, broadcast[h]) for h, row in enumerate(matrix.rows) if row[client]),
-    )
-
-
 def decode(
     view: ClientView,
     instance: DmsiInstance,

@@ -21,10 +21,12 @@ generates, and in GF(2) the group is {1}.  Building the tables asserts that
 the generator has order 2^e - 1.  The tables are built once per degree per
 process and shared, read-only, by every Field of that degree.
 
-add/mul/inv check every operand through _check.  _check_all checks a whole
-sequence in one step and names the first bad element as _check would; coding.py
-calls it once on entry for code rows, payloads and client views, then reads the
-tables directly, and for e <= 8 _byte_products as well.
+A Field has no arithmetic methods: coding.py, its one caller, reads the
+tables directly, and for e <= 8 _byte_products as well.  A Field checks
+elements: _check names one bad element, and _check_all checks a whole
+sequence in one step and names the first bad element as _check would.
+coding.py calls _check_all once on entry for code rows, payloads and client
+views.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ def _mul_raw(a: int, b: int, e: int) -> int:
 def _tables(e: int) -> tuple[tuple[int, ...], tuple[int, ...], int, tuple[bytes, ...]]:
     """(exp, log, generator, byte products) for GF(2^e), built once per degree.
 
-    exp has its upper half duplicated so mul can skip a modular reduction.
+    exp has its upper half duplicated, so a product exp[log a + log b] and an
+    inverse exp[q - 1 - log a] need no modular reduction.
     For e <= 8, byte products[a] maps each byte b < q to a*b, for
     bytes.translate; above that it is empty.
     """
@@ -124,24 +127,6 @@ class Field:
         if set(map(type, values)) - {int} or values and not 0 <= min(values) <= max(values) < self.q:
             for a in values:
                 self._check(a)
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._exp[self.q - 1 - self._log[a]]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Field) and other.e == self.e

@@ -42,7 +42,8 @@ assigned to it, the witness is built in O(n + m):
   other edge into it.
 
 _checked_value checks the witness before its value is returned.  Every
-path starts with s -> x_i, so i must be one of the n packets.  A direct
+path starts with s -> x_i, so i must be one of the n packets, which the
+least and largest i show without a set of all n.  A direct
 path needs x_i -> t_j, so i must be held; a hub path needs v_h -> t_j, so
 a[h][j] must be 1; x_i -> hub and hub -> u_h exist for every packet and
 row.  No s -> x_i or u_h -> v_h edge may carry two units, which also keeps
@@ -226,7 +227,7 @@ def _checked_value(
         raise RuntimeError("a direct path leaves a packet the client lacks: no x_i -> t_j")
     if not rows <= assigned:
         raise RuntimeError("a hub path ends in a row not assigned to the client: no v_h -> t_j")
-    if not packets.issubset(range(n)):
+    if packets and not (0 <= min(packets) and max(packets) < n):
         raise RuntimeError("a path starts at a packet the network lacks: no s -> x_i")
     if len(packets) < len(held) + len(pairs):
         raise RuntimeError("an s -> x_i edge carries two units")

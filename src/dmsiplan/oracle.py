@@ -1,13 +1,16 @@
-"""Exhaustive optimality check over assignment matrices.
+"""Optimality check by enumerating assignment matrices.
 
 Enumerates every assignment with exact column weights w_j and row count in
 [m*, m_cap], quotiented by row order: a candidate is a multiset of distinct
 nonzero row patterns with multiplicities.  All-zero rows cost nothing and
 change nothing, so they are never enumerated; up to that padding and row
-order the search is complete.  The only prunes are deterministic
-infeasibility prunes (too few rows left for the largest remaining weight; a
-still-needed column that no remaining pattern covers), never objective
-bounds, so matrices_examined counts every quotiented candidate.  The pinned
+order the search covers its row range.  No candidate has more than sum w_j
+rows, so the search is complete once m_cap reaches sum w_j: with the
+default m_cap, max(m*, min(sum w_j, 12)), whenever sum w_j <= 12.  The only
+prunes are deterministic infeasibility prunes (too few rows left for the
+largest remaining weight; a still-needed column that no remaining pattern
+covers), never objective bounds, so matrices_examined counts every
+quotiented candidate.  The pinned
 searches in the tests and the benchmark's examined ratio rely on that count.
 
 A node walks only the patterns whose columns all still need rows: the
@@ -48,10 +51,13 @@ The budget bounds the walk's work, nodes entered plus candidates scored
 end, raising BudgetExceededError once the work has passed it.  A node
 costs one step per submask of its still-needed columns that holds the top
 one, at most 2^(L-1) for the L columns with a nonzero weight, and at most
-the largest weight counts per step, O(L) each, so the work bounds the
-walk's time; the 2^L - 1 patterns are checked against the budget before
-the table is built.  A huge m_cap adds no work: no candidate has more than
-sum w_j rows, and with that many rows left the rows-left bounds never bind.
+the largest weight, m*, counts per step, O(L) each.  So the work, 2^(L-1)
+and m* together bound the walk's time, and m* and the 2^L - 1 patterns are
+both checked against the budget before the table is built.  Every
+candidate, the witness too, has at least m* rows: one client missing n
+packets costs 2 units of work, but n counts and an n-row witness.  A huge
+m_cap adds no work: no candidate has more than sum w_j rows, and with that
+many rows left the rows-left bounds never bind.
 
 Totals stay exact without Fraction arithmetic in the walk: the delays are
 scaled to ints by instance.scaled_delays, the helper the assignment layer
@@ -235,7 +241,8 @@ def brute_force_optimum(
     The witness is canonical: rows sorted descending (column 1 most
     significant); ties in total delay break toward fewer rows, then the
     smallest such matrix.  m_cap defaults to max(m*, min(sum w_j, 12)).
-    Raises BudgetExceededError when the row patterns or the walk's work pass budget.
+    Raises BudgetExceededError when m*, the row patterns or the walk's work
+    pass budget.
     """
     want = instance.want_counts()
     m_star = max(want, default=0)
@@ -243,6 +250,11 @@ def brute_force_optimum(
         m_cap = max(m_star, min(sum(want), 12))
     if m_cap < m_star:
         raise ValueError(f"m_cap={m_cap} is below the {m_star} rows feasibility needs")
+    if m_star > budget:
+        raise BudgetExceededError(
+            f"{m_star} rows for the client that misses the most packets exceed budget "
+            f"{budget}; raise the budget"
+        )
     patterns = (1 << (len(want) - want.count(0))) - 1
     if patterns > budget:
         raise BudgetExceededError(

@@ -1,6 +1,7 @@
 """Shared fixtures: the six-packet worked example, its two reference
-matrices, the pinned GF(4) code, and hypothesis strategies for random
-instances and exact-weight assignment matrices."""
+matrices, the pinned GF(4) code, a client's view of a broadcast, scalar
+field arithmetic, and hypothesis strategies for random instances and
+exact-weight assignment matrices."""
 
 import json
 import random
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from dmsiplan import (
     AssignmentMatrix,
     ClientSpec,
+    ClientView,
     DmsiInstance,
     format_rational,
     parse_instance,
@@ -114,6 +116,37 @@ def instance_document(instance):
 def serialize_instance(instance):
     """The canonical instance document as indented JSON text."""
     return json.dumps(instance_document(instance), indent=2)
+
+
+def client_view(instance, matrix, client, payload, broadcast):
+    """What the given client sees of a payload and its broadcast: decode's input."""
+    return ClientView(
+        client=client,
+        side_info=tuple((x, payload[x]) for x in sorted(instance.clients[client].has)),
+        received=tuple((h, broadcast[h]) for h, row in enumerate(matrix.rows) if row[client]),
+    )
+
+
+# scalar arithmetic on a Field's own tables, each operand checked as the codec checks it
+def gf_add(field, a, b):
+    field._check(a)
+    field._check(b)
+    return a ^ b
+
+
+def gf_mul(field, a, b):
+    field._check(a)
+    field._check(b)
+    if a == 0 or b == 0:
+        return 0
+    return field._exp[field._log[a] + field._log[b]]
+
+
+def gf_inv(field, a):
+    field._check(a)
+    if a == 0:
+        raise ZeroDivisionError("0 has no multiplicative inverse")
+    return field._exp[field.q - 1 - field._log[a]]
 
 
 def make_instance(n, has_sets, delays):

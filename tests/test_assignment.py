@@ -10,7 +10,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import OPTIMAL_PLAN_ROWS, instance_with_exact_matrix, instances, make_instance
+from conftest import (
+    HAND_PLAN_ROWS,
+    OPTIMAL_PLAN_ROWS,
+    instance_with_exact_matrix,
+    instances,
+    make_instance,
+)
 from dmsiplan import (
     AssignmentMatrix,
     DmsiInstance,
@@ -156,7 +162,7 @@ def test_column_weights_without_rows_or_columns(demo_instance):
 def test_column_weights_count_each_column(case):
     _, matrix = case
     assert matrix.column_weights() == tuple(
-        matrix.column_weight(j) for j in range(matrix.k)
+        sum(row[j] for row in matrix.rows) for j in range(matrix.k)
     )
 
 
@@ -337,7 +343,7 @@ def test_transform_reproduces_walkthrough(demo_instance, hand_plan_matrix, optim
     assert trace.steps[1].matrix.rows == STEP_1_ROWS
     assert trace.steps[2].matrix.rows == STEP_2_ROWS
     assert trace.steps[3].matrix.rows == STEP_3_ROWS
-    assert trace.final_matrix == optimal_plan_matrix
+    assert trace.steps[-1].matrix == optimal_plan_matrix
     assert trace.final_total == closed_form_delay(demo_instance)
 
 
@@ -349,7 +355,7 @@ def test_transform_clears_surplus_and_rejects_underweight(demo_instance, optimal
     assert [step.label for step in trace.steps[:2]] == ["initial", "surplus removed"]
     assert trace.ranking == (0, 1, 2, 3)
     assert trace.steps[1].matrix.column_weights() == demo_instance.want_counts()
-    assert trace.final_matrix == optimal_plan_matrix
+    assert trace.steps[-1].matrix == optimal_plan_matrix
     assert trace.final_total == closed_form_delay(demo_instance)
     short = AssignmentMatrix(rows=optimal_plan_matrix.rows[:3], k=4)
     with pytest.raises(ValueError, match="column 4 has weight 3 < w=5"):
@@ -364,7 +370,7 @@ def test_transform_keeps_interleaved_zero_rows_out(demo_instance, hand_plan_matr
     )
     padded = AssignmentMatrix(rows=rows, k=4)
     trace = transform_to_optimal(padded, demo_instance)
-    assert trace.final_matrix.rows == OPTIMAL_PLAN_ROWS
+    assert trace.steps[-1].matrix.rows == OPTIMAL_PLAN_ROWS
 
 
 @given(instance_with_exact_matrix())
@@ -377,7 +383,7 @@ def test_transform_is_monotone_and_lands_on_optimal(case):
     assert len(trace.steps) == inst.k + 2
     _, optimal = optimal_assignment(inst)
     ranked = tuple(tuple(row[j] for j in trace.ranking) for row in optimal.rows)
-    assert trace.final_matrix == AssignmentMatrix(rows=ranked, k=inst.k)
+    assert trace.steps[-1].matrix == AssignmentMatrix(rows=ranked, k=inst.k)
     assert trace.final_total == closed_form_delay(inst)
 
 
@@ -478,17 +484,36 @@ def test_transform_trace_equals_the_reference(case):
     assert all(type(step.matrix) is AssignmentMatrix for step in trace.steps)
 
 
-def test_a_step_that_raises_the_total_trips_the_monotonicity_check(monkeypatch):
-    """Three clients of delay 1 want the one packet.  Two all-ones rows cost
-    2; a reduction that returned three single-one rows, exact weights at
-    total 3, raises the total, and the rewrite must refuse rather than
-    reach the optimum through it."""
-    inst = make_instance(1, [set()] * 3, [1, 1, 1])
-    padded = AssignmentMatrix(rows=((1, 1, 1),) * 2, k=3)
-    assert transform_to_optimal(padded, inst).final_total == 1
-    split = AssignmentMatrix(rows=((1, 0, 0), (0, 1, 0), (0, 0, 1)), k=3)
-    monkeypatch.setattr(assignment, "reduce_to_exact_weights", lambda matrix, instance: split)
-    with pytest.raises(AssertionError, match="increased the total delay"):
+# (instance, a matrix with surplus 1s, an exact-weight matrix that costs more,
+# which a patched reduction returns in place of the surplus-free one)
+RAISING_REDUCTIONS = {
+    # three clients of delay 1 want the one packet: two all-ones rows cost 2,
+    # three single-one rows 3
+    "three-single-one-rows": (
+        (1, [set()] * 3, [1, 1, 1]), ((1, 1, 1),) * 2, ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ),
+    # the demo's optimal matrix with C2 added to row 2, which C1 already slows
+    # to 8, still costs 20; the hand plan costs 24
+    "demo-hand-plan": (
+        (6, [{0, 2, 4, 5}, {0, 1, 2, 3, 4}, {2, 3, 5}, {3}], [8, 4, 2, 1]),
+        ((1, 1, 1, 1), (1, 1, 1, 1), *OPTIMAL_PLAN_ROWS[2:]), HAND_PLAN_ROWS,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RAISING_REDUCTIONS.values(), ids=RAISING_REDUCTIONS)
+def test_a_step_that_raises_the_total_trips_the_monotonicity_check(monkeypatch, case):
+    """A reduction that raises the total must make the rewrite refuse rather
+    than reach the optimum through it, though the later steps would."""
+    spec, surplus_rows, exact_rows = case
+    inst = make_instance(*spec)
+    padded = AssignmentMatrix(rows=surplus_rows, k=inst.k)
+    exact = AssignmentMatrix(rows=exact_rows, k=inst.k)
+    assert total_delay(exact, inst.delays()).total > total_delay(padded, inst.delays()).total
+    assert transform_to_optimal(padded, inst).final_total == closed_form_delay(inst)
+    assert transform_to_optimal(exact, inst).final_total == closed_form_delay(inst)
+    monkeypatch.setattr(assignment, "reduce_to_exact_weights", lambda matrix, instance: exact)
+    with pytest.raises(AssertionError, match="^a rewrite step increased the total delay$"):
         transform_to_optimal(padded, inst)
 
 

@@ -222,6 +222,20 @@ def test_oracle_refuses_a_pattern_table_past_the_budget(tmp_path, capsys, monkey
     assert captured.err.startswith("error: 16777215 row patterns") and "budget" in captured.err
 
 
+def test_oracle_refuses_m_star_past_the_budget(tmp_path, capsys):
+    """One client that lacks 1,001 packets: the witness alone has 1,001 rows."""
+    inst = write_json(tmp_path / "instance.json", {"n": 1001, "clients": [{"has": [], "delay": 1}]})
+    assert main(["oracle", inst, "--budget", "1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 1001 rows for the client that misses the most packets exceed budget 1000; "
+        "raise the budget\n"
+    )
+    assert main(["oracle", inst, "--budget", "1001"]) == 0
+    assert "agreement: yes" in capsys.readouterr().out
+
+
 def test_oracle_a_huge_m_cap_adds_no_work(tmp_path, capsys):
     """No candidate has more than sum w_j = 11 rows, so the walk is the
     default one: same candidates, within the same budget."""

@@ -16,6 +16,10 @@ from hypothesis import strategies as st
 from conftest import (
     IMPOSSIBLE_GF2_DOC,
     KNOWN_GF4_ROWS,
+    client_view,
+    gf_add,
+    gf_inv,
+    gf_mul,
     instance_with_exact_matrix,
     instances,
     make_instance,
@@ -29,7 +33,6 @@ from dmsiplan import (
     CodingMatrix,
     DmsiInstance,
     Field,
-    client_view,
     construct_code,
     decodability_check,
     decode,
@@ -385,7 +388,7 @@ FIELDS = {e: Field(e) for e in DEGREES}
 
 
 def reference_rank(f, rows):
-    """Forward elimination with the checked Field.add/mul/inv."""
+    """Forward elimination with the checked gf_add, gf_mul and gf_inv."""
     work = [list(row) for row in rows]
     rank = 0
     for col in range(len(work[0]) if work else 0):
@@ -393,11 +396,11 @@ def reference_rank(f, rows):
         if pivot is None:
             continue
         work[rank], work[pivot] = work[pivot], work[rank]
-        inv = f.inv(work[rank][col])
-        work[rank] = [f.mul(inv, v) for v in work[rank]]
+        inv = gf_inv(f, work[rank][col])
+        work[rank] = [gf_mul(f, inv, v) for v in work[rank]]
         for i in range(rank + 1, len(work)):
             factor = work[i][col]
-            work[i] = [f.add(v, f.mul(factor, p)) for v, p in zip(work[i], work[rank])]
+            work[i] = [gf_add(f, v, gf_mul(f, factor, p)) for v, p in zip(work[i], work[rank])]
         rank += 1
     return rank
 
@@ -405,7 +408,7 @@ def reference_rank(f, rows):
 def reference_dot(f, coeffs, values):
     acc = 0
     for c, v in zip(coeffs, values):
-        acc = f.add(acc, f.mul(c, v))
+        acc = gf_add(f, acc, gf_mul(f, c, v))
     return acc
 
 
@@ -422,7 +425,7 @@ def low_rank_matrices(draw):
         row = [0] * width
         for b in base:
             c = draw(element)
-            row = [f.add(r, f.mul(c, v)) for r, v in zip(row, b)]
+            row = [gf_add(f, r, gf_mul(f, c, v)) for r, v in zip(row, b)]
         rows.append(row)
     return f, rows
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -266,6 +267,10 @@ def _packet_past_n(held, pairs, sink_side):
     return held, [pairs[0], (3, pairs[1][1])], sink_side
 
 
+def _packet_below_0(held, pairs, sink_side):
+    return held, [pairs[0], (-1, pairs[1][1])], sink_side
+
+
 def _cut_of_s(held, pairs, sink_side):
     return held, pairs, None
 
@@ -292,13 +297,14 @@ SHORT = ((1,), (0,))
         (FULL, _unassigned_row, "row not assigned to the client"),
         (FULL, _lacking_packet, "packet the client lacks"),
         (FULL, _packet_past_n, "packet the network lacks"),
+        (FULL, _packet_below_0, "packet the network lacks"),
         (FULL, _short_flow, "flow value 2 differs from cut capacity 3"),
         (SHORT, _cut_of_s, "flow value 2 differs from cut capacity 3"),
         (SHORT, _cut_without_held, "flow value 2 differs from cut capacity 4"),
     ],
     ids=[
         "held-packet-through-hub", "row-used-twice", "row-not-assigned",
-        "direct-from-missing-packet", "packet-past-n", "flow-below-cut", "cut-s-above-flow",
+        "direct-from-missing-packet", "packet-past-n", "packet-below-0", "flow-below-cut", "cut-s-above-flow",
         "cut-above-flow",
     ],
 )
@@ -323,3 +329,17 @@ def test_the_witness_check_accepts_another_minimum_cut(monkeypatch):
         netflow, "_witness", lambda *args: (*real(*args)[:2], ([0], []))
     )
     assert sink_flows(instance, matrix) == (2,)
+
+
+def test_the_witness_check_takes_memory_by_paths_not_by_packets():
+    """One client holding nothing of 2 million packets, one row: a one-path
+    witness, checked without a set of every packet."""
+    instance = make_instance(2_000_000, [set()], [1])
+    matrix = AssignmentMatrix(rows=((1,),), k=1)
+    tracemalloc.start()
+    try:
+        assert sink_flows(instance, matrix) == (1,)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

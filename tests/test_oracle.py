@@ -121,6 +121,20 @@ def test_pattern_guard_refuses_before_building_the_table(k, budget, monkeypatch)
         brute_force_optimum(_holding_nothing(k), budget=budget)
 
 
+def test_m_star_past_the_budget_is_refused_before_the_table(monkeypatch):
+    """One client missing 2 million packets costs 2 units of work, but the
+    walk would count to 2 million and build a 2-million-row witness."""
+
+    def built(*args):
+        raise AssertionError("the pattern table was built")
+
+    monkeypatch.setattr(oracle, "_row_patterns", built)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="^2000000 rows for the client .* budget 1000000;"):
+        brute_force_optimum(make_instance(2_000_000, [set()], [1]), budget=10**6)
+    assert time.perf_counter() - start < 0.1
+
+
 def test_pattern_guard_admits_twelve_clients_that_hold_nothing():
     instance = _holding_nothing(12)
     result = brute_force_optimum(instance)
