@@ -41,13 +41,8 @@ from .instance import (
     parse_instance,
     parse_rational,
 )
-from .netflow import FlowNetwork, build_network, is_solvable, max_flow, sink_flows
-from .oracle import (
-    BudgetExceededError,
-    OracleResult,
-    brute_force_optimum,
-    search_space_size,
-)
+from .netflow import is_solvable, sink_flows
+from .oracle import BudgetExceededError, OracleResult, brute_force_optimum
 
 __all__ = [
     "AssignmentMatrix",
@@ -59,14 +54,12 @@ __all__ = [
     "DelayReport",
     "DmsiInstance",
     "Field",
-    "FlowNetwork",
     "InstanceError",
     "OracleResult",
     "SimulationResult",
     "TransformStep",
     "TransformTrace",
     "brute_force_optimum",
-    "build_network",
     "closed_form_delay",
     "construct_code",
     "decodability_check",
@@ -77,13 +70,11 @@ __all__ = [
     "is_feasible",
     "is_solvable",
     "matrix_rank",
-    "max_flow",
     "optimal_assignment",
     "parse_instance",
     "parse_rational",
     "reduce_to_exact_weights",
     "run_simulation",
-    "search_space_size",
     "sink_flows",
     "total_delay",
     "transform_to_optimal",

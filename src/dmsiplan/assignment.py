@@ -253,7 +253,8 @@ def transform_to_optimal(
     for c in range(1, k):
         done = [row[c - 1] for row in rows]
         top = max(u, sum(done))
-        assert all(done[u:top]) and not any(done[top:]), "upper block is not a prefix"
+        if not all(done[u:top]) or any(done[top:]):
+            raise AssertionError("upper block is not a prefix")
         u = top
         column = [row[c] for row in rows]
         ones_u = sum(column[:u])
@@ -281,6 +282,8 @@ def transform_to_optimal(
 
     _, optimal = optimal_assignment(instance)
     target = [list(map(row.__getitem__, ranking)) for row in optimal.rows]
-    assert rows == target, "rewrite did not reach the optimal matrix"
-    assert all(map(ge, scaled_totals, scaled_totals[1:])), "a rewrite step increased the total delay"
+    if rows != target:
+        raise AssertionError("rewrite did not reach the optimal matrix")
+    if not all(map(ge, scaled_totals, scaled_totals[1:])):
+        raise AssertionError("a rewrite step increased the total delay")
     return TransformTrace(ranking=ranking, steps=tuple(steps))

@@ -258,12 +258,7 @@ def parse_instance(text: str) -> DmsiInstance:
             if packet_size is None:
                 raise InstanceError(f"{where}: 'bandwidth' given but no 'packet_size'")
             delay = packet_size / bandwidth
-        # ClientSpec's own check, with its message: a JSON int, or a quotient
-        # with a negative packet_size, may be negative
-        if delay.numerator < 0:
-            raise InstanceError(f"delay must be nonnegative, got {delay}")
-        # has is a frozenset of indices in [0, n), and delay a Fraction
-        clients.append(_unchecked(ClientSpec, has=has, delay=delay))
+        clients.append(ClientSpec(has, delay))
     instance = _unchecked(DmsiInstance, n=n, clients=tuple(clients))
     check_digits(instance, n)
     return instance

@@ -52,13 +52,13 @@ edge the rules put into its sink side from outside, and it must equal the
 flow's value, or the check raises.
 
 build_network and max_flow are the reference the tests compare sink_flows
-against: the full network, and Dinic's algorithm (1970) on it.
-A BFS labels each node with its distance from s in the residual graph; a
-depth-first search then saturates every shortest augmenting path,
-advancing a per-node edge pointer past the edges it has used up, and the
-two repeat until s no longer reaches the sink.  The search keeps its path
-in a list rather than recursing, because residual paths can run far
-deeper than the network's six layers.
+against: the full network, and a max-flow search on it by shortest
+augmenting paths (Edmonds & Karp, 1972).  Each round a breadth-first search
+from s finds a shortest residual path to the sink, and the path carries its
+bottleneck; the rounds stop once s no longer reaches the sink.  The search
+walks lists rather than recursing, because residual paths can run far
+deeper than the network's six layers.  It is checked from outside as well:
+each sink_flows value it must match is proved by that witness's own cut.
 
 Network construction is pure; max_flow works on a private residual copy.
 """
@@ -129,7 +129,7 @@ def build_network(instance: DmsiInstance, matrix: AssignmentMatrix) -> FlowNetwo
 
 
 def max_flow(network: FlowNetwork, sink: int) -> int:
-    """Dinic's max flow from the source, node 0, to the given node index."""
+    """Max flow from the source, node 0, to the given node index."""
     num_nodes = network.num_nodes
     if not 0 <= sink < num_nodes:
         raise ValueError(f"sink index {sink} outside [0, {num_nodes})")
@@ -140,59 +140,29 @@ def max_flow(network: FlowNetwork, sink: int) -> int:
     residual = list(network.edge_cap)
     flow = 0
     while True:
-        # BFS levels; it stops once the sink has one, since every node nearer
-        # than the sink is labelled by then and no other node at its level
-        # lies on a shortest path
-        level = [-1] * num_nodes
-        level[0] = 0
+        # BFS; arrived_by[node] is the edge that first reached node, s aside
+        arrived_by = [-1] * num_nodes
         queue = [0]
         for node in queue:  # the list grows while it is walked: a FIFO queue
-            below = level[node] + 1
             for edge in adjacency[node]:
                 head = heads[edge]
-                if residual[edge] and level[head] < 0:
-                    level[head] = below
+                if residual[edge] and head and arrived_by[head] < 0:
+                    arrived_by[head] = edge
                     queue.append(head)
-            if level[sink] >= 0:
+            if arrived_by[sink] >= 0:
                 break
         else:
             return flow
-        # blocking flow; path holds the edges from the source to node
-        pointer = [0] * num_nodes
-        path: list[int] = []
-        node = 0
-        while True:
-            if node == sink:
-                pushed = min(map(residual.__getitem__, path))
-                flow += pushed
-                depth = -1
-                for d, edge in enumerate(path):
-                    residual[edge] -= pushed
-                    residual[edge ^ 1] += pushed
-                    if depth < 0 and not residual[edge]:
-                        depth = d
-                # go on from the tail of the first edge the push saturated
-                node = heads[path[depth] ^ 1]
-                del path[depth:]
-                continue
-            edges = adjacency[node]
-            p = pointer[node]
-            below = level[node] + 1
-            end = len(edges)
-            while p < end:
-                edge = edges[p]
-                if residual[edge] and level[heads[edge]] == below:
-                    break
-                p += 1
-            pointer[node] = p
-            if p < end:
-                path.append(edge)
-                node = heads[edge]
-            elif node == 0:
-                break
-            else:  # dead end: back up and skip the edge that led here
-                node = heads[path.pop() ^ 1]
-                pointer[node] += 1
+        path = []
+        node = sink
+        while node:
+            path.append(arrived_by[node])
+            node = heads[path[-1] ^ 1]
+        pushed = min(map(residual.__getitem__, path))
+        for edge in path:
+            residual[edge] -= pushed
+            residual[edge ^ 1] += pushed
+        flow += pushed
 
 
 _PACKET, _ROW = itemgetter(0), itemgetter(1)

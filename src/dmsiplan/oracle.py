@@ -46,18 +46,25 @@ pattern {j} taken rem[j] times, and that candidate is scored in place.
 completes nor leaves a pattern to finish j.  The count rem[j] fits, since
 the child keeps rows left >= max(rem).
 
+The cover test can fail only after {t} alone, t being need's top column:
+every pattern the walk takes holds t, so a larger one lies above t's bit,
+and still, within need, below the next power of two.  After {t}, a count
+below rem[t] leaves t needed with no pattern left to finish it, so {t} is
+taken only rem[t] times, and only when its count bound reaches that.
+
 The budget bounds the walk's work, nodes entered plus candidates scored
 (in place or not): the walk checks it on entering each node and at its
-end, raising BudgetExceededError once the work has passed it.  A node
-costs one step per submask of its still-needed columns that holds the top
-one, at most 2^(L-1) for the L columns with a nonzero weight, and at most
-the largest weight, m*, counts per step, O(L) each.  So the work, 2^(L-1)
-and m* together bound the walk's time, and m* and the 2^L - 1 patterns are
-both checked against the budget before the table is built.  Every
-candidate, the witness too, has at least m* rows: one client missing n
-packets costs 2 units of work, but n counts and an n-row witness.  A huge
-m_cap adds no work: no candidate has more than sum w_j rows, and with that
-many rows left the rows-left bounds never bind.
+end, raising BudgetExceededError once the work has passed it.  Every count
+step enters a node or scores a candidate, so it costs a unit.  The steps
+left uncounted are submasks of a node's still-needed columns whose count
+bound is 0: a node takes one step per submask that holds the top column,
+at most 2^(L-1) for the L columns with a nonzero weight, O(L) each.  So the
+work and 2^(L-1) together bound the walk's time, and the 2^L - 1 patterns
+are checked against the budget before the table is built.  So is m*, since
+every candidate, the witness too, has at least m* rows: one client missing
+n packets costs 2 units of work, but an n-row witness.  A huge m_cap adds
+no work: no candidate has more than sum w_j rows, and with that many rows
+left the rows-left bounds never bind.
 
 Totals stay exact without Fraction arithmetic in the walk: the delays are
 scaled to ints by instance.scaled_delays, the helper the assignment layer
@@ -193,9 +200,15 @@ def _explore(
                         last = rows_left - rem[j]
             if not last:
                 continue
+            first = 1
+            if p == top:  # {t} alone: only rem[t] finishes t, no later pattern holds it
+                if last < rem[cols[0]]:
+                    continue
+                first = last
+                rem[cols[0]] -= last - 1
             below = 1 << (p - 1).bit_length()  # the least power of two >= p
             still = need
-            for count in range(1, last + 1):
+            for count in range(first, last + 1):
                 for j in cols:
                     rem[j] -= 1
                     if not rem[j]:
@@ -264,7 +277,8 @@ def brute_force_optimum(
 
     scale, ints = instance.scaled_delays()
     best, examined = _explore(want, ints, m_cap, budget)
-    assert best is not None, "exact-weight candidates always exist"
+    if best is None:
+        raise AssertionError("exact-weight candidates always exist")
     total, _, rows = best
     return OracleResult(
         best_total=Fraction(total, scale),

@@ -24,14 +24,12 @@ from dmsiplan import (
     CodingMatrix,
     Field,
     brute_force_optimum,
-    build_network,
     closed_form_delay,
     construct_code,
     decodability_check,
     decode,
     encode,
     is_solvable,
-    max_flow,
     optimal_assignment,
     parse_rational,
     run_simulation,
@@ -39,6 +37,7 @@ from dmsiplan import (
     transform_to_optimal,
 )
 from dmsiplan.cli import main
+from dmsiplan.netflow import build_network, max_flow
 
 CORPUS_SEED = 20260815
 CORPUS_SIZE = 200

@@ -20,7 +20,6 @@ from conftest import (
 from dmsiplan import (
     AssignmentMatrix,
     DmsiInstance,
-    build_network,
     closed_form_delay,
     decodability_check,
     is_feasible,
@@ -34,6 +33,7 @@ from dmsiplan import (
 )
 from dmsiplan import assignment
 from dmsiplan.assignment import TransformStep, TransformTrace
+from dmsiplan.netflow import build_network
 
 # the worked walkthrough's intermediate matrices, in ranked column order
 STEP_1_ROWS = ((1, 0, 1, 1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 1, 1))

