@@ -352,8 +352,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = _read(args.instance, parse_instance)
     try:
-        result = brute_force_optimum(instance, m_cap=args.m_cap, budget=args.budget)
-    except (BudgetExceededError, ValueError) as err:
+        result = brute_force_optimum(instance, budget=args.budget)
+    except BudgetExceededError as err:
         raise _CommandError(EXIT_VALIDATION, str(err))
     closed = closed_form_delay(instance)
     agrees = result.best_total == closed
@@ -467,14 +467,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("oracle",
-                       help="confirm the closed-form minimum by search over up to --m-cap rows")
+                       help="confirm the closed-form minimum by a complete search")
     p.add_argument("instance")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="exit 2 past this many search nodes plus candidates, row patterns, "
                         "or m* rows")
-    p.add_argument("--m-cap", type=int, dest="m_cap",
-                   help="most rows per candidate, default max(m*, min(sum of wants, 12)); "
-                        "the search is complete from the sum of wants on, and past it adds no work")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(handler=cmd_oracle)
 

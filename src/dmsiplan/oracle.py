@@ -1,17 +1,15 @@
 """Optimality check by enumerating assignment matrices.
 
-Enumerates every assignment with exact column weights w_j and row count in
-[m*, m_cap], quotiented by row order: a candidate is a multiset of distinct
-nonzero row patterns with multiplicities.  All-zero rows cost nothing and
-change nothing, so they are never enumerated; up to that padding and row
-order the search covers its row range.  No candidate has more than sum w_j
-rows, so the search is complete once m_cap reaches sum w_j: with the
-default m_cap, max(m*, min(sum w_j, 12)), whenever sum w_j <= 12.  The only
-prunes are deterministic infeasibility prunes (too few rows left for the
-largest remaining weight; a still-needed column that no remaining pattern
-covers), never objective bounds, so matrices_examined counts every
-quotiented candidate.  The pinned
-searches in the tests and the benchmark's examined ratio rely on that count.
+Enumerates every assignment with exact column weights w_j, quotiented by
+row order: a candidate is a multiset of distinct nonzero row patterns with
+multiplicities.  All-zero rows cost nothing and change nothing, so they are
+never enumerated; up to that padding and row order the search is
+complete.  Every candidate has from m* = max w_j to sum w_j rows, the
+range the result reports.  The only prunes are deterministic infeasibility
+prunes (a still-needed column that no remaining pattern covers), never
+objective bounds, so matrices_examined counts every quotiented candidate.
+The pinned searches in the tests and the benchmark's examined ratio rely
+on that count.
 
 A node walks only the patterns whose columns all still need rows: the
 submasks s of its still-needed columns, need, in descending order, by
@@ -27,44 +25,36 @@ one.
 A node checks its children before descending: a complete child is counted
 on the spot, and an infeasible one is never entered.  A child left needing
 the columns of still is entered only if the top one of them has a pattern
-after p, that is if still's top bit is below p.  Every node has at least as many
-rows left as any remaining weight (at the root because m_cap >= m*), so a
-pattern's count is bounded before its loop: by the remaining weight of
-each of its columns, and by rows left less the remaining weight of each
-other column, since a larger count leaves that column more rows to fill
-than remain.  The other columns are read only when the bound passes the
-node's slack, rows left less the largest remaining weight.  These checks
-cut only subtrees without a candidate, so the candidates are the same as
-with the checks made on entry.  The walk keeps the best candidate's total
-and row count as two ints: a candidate above them is counted and dropped,
-and only one that can tie or beat them builds its rows.
+after p, that is if still's top bit is below p.  A pattern's count is
+bounded before its loop by the remaining weight of each of its columns,
+so it is at least 1.  These checks cut only subtrees without a candidate,
+so the candidates are the same as with the checks made on entry.  The walk
+keeps the best candidate's total and row count as two ints: a candidate
+above them is counted and dropped, and only one that can tie or beat them
+builds its rows.
 
 A child left with one column j to fill (still a power of two) is never
 entered either: it holds exactly one candidate, the chosen rows plus the
 pattern {j} taken rem[j] times, and that candidate is scored in place.
 {j} is the one submask of still, so a count of {j} below rem[j] neither
-completes nor leaves a pattern to finish j.  The count rem[j] fits, since
-the child keeps rows left >= max(rem).
+completes nor leaves a pattern to finish j.
 
 The cover test can fail only after {t} alone, t being need's top column:
 every pattern the walk takes holds t, so a larger one lies above t's bit,
 and still, within need, below the next power of two.  After {t}, a count
 below rem[t] leaves t needed with no pattern left to finish it, so {t} is
-taken only rem[t] times, and only when its count bound reaches that.
+taken only rem[t] times.
 
 The budget bounds the walk's work, nodes entered plus candidates scored
 (in place or not): the walk checks it on entering each node and at its
 end, raising BudgetExceededError once the work has passed it.  Every count
-step enters a node or scores a candidate, so it costs a unit.  The steps
-left uncounted are submasks of a node's still-needed columns whose count
-bound is 0: a node takes one step per submask that holds the top column,
-at most 2^(L-1) for the L columns with a nonzero weight, O(L) each.  So the
-work and 2^(L-1) together bound the walk's time, and the 2^L - 1 patterns
-are checked against the budget before the table is built.  So is m*, since
-every candidate, the witness too, has at least m* rows: one client missing
-n packets costs 2 units of work, but an n-row witness.  A huge m_cap adds
-no work: no candidate has more than sum w_j rows, and with that many rows
-left the rows-left bounds never bind.
+step enters a node or scores a candidate, so it costs a unit, and every
+submask step takes at least one count step, since its pattern holds only
+still-needed columns.  So the work bounds the walk's time, at O(L) per
+unit for the L columns with a nonzero weight.  The 2^L - 1 patterns are
+checked against the budget before the table is built.  So is m*, since
+every candidate, the witness too, has at least m* rows: one client
+missing n packets costs 2 units of work, but an n-row witness.
 
 Totals stay exact without Fraction arithmetic in the walk: the delays are
 scaled to ints by instance.scaled_delays, the helper the assignment layer
@@ -79,7 +69,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, product
-from operator import gt
 from typing import Sequence
 
 from .assignment import AssignmentMatrix
@@ -111,35 +100,32 @@ def search_space_size(want: Sequence[int], m_range: tuple[int, int]) -> int:
 
 def _row_patterns(
     want: Sequence[int], delays: Sequence[int]
-) -> dict[int, tuple[tuple[int, ...], int, tuple[int, ...], tuple[int, ...]]]:
+) -> dict[int, tuple[tuple[int, ...], int, tuple[int, ...]]]:
     """Nonzero 0/1 rows keyed by mask, in descending order, skipping
     zero-weight columns.
 
     A mask holds column j at bit k - 1 - j and maps to (row, delay, set
-    columns, other columns with a nonzero weight).  A pattern touching a
-    column with w_j = 0 can never appear in an exact-weight matrix, so only
-    subsets of the other columns are built: the product of (1, 0) per live
-    column and (0,) per other one yields their rows in descending order, the
-    zero row last.
+    columns).  A pattern touching a column with w_j = 0 can never appear in
+    an exact-weight matrix, so only subsets of the other columns are built:
+    the product of (1, 0) per live column and (0,) per other one yields
+    their rows in descending order, the zero row last.
     """
     k = len(want)
     columns = range(k)
-    live_bits = [1 if w else 0 for w in want]
-    live = sum([bit << (k - 1 - j) for j, bit in enumerate(live_bits)])
+    live = sum([1 << (k - 1 - j) for j in columns if want[j]])
     patterns = {}
     mask = live
     for bits in product(*[(1, 0) if w else (0,) for w in want]):
         if not mask:
             break  # the zero row
         cols = tuple(compress(columns, bits))
-        others = tuple(compress(columns, map(gt, live_bits, bits)))
-        patterns[mask] = (bits, max(map(delays.__getitem__, cols)), cols, others)
+        patterns[mask] = (bits, max(map(delays.__getitem__, cols)), cols)
         mask = (mask - 1) & live  # the next submask of live, as product's next row
     return patterns
 
 
 def _explore(
-    want: tuple[int, ...], delays: tuple[int, ...], m_cap: int, budget: int
+    want: tuple[int, ...], delays: tuple[int, ...], budget: int
 ) -> tuple[tuple[int, int, tuple[tuple[int, ...], ...]] | None, int]:
     """Walk the candidate space; returns (best key, examined).
 
@@ -171,15 +157,14 @@ def _explore(
         if best is None or key < best:
             best, best_total, best_rows = key, total, rows_used
 
-    def dfs(above: int, rows_left: int, total: int, rows_used: int, need: int) -> None:
-        # need is nonzero and rows_left >= max(rem); each child is checked
-        # below before it is entered, and keeps both.  The walk takes the
-        # submasks of need below the parent's pattern, above, descending.
+    def dfs(above: int, total: int, rows_used: int, need: int) -> None:
+        # need is nonzero; each child is checked below before it is
+        # entered, and keeps it so.  The walk takes the submasks of need
+        # below the parent's pattern, above, descending.
         nonlocal nodes, examined
         nodes += 1
         if nodes + examined > budget:
             raise BudgetExceededError(_OVER_BUDGET.format(budget))
-        slack = rows_left - max(rem)
         over = above & ~need  # the columns the parent's pattern finished
         if over:  # above's columns over the top finished one, then need's under it
             b = 1 << over.bit_length() - 1
@@ -189,21 +174,13 @@ def _explore(
         top = 1 << need.bit_length() - 1
         while s >= top:  # without need's top column, it has no pattern left
             p, s = s, need & (s - 1)
-            _, delay, cols, others = patterns[p]
-            last = rows_left
+            _, delay, cols = patterns[p]
+            last = rem[cols[0]]  # at least 1: every column of p is still needed
             for j in cols:
                 if rem[j] < last:
                     last = rem[j]
-            if last > slack:  # a larger count leaves column j more weight than rows
-                for j in others:
-                    if rows_left - rem[j] < last:
-                        last = rows_left - rem[j]
-            if not last:
-                continue
             first = 1
             if p == top:  # {t} alone: only rem[t] finishes t, no later pattern holds it
-                if last < rem[cols[0]]:
-                    continue
                 first = last
                 rem[cols[0]] -= last - 1
             below = 1 << (p - 1).bit_length()  # the least power of two >= p
@@ -221,7 +198,7 @@ def _explore(
                 elif still < below:  # still's top column has a pattern below p
                     if still & (still - 1):
                         chosen.append((p, count))
-                        dfs(p, rows_left - count, total + count * delay, rows_used + count, still)
+                        dfs(p, total + count * delay, rows_used + count, still)
                         chosen.pop()
                     else:  # the child's one candidate: {j} taken rem[j] times
                         j = k - still.bit_length()
@@ -235,7 +212,7 @@ def _explore(
 
     live = next(iter(patterns), 0)  # the first pattern holds every live column
     if live:
-        dfs(1 << k, m_cap, 0, 0, live)  # 1 << k: above every pattern
+        dfs(1 << k, 0, 0, live)  # 1 << k: above every pattern
     else:
         examined = 1
         note_complete(0, 0, ())
@@ -246,23 +223,19 @@ def _explore(
 
 def brute_force_optimum(
     instance: DmsiInstance,
-    m_cap: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> OracleResult:
     """Minimum total delay by enumeration, with the witness matrix.
 
     The witness is canonical: rows sorted descending (column 1 most
     significant); ties in total delay break toward fewer rows, then the
-    smallest such matrix.  m_cap defaults to max(m*, min(sum w_j, 12)).
-    Raises BudgetExceededError when m*, the row patterns or the walk's work
-    pass budget.
+    smallest such matrix.  The search is complete: it covers every row
+    count from m* to sum w_j, the result's m_range.  Raises
+    BudgetExceededError when m*, the row patterns or the walk's work pass
+    budget.
     """
     want = instance.want_counts()
     m_star = max(want, default=0)
-    if m_cap is None:
-        m_cap = max(m_star, min(sum(want), 12))
-    if m_cap < m_star:
-        raise ValueError(f"m_cap={m_cap} is below the {m_star} rows feasibility needs")
     if m_star > budget:
         raise BudgetExceededError(
             f"{m_star} rows for the client that misses the most packets exceed budget "
@@ -276,7 +249,7 @@ def brute_force_optimum(
         )
 
     scale, ints = instance.scaled_delays()
-    best, examined = _explore(want, ints, m_cap, budget)
+    best, examined = _explore(want, ints, budget)
     if best is None:
         raise AssertionError("exact-weight candidates always exist")
     total, _, rows = best
@@ -284,5 +257,5 @@ def brute_force_optimum(
         best_total=Fraction(total, scale),
         best_matrix=_unchecked(AssignmentMatrix, rows=rows, k=instance.k),
         matrices_examined=examined,
-        m_range=(m_star, m_cap),
+        m_range=(m_star, sum(want)),
     )

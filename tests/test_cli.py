@@ -10,7 +10,6 @@ import shlex
 import shutil
 import subprocess
 import sys
-import time
 from fractions import Fraction
 from importlib.metadata import EntryPoint
 from pathlib import Path
@@ -236,16 +235,19 @@ def test_oracle_refuses_m_star_past_the_budget(tmp_path, capsys):
     assert "agreement: yes" in capsys.readouterr().out
 
 
-def test_oracle_a_huge_m_cap_adds_no_work(tmp_path, capsys):
-    """No candidate has more than sum w_j = 11 rows, so the walk is the
-    default one: same candidates, within the same budget."""
-    inst = write_json(tmp_path / "instance.json", DEMO_DOC)
-    start = time.perf_counter()
-    assert main(["oracle", inst, "--m-cap", str(10**8), "--budget", "256"]) == 0
-    assert time.perf_counter() - start < 1
-    shown = capsys.readouterr().out
-    assert "searched m in [5, 100000000]; 147 candidates examined\n" in shown
-    assert "agreement: yes" in shown
+def test_oracle_searches_past_twelve_rows(tmp_path, capsys):
+    """4 clients that hold none of 12 packets: the complete search runs to
+    48 rows and passes a budget of 100,000 units.  A search capped at 12
+    rows would find its one candidate at once."""
+    doc = {"n": 12, "clients": [{"has": [], "delay": 1}] * 4}
+    inst = write_json(tmp_path / "instance.json", doc)
+    assert main(["oracle", inst, "--budget", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: search nodes entered plus candidates scored exceed budget 100000; "
+        "raise the budget\n"
+    )
 
 
 def test_simulate_round_trips(tmp_path, capsys):

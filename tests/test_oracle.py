@@ -4,13 +4,14 @@ walk against its reference, the walk over every pattern it replaced."""
 
 import itertools
 import json
+import operator
 import random
 import time
 from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import OPTIMAL_PLAN_ROWS, instances, make_instance, random_instance
@@ -31,17 +32,30 @@ def naive_optimum(instance, m_cap):
     """(total, row count, rows) of the canonical optimum, by per-column
     subset enumeration.
 
-    Picks a w_j-subset of row slots for every column independently, with no
-    multiset quotienting and no pruning, so it shares nothing with the
-    search it cross-checks beyond the problem statement.  All-zero rows are
-    dropped and the rest sorted descending; ties in total break toward fewer
-    rows, then the smallest rows.
+    Picks a w_j-subset of m row slots for every column independently, m
+    from m* to m_cap, with no multiset quotienting and no pruning, so it
+    shares nothing with the search it cross-checks beyond the problem
+    statement.  Permuting the slots only reorders the rows, so the first
+    column takes the first w_0 slots, and the second the first a of those
+    and the first w_1 - a of the rest, for every a; each other column takes
+    every w_j-subset.  All-zero rows are dropped and the rest sorted
+    descending; ties in total break toward fewer rows, then the smallest
+    rows.
     """
     want = instance.want_counts()
     delays = instance.delays()
     best = None
     for m in range(max(want, default=0), m_cap + 1):
-        choices = [itertools.combinations(range(m), w) for w in want]
+        choices = [list(itertools.combinations(range(m), w)) for w in want]
+        if want:
+            choices[0] = [tuple(range(want[0]))]
+        if len(want) > 1:
+            w0, w1 = want[:2]
+            choices[1] = [
+                tuple(range(a)) + tuple(range(w0, w0 + w1 - a))
+                for a in range(min(w0, w1) + 1)
+                if w1 - a <= m - w0
+            ]
         for cols in itertools.product(*choices):
             total = Fraction(0)
             rows = []
@@ -104,8 +118,9 @@ def test_every_count_step_enters_a_node_or_scores_a_candidate(demo_instance):
 
 
 def test_a_refused_walk_stops_at_the_next_node():
-    """Six clients missing 11, 5, 6, 7, 2 and 2 of 12 packets: the full walk
-    takes 3.4 M units and seconds; at a budget of 1,000 it stops at once."""
+    """Six clients missing 11, 5, 6, 7, 2 and 2 of 12 packets: the complete
+    walk runs to 33 rows, past the 3.4 M units of a walk capped at 12; at a
+    budget of 1,000 it stops at once."""
     doc = {"n": 12, "clients": [
         {"has": [5], "delay": 4}, {"has": [8, 12, 7, 4, 2, 9, 1], "delay": 13},
         {"has": [10, 1, 8, 5, 4, 9], "delay": 4}, {"has": [1, 12, 11, 9, 10], "delay": 13},
@@ -118,21 +133,19 @@ def test_a_refused_walk_stops_at_the_next_node():
     assert time.perf_counter() - start < 0.5
 
 
-def test_a_huge_m_cap_adds_no_work(demo_instance):
-    """No candidate has more than sum w_j = 11 rows, so m_cap = 10^8 walks
-    the default search: the same result within the same budget, at once."""
-    start = time.perf_counter()
-    result = brute_force_optimum(demo_instance, m_cap=10**8, budget=DEMO_WORK)
-    assert time.perf_counter() - start < 1
-    assert result.best_total == 20
-    assert result.best_matrix.rows == OPTIMAL_PLAN_ROWS
-    assert result.matrices_examined == 147
-    assert result.m_range == (5, 10**8)
+def test_a_search_past_twelve_rows_is_complete():
+    """Three clients that hold none of 5 packets want 15 in all: the search
+    runs to 15 rows, where one capped at 12 rows examined 139 of the 150
+    candidates."""
+    instance = _holding_nothing(3, n=5)
+    result = brute_force_optimum(instance)
+    assert result.m_range == (5, 15)
+    assert result.matrices_examined == quotiented_count((5, 5, 5), 15) == 150
 
 
 def _holding_nothing(k, n=12):
-    """k clients of delay 1 that hold none of n packets: one candidate at
-    m_cap = m* = n, while the pattern table has 2^k - 1 rows."""
+    """k clients of delay 1 that hold none of n packets: m* = n, while the
+    pattern table has 2^k - 1 rows."""
     return make_instance(n, [set()] * k, [1] * k)
 
 
@@ -163,19 +176,27 @@ def test_m_star_past_the_budget_is_refused_before_the_table(monkeypatch):
     assert time.perf_counter() - start < 0.1
 
 
-def test_pattern_guard_admits_twelve_clients_that_hold_nothing():
-    instance = _holding_nothing(12)
-    result = brute_force_optimum(instance)
-    assert result.m_range == (12, 12)
-    assert result.matrices_examined == 1
-    assert result.best_matrix.rows == ((1,) * 12,) * 12
-    assert result.best_total == closed_form_delay(instance) == 12
+def test_pattern_guard_admits_twelve_clients_that_hold_nothing(monkeypatch):
+    """4,095 row patterns pass a budget of 4,095, so the table is built; the
+    walk over up to 144 rows then passes that budget."""
+    tables = []
+
+    def built(*args):
+        tables.append(row_patterns(*args))
+        return tables[-1]
+
+    row_patterns = oracle._row_patterns
+    monkeypatch.setattr(oracle, "_row_patterns", built)
+    with pytest.raises(BudgetExceededError, match="^search nodes entered .* budget 4095;"):
+        brute_force_optimum(_holding_nothing(12), budget=4095)
+    assert [len(table) for table in tables] == [4095]
 
 
 def _reference_row_patterns(want, delays):
     """_row_patterns as it stood before its rows came from one product: each
     row, its columns, its other live columns and its delay built bit by bit
-    from the mask, the reference for the list and its order."""
+    from the mask, the reference for the list and its order.  The other live
+    columns serve only reference_explore's rows-left bound."""
     k = len(want)
     live = sum(1 << (k - 1 - j) for j in range(k) if want[j])
     patterns = []
@@ -202,15 +223,17 @@ def test_row_patterns_equal_the_reference(case):
     """Zero and tied delays, zero-weight columns anywhere, and k = 0."""
     want, delays = case
     patterns = oracle._row_patterns(want, delays)
-    assert [(mask, *pattern) for mask, pattern in patterns.items()] == _reference_row_patterns(
-        want, delays
-    )
+    assert [(mask, *pattern) for mask, pattern in patterns.items()] == [
+        (mask, bits, delay, cols)
+        for mask, bits, delay, cols, _ in _reference_row_patterns(want, delays)
+    ]
     assert len(patterns) == 2 ** (len(want) - want.count(0)) - 1
 
 
 def reference_explore(want, delays, m_cap):
     """oracle._explore as it stood before it walked only the submasks of the
-    still-needed columns, with no budget: (best key, examined, nodes entered).
+    still-needed columns and before its row cap went, with no budget: (best
+    key, examined, nodes entered) over at most m_cap rows.
 
     A node steps over every pattern from its start index on, skips each that
     touches a finished column (its count bound is 0), stops where a
@@ -295,44 +318,50 @@ def reference_explore(want, delays, m_cap):
     return best, examined, nodes
 
 
+WALK_CASE_BUDGET = 10**5  # the reference has no budget; no draw of 300 came near
+
+
 @st.composite
 def walk_cases(draw):
-    """(instance, m_cap): k <= 5 clients over n <= 7 packets, some holding
-    every packet (a zero-weight column anywhere), delays from {0, 1, 1, 2, 3}
-    so that zero and tied delays are common, m_cap from m* to m* + 2."""
+    """k <= 5 clients over n <= 7 packets, some holding every packet (a
+    zero-weight column anywhere), delays from {0, 1, 1, 2, 3} so that zero
+    and tied delays are common."""
     n = draw(st.integers(0, 7))
     k = draw(st.integers(0, 5))
     held = st.frozensets(st.integers(0, n - 1)) if n else st.just(frozenset())
     has = [draw(st.one_of(st.just(frozenset(range(n))), held)) for _ in range(k)]
     delays = [draw(st.sampled_from([0, 1, 1, 2, 3])) for _ in range(k)]
-    instance = make_instance(n, has, delays)
-    return instance, max(instance.want_counts(), default=0) + draw(st.integers(0, 2))
+    return make_instance(n, has, delays)
 
 
 @given(walk_cases())
-@example((make_instance(3, [set(), {0, 1}, {0, 1}], [0, 0, 0]), 3))  # every candidate ties
+@example(make_instance(3, [set(), {0, 1}, {0, 1}], [0, 0, 0]))  # every candidate ties
 @settings(max_examples=150, deadline=None)
-def test_walk_equals_the_reference_in_result_and_work(case):
-    """The same result, the same candidates and the same nodes: the walk runs
-    at a budget of the reference's nodes plus candidates, W, in W - 1 count
-    steps, and refuses at W - 1."""
-    instance, m_cap = case
+def test_walk_equals_the_reference_in_result_and_work(instance):
+    """The same result, the same candidates and the same nodes as the
+    reference over sum w_j rows, where its rows-left bound cuts nothing: the
+    walk runs at a budget of the reference's nodes plus candidates, W, in
+    W - 1 count steps, and refuses at W - 1.  A draw whose walk passes
+    WALK_CASE_BUDGET is rejected, since the reference would run unbounded."""
     want = instance.want_counts()
     scale, ints = instance.scaled_delays()
-    (total, used, rows), examined, nodes = reference_explore(want, ints, m_cap)
-    result = brute_force_optimum(instance, m_cap=m_cap)
+    try:
+        result = brute_force_optimum(instance, budget=WALK_CASE_BUDGET)
+    except BudgetExceededError:
+        reject()
+    (total, used, rows), examined, nodes = reference_explore(want, ints, sum(want))
     assert result.best_total == Fraction(total, scale)
     assert result.best_matrix.rows == rows
     assert result.matrices_examined == examined
-    assert result.m_range == (max(want, default=0), m_cap)
+    assert result.m_range == (max(want, default=0), sum(want))
     # the walk itself, since brute_force_optimum also refuses a budget below
     # its 2^L - 1 patterns, which can pass W
     work = nodes + examined
-    walk, steps = count_steps(oracle._explore, want, ints, m_cap, work)
+    walk, steps = count_steps(oracle._explore, want, ints, work)
     assert walk == ((total, used, rows), examined)
     assert steps == work - 1  # as on the demo; with no live column, 0 steps and 1 candidate
     with pytest.raises(BudgetExceededError, match=f"scored exceed budget {work - 1};"):
-        oracle._explore(want, ints, m_cap, work - 1)
+        oracle._explore(want, ints, work - 1)
 
 
 def test_search_space_size_terms():
@@ -370,19 +399,15 @@ def test_nothing_wanted_is_the_empty_matrix():
     assert result.best_matrix.rows == ()
 
 
-def test_m_cap_below_largest_want_rejected(demo_instance):
-    with pytest.raises(ValueError, match="rows"):
-        brute_force_optimum(demo_instance, m_cap=4)
-
-
 def test_agrees_with_naive_enumeration():
     rng = random.Random(4021)
     for _ in range(60):
         instance = random_instance(rng, max_n=4, max_k=3, delay_range=(1, 9))
-        m_cap = max(instance.want_counts(), default=0) + 1
-        result = brute_force_optimum(instance, m_cap=m_cap)
-        assert result.best_total == naive_minimum(instance, m_cap)
-        assert result.best_matrix.rows == naive_optimum(instance, m_cap)[2]
+        result = brute_force_optimum(instance)
+        # sum w_j >= m*, and no candidate has more rows
+        total, _, rows = naive_optimum(instance, sum(instance.want_counts()))
+        assert result.best_total == total
+        assert result.best_matrix.rows == rows
         # the witness must itself be an exact-weight plan at that cost
         weights = [
             sum(row[j] for row in result.best_matrix.rows)
@@ -397,7 +422,10 @@ def quotiented_count(want, m_cap):
     """Candidates of the quotiented space, counted without the search.
 
     Every multiset of nonzero 0/1 rows that avoid the zero-want columns, with
-    at most m_cap rows and column sums exactly want.
+    at most m_cap rows and column sums exactly want.  Counted pattern by
+    pattern: ways maps (column sums, rows) to the multisets of the patterns
+    taken so far that reach it, and each pattern joins them 0, 1, 2, ...
+    times while no column passes its want and the rows stay within m_cap.
     """
     k = len(want)
     patterns = [
@@ -405,33 +433,58 @@ def quotiented_count(want, m_cap):
         for row in itertools.product((0, 1), repeat=k)
         if any(row) and all(want[j] or not a for j, a in enumerate(row))
     ]
-    return sum(
-        tuple(sum(row[j] for row in rows) for j in range(k)) == want
-        for size in range(m_cap + 1)
-        for rows in itertools.combinations_with_replacement(patterns, size)
-    )
+    ways = {((0,) * k, 0): 1}
+    for row in patterns:
+        joined = dict(ways)
+        once_more = ways
+        while once_more:
+            once_more = {
+                (tuple(map(operator.add, sums, row)), rows + 1): count
+                for (sums, rows), count in once_more.items()
+                if rows < m_cap and all(s + a <= w for s, a, w in zip(sums, row, want))
+            }
+            for key, count in once_more.items():
+                joined[key] = joined.get(key, 0) + count
+        ways = joined
+    return sum(count for (sums, _), count in ways.items() if sums == tuple(want))
+
+
+def test_quotiented_count_enumerates_the_same_multisets():
+    """The count against the multisets themselves, listed size by size,
+    with m_cap below, at and past sum w_j."""
+    for want in [(), (0,), (2, 1, 3), (0, 2, 3), (2, 2, 1, 1), (1, 0, 2, 1)]:
+        patterns = [
+            row
+            for row in itertools.product((0, 1), repeat=len(want))
+            if any(row) and all(w or not a for w, a in zip(want, row))
+        ]
+        for m_cap in range(sum(want) + 2):
+            listed = sum(
+                tuple(map(sum, zip(*rows))) == want if rows else not any(want)
+                for size in range(m_cap + 1)
+                for rows in itertools.combinations_with_replacement(patterns, size)
+            )
+            assert quotiented_count(want, m_cap) == listed, (want, m_cap)
 
 
 def test_examined_counts_every_quotiented_candidate():
     rng = random.Random(6007)
     drawn = [random_instance(rng, max_n=4, max_k=3, delay_range=(1, 9)) for _ in range(80)]
-    # at k = 4 a pattern's count bound reads up to three columns outside it
+    # k = 4: fifteen patterns, and nodes three and four columns deep
     for _ in range(100):
         n = rng.randint(1, 3)
         has = [rng.sample(range(n), rng.randint(0, n)) for _ in range(4)]
         drawn.append(make_instance(n, has, [rng.randint(1, 9) for _ in range(4)]))
     for instance in drawn:
         want = instance.want_counts()
-        m_star = max(want, default=0)
-        for m_cap in range(m_star, m_star + 3):
-            result = brute_force_optimum(instance, m_cap=m_cap)
-            assert result.matrices_examined == quotiented_count(want, m_cap), (instance, m_cap)
+        result = brute_force_optimum(instance)
+        assert result.matrices_examined == quotiented_count(want, sum(want)), instance
 
 
 def test_tied_and_zero_delays_under_tight_rows():
     """Delays from {0, 1, 2} tie many totals, so the row count and then the
-    rows pick the witness; m_cap at most m* + 2 leaves few rows to spare, so
-    many nodes end with one column still to fill."""
+    rows pick the witness: the complete search's longer candidates tie or
+    lose, and many nodes end with one column still to fill."""
     rng = random.Random(3301)
     drawn = [random_instance(rng, max_n=4, max_k=3, delay_range=(0, 2)) for _ in range(60)]
     for _ in range(40):
@@ -440,42 +493,42 @@ def test_tied_and_zero_delays_under_tight_rows():
         drawn.append(make_instance(n, has, [rng.randint(0, 2) for _ in range(4)]))
     for instance in drawn:
         want = instance.want_counts()
-        m_star = max(want, default=0)
-        for m_cap in range(m_star, m_star + 3):
-            result = brute_force_optimum(instance, m_cap=m_cap)
-            total, _, rows = naive_optimum(instance, m_cap)
-            assert result.best_total == total, (instance, m_cap)
-            assert result.best_matrix.rows == rows, (instance, m_cap)
-            assert result.matrices_examined == quotiented_count(want, m_cap), (instance, m_cap)
+        result = brute_force_optimum(instance)
+        total, _, rows = naive_optimum(instance, sum(want))
+        assert result.best_total == total, instance
+        assert result.best_matrix.rows == rows, instance
+        assert result.matrices_examined == quotiented_count(want, sum(want)), instance
 
 
 @pytest.mark.parametrize(
-    "has, m_cap, examined",
+    "has, rows, examined",
     [
         ([{0, 1, 2}, {0, 1, 2}], 0, 1),  # nothing wanted at the root
-        # want (2, 2, 3): {001, 111, 111} and {011, 101, 111}
-        ([{0}, {1}, set()], 3, 2),  # m_cap == m*
+        # want (2, 2, 3): from {001, 111, 111} at m* = 3 rows to the seven
+        # single-column rows
+        ([{0}, {1}, set()], 7, 19),
         # want (0, 2, 3): 011 twice and 001; 011, 010 and 001 twice; 010 twice
         # and 001 three times
         ([{0, 1, 2}, {0}, set()], 5, 3),  # a zero-want column
     ],
 )
-def test_examined_count_edge_cases(has, m_cap, examined):
+def test_examined_count_edge_cases(has, rows, examined):
+    """rows: sum w_j, the top of the searched range."""
     instance = make_instance(3, has, [4, 2, 1][: len(has)])
-    result = brute_force_optimum(instance, m_cap=m_cap)
+    want = instance.want_counts()
+    result = brute_force_optimum(instance)
+    assert result.m_range == (max(want, default=0), rows)
     assert result.matrices_examined == examined
-    assert examined == quotiented_count(instance.want_counts(), m_cap)
+    assert examined == quotiented_count(want, rows)
 
 
 def test_extra_rows_never_help():
+    """The complete search finds no total below the best of m* rows."""
     rng = random.Random(977)
     for _ in range(40):
         instance = random_instance(rng, max_n=4, max_k=3)
-        want = instance.want_counts()
-        m_star = max(want, default=0)
-        tight = brute_force_optimum(instance, m_cap=m_star)
-        slack = brute_force_optimum(instance, m_cap=m_star + 2)
-        assert tight.best_total == slack.best_total
+        m_star = max(instance.want_counts(), default=0)
+        assert brute_force_optimum(instance).best_total == naive_minimum(instance, m_star)
 
 
 def test_client_order_does_not_matter():
@@ -489,9 +542,8 @@ def test_client_order_does_not_matter():
             [instance.clients[j].has for j in perm],
             [instance.clients[j].delay for j in perm],
         )
-        m_cap = max(instance.want_counts(), default=0) + 1
-        a = brute_force_optimum(instance, m_cap=m_cap)
-        b = brute_force_optimum(shuffled, m_cap=m_cap)
+        a = brute_force_optimum(instance)
+        b = brute_force_optimum(shuffled)
         assert a.best_total == b.best_total
         assert a.matrices_examined == b.matrices_examined
 
@@ -499,9 +551,7 @@ def test_client_order_does_not_matter():
 @settings(max_examples=60, deadline=None)
 @given(instances(max_n=4, max_k=3))
 def test_closed_form_matches_search(instance):
-    m_cap = max(instance.want_counts(), default=0) + 1
-    result = brute_force_optimum(instance, m_cap=m_cap)
-    assert result.best_total == closed_form_delay(instance)
+    assert brute_force_optimum(instance).best_total == closed_form_delay(instance)
 
 
 @st.composite
@@ -528,15 +578,15 @@ def bandwidth_instances(draw, max_n=4, max_k=3):
 @settings(max_examples=25, deadline=None)
 @given(bandwidth_instances())
 def test_fractional_delays_match_naive(instance):
-    m_cap = max(instance.want_counts(), default=0) + 1
-    result = brute_force_optimum(instance, m_cap=m_cap)
-    total, _, rows = naive_optimum(instance, m_cap)
+    result = brute_force_optimum(instance)
+    total, _, rows = naive_optimum(instance, sum(instance.want_counts()))
     assert result.best_total == total
     assert result.best_matrix.rows == rows
 
 
-# (n, 0-based held sets, delays, m_cap, best_total, matrices_examined), taken
-# from the search while it still summed Fractions
+# (n, 0-based held sets, delays, m_cap, best_total, matrices_examined over at
+# most m_cap rows), taken from the search while it still summed Fractions and
+# capped its rows
 PINNED_SEARCHES = [
     (4, [[2], [], []], ["1/6", "4/11", "8"], 6, Fraction(32), 18),
     (5, [[1], [1], [], []], ["28/3", "3/7", "4", "11"], 7, Fraction(55), 264),
@@ -563,12 +613,36 @@ PINNED_DEEP_SEARCHES = [
 ]
 
 
+# the same searches' candidates over sum w_j rows, by their delays, taken
+# from the row-capped search at m_cap = sum w_j
+COMPLETE_SEARCHES = {
+    ("1/6", "4/11", "8"): 59,
+    ("28/3", "3/7", "4", "11"): 7443,
+    ("26/5", "1/4", "19/11", "1/11"): 629,
+    ("3", "7", "28/3", "23/4"): 1171,
+    ("5/7", "1/3", "28/3", "5/2"): 7443,
+    ("13/12", "9", "10", "30/7"): 296,
+    ("10", "7", "7", "4", "1/3"): 119_952,
+    ("4/5", "13/9", "16", "23/6", "9"): 926_948,
+    ("17/10", "19/8", "19/10", "1", "19/12"): 6319,
+}
+
+
 @pytest.mark.parametrize(
     "n, has, delays, m_cap, best_total, examined", PINNED_SEARCHES + PINNED_DEEP_SEARCHES
 )
 def test_pinned_fractional_searches(n, has, delays, m_cap, best_total, examined):
+    """The complete search against its pins, and the references against the
+    capped pins: only here does reference_explore run below sum w_j, where
+    its rows-left bound cuts."""
     instance = make_instance(n, has, [Fraction(d) for d in delays])
-    result = brute_force_optimum(instance, m_cap=m_cap)
-    assert result.best_total == best_total
-    assert result.matrices_examined == examined
-    assert result.best_total == closed_form_delay(instance)
+    want = instance.want_counts()
+    result = brute_force_optimum(instance)
+    assert result.best_total == best_total == closed_form_delay(instance)
+    assert result.m_range == (max(want), sum(want))
+    assert result.matrices_examined == COMPLETE_SEARCHES[tuple(delays)]
+    assert quotiented_count(want, sum(want)) == result.matrices_examined
+    scale, ints = instance.scaled_delays()
+    (total, _, _), capped, _ = reference_explore(want, ints, m_cap)
+    assert Fraction(total, scale) == best_total
+    assert capped == quotiented_count(want, m_cap) == examined

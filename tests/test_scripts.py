@@ -35,7 +35,7 @@ def test_regression_sweep_runs():
     proc = run_script("regression_sweep.py", "--count", "40")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     first = proc.stdout.splitlines()[0]
-    assert re.fullmatch(r"40 draws agreed; 1921 candidates enumerated in \d+\.\d\ds", first), first
+    assert re.fullmatch(r"40 draws agreed; 2024 candidates enumerated in \d+\.\d\ds", first), first
 
 
 def test_regression_sweep_exits_quietly_when_its_reader_has_gone():
