@@ -31,16 +31,18 @@ from dmsiplan import (
 )
 
 SEED = 0
-MAX_N = 6  # packets per draw, at most
-MAX_K = 4  # clients per draw, at most
 
 
-def draw_instance(rng: random.Random) -> DmsiInstance:
-    n = rng.randint(0, MAX_N)
+def draw_instance(
+    rng: random.Random, max_n: int = 6, max_k: int = 4, delay_range: tuple[int, int] = (1, 16)
+) -> DmsiInstance:
+    """n <= max_n packets, 1..max_k clients, each holding a uniform number of
+    them, and integer delays in delay_range; the tests draw their corpora here."""
+    n = rng.randint(0, max_n)
     clients = []
-    for _ in range(rng.randint(1, MAX_K)):
+    for _ in range(rng.randint(1, max_k)):
         has = frozenset(rng.sample(range(n), rng.randint(0, n)))
-        clients.append(ClientSpec(has=has, delay=Fraction(rng.randint(1, 16))))
+        clients.append(ClientSpec(has=has, delay=Fraction(rng.randint(*delay_range))))
     return DmsiInstance(n=n, clients=tuple(clients))
 
 

@@ -214,11 +214,16 @@ def _write(path: str, text: str) -> None:
         raise _CommandError(EXIT_VALIDATION, f"cannot write {path}: {err}")
 
 
+def _rows(value: object, path: str, kind: str) -> list[list]:
+    """A file's assignment or code grid: value if it is a list of lists, else exit 2."""
+    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
+        raise _CommandError(EXIT_VALIDATION, f"{path}: expected a list of {kind} rows")
+    return value
+
+
 def _matrix_from_document(doc: object, instance: DmsiInstance, path: str) -> AssignmentMatrix:
     """The assignment in a plan or matrix file; its total must be printable."""
-    rows = doc.get("assignment") if isinstance(doc, dict) else doc
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise _CommandError(EXIT_VALIDATION, f"{path}: expected a list of 0/1 rows")
+    rows = _rows(doc.get("assignment") if isinstance(doc, dict) else doc, path, "0/1")
     try:
         matrix = AssignmentMatrix(rows=tuple(tuple(r) for r in rows), k=instance.k)
         check_digits(instance, matrix.m)
@@ -255,7 +260,8 @@ def _load_plan(
         if "code" in doc:
             if not isinstance(code, dict) or not {"field_degree", "rows"} <= code.keys():
                 raise ValueError("'code' must hold 'field_degree' and 'rows'")
-            code = CodingMatrix(field=Field(code["field_degree"]), n=instance.n, rows=code["rows"])
+            code = CodingMatrix(field=Field(code["field_degree"]), n=instance.n,
+                                rows=_rows(code["rows"], path, "code"))
     except (TypeError, ValueError) as err:
         raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
     return recorded, matrix, code
@@ -264,8 +270,7 @@ def _load_plan(
 # ---------------------------------------------------------------- commands
 
 
-def cmd_plan(args: argparse.Namespace) -> int:
-    instance = _read(args.instance, parse_instance)
+def cmd_plan(args: argparse.Namespace, instance: DmsiInstance) -> int:
     cells = max(instance.want_counts(), default=0) * (instance.n + instance.k)
     if cells > PLAN_CELL_BUDGET:
         raise _CommandError(
@@ -296,8 +301,7 @@ def _status(label: str, text: str) -> str:
     return f"{label + ':':<28} {text}"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    instance = _read(args.instance, parse_instance)
+def cmd_verify(args: argparse.Namespace, instance: DmsiInstance) -> int:
     recorded, matrix, code = _load_plan(args.plan, instance)
     want, weights = instance.want_counts(), matrix.column_weights()
     weight_short = [j for j in range(instance.k) if weights[j] < want[j]]
@@ -349,8 +353,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_DISAGREEMENT if problems else EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    instance = _read(args.instance, parse_instance)
+def cmd_oracle(args: argparse.Namespace, instance: DmsiInstance) -> int:
     try:
         result = brute_force_optimum(instance, budget=args.budget)
     except BudgetExceededError as err:
@@ -377,8 +380,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if agrees else EXIT_DISAGREEMENT
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    instance = _read(args.instance, parse_instance)
+def cmd_simulate(args: argparse.Namespace, instance: DmsiInstance) -> int:
     # every recorded delay is read: a file that verify refuses is refused here too
     recorded, matrix, code = _load_plan(args.plan, instance)
     if code is None:
@@ -415,8 +417,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_DISAGREEMENT
 
 
-def cmd_transform(args: argparse.Namespace) -> int:
-    instance = _read(args.instance, parse_instance)
+def cmd_transform(args: argparse.Namespace, instance: DmsiInstance) -> int:
     matrix = _matrix_from_document(_read(args.matrix), instance, args.matrix)
     try:
         trace = transform_to_optimal(matrix, instance)
@@ -453,36 +454,33 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Minimum-total-delay broadcast planning for clients with side information",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)  # the first argument of every command
+    instance.add_argument("instance", help="instance JSON file")
+    add = functools.partial(sub.add_parser, parents=[instance])
 
-    p = sub.add_parser("plan", help="compute the optimal assignment and a verified code")
-    p.add_argument("instance", help="instance JSON file")
+    p = add("plan", help="compute the optimal assignment and a verified code")
     p.add_argument("--field-degree", type=int, metavar="E", help="use GF(2^E)")
     p.add_argument("--seed", type=int, default=0, help="code construction seed")
     p.add_argument("--output", metavar="FILE", help="write the plan JSON here")
     p.set_defaults(handler=cmd_plan)
 
-    p = sub.add_parser("verify", help="re-derive and check a plan or scheme file")
-    p.add_argument("instance")
+    p = add("verify", help="re-derive and check a plan or scheme file")
     p.add_argument("plan")
     p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("oracle",
-                       help="confirm the closed-form minimum by a complete search")
-    p.add_argument("instance")
+    p = add("oracle", help="confirm the closed-form minimum by a complete search")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="exit 2 past this many search nodes plus candidates, row patterns, "
                         "or m* rows")
     p.add_argument("--output", metavar="FILE")
     p.set_defaults(handler=cmd_oracle)
 
-    p = sub.add_parser("simulate", help="broadcast a random payload and decode")
-    p.add_argument("instance")
+    p = add("simulate", help="broadcast a random payload and decode")
     p.add_argument("plan")
     p.add_argument("--payload-seed", type=int, default=0)
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("transform", help="rewrite a matrix into the optimal one")
-    p.add_argument("instance")
+    p = add("transform", help="rewrite a matrix into the optimal one")
     p.add_argument("matrix", help="JSON rows, or any file with an 'assignment' key")
     p.set_defaults(handler=cmd_transform)
     return parser
@@ -491,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, _read(args.instance, parse_instance))
     except _CommandError as err:
         print(f"error: {err.message}", file=sys.stderr)
         return err.code

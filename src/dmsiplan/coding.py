@@ -7,49 +7,30 @@ its missing coordinates, have full rank w_j; decodability_check tests exactly
 that, and decode performs the recovery by subtracting the known side-info
 contribution and solving the remaining square system.
 
-One elimination kernel serves rank, solve and construction.  _kernel binds
-it to a field and a width, with the field's tables and the lane masks as
-locals of its loops, and each caller binds it once per call, never keeping
-it past that call: construct_code once per construction, decodability_check
-once for all clients, run_simulation once for all its solves, and decode and
-matrix_rank once each.  One call of the bound kernel reduces a client's
-stream of rows into an echelon basis, whose entries it keys by their pivot's
-bit offset, and reports whether any row left a nonzero remainder.  encode,
-decode and run_simulation share one column product, _column_product: the sum
-of value * column x over (x, value) pairs, G x for encode, the side
-information's share of every symbol for decode, and one packet's product for
-run_simulation.  Field._check_all checks elements once on entry, for all of
-a CodingMatrix's rows in one call (matrix_rank builds one), encode's payload
-and decode's view.  Values the module made itself skip it: the rows
+A row is one int with one lane per packet, lane i holding packet i, of 8 bits
+for e <= 8 and 16 above.  Adding is one XOR, and a client's view is one AND
+with its keep-mask (_projector), all ones on each packet it misses and 0 on
+each it holds; pivots are packet coordinates.  A CodingMatrix keeps its
+packed rows and columns.
+
+One elimination kernel, _kernel, serves rank, solve and construction, and
+each caller binds it once per call: construct_code once per construction,
+decodability_check once for all clients, run_simulation once for all its
+solves, and decode and matrix_rank once each.  encode, decode and
+run_simulation share one column product, _column_product.  Field._check_all
+checks elements once on entry: a CodingMatrix's rows, encode's payload and
+decode's view.  Values the module made itself skip it: the rows
 construct_code draws and the payload and broadcast run_simulation makes.
-The kernel checks none.  A row is one int with one lane per
-packet, lane i holding packet i, of 8 bits for e <= 8 and 16 above.  Adding
-is one XOR, and a client's view is one AND with its keep-mask, all ones on
-each packet it misses and 0 on each it holds; pivots are packet
-coordinates.  For e <= 8 scaling is one translate, and decode back-substitutes
-by strided columns of the joined basis, one translate per solved pivot;
-above, a basis entry keeps its row times x^i for i < e, scaling by c XORs the
-ones at the set bits of c, and back-substitution is scalar.  A CodingMatrix
-keeps its packed rows and columns.
 
 construct_code builds the code row by row (Jaggi, Sanders et al., 2005), one
-basis per client over its missing packets, redrawing a row at most 64 times;
-each draw is a one-row stream per short client, and it is rejected, its new
-entries dropped, at the first client it fails.  Rejected rows form a proper
-subspace per client, so with q >= k a good row always exists; with q < k it
-may not, which is warned about and attempted.
+basis per client over its missing packets.  The rows a client rejects form a
+proper subspace, so with q >= k a good row always exists; with q < k it may
+not, which is warned about and attempted.
 
-run_simulation plays one broadcast end to end: a seeded payload, each
-packet's column times its value once (one translate for e <= 8), the
-broadcast as the XOR of all those products, and at each client decode's
-solver, _solve, on the XOR of its held packets' products (their share of
-every symbol) and the (row, symbol) pairs it takes from the broadcast.
-_solve takes a share, not side-information pairs, and returns its solution
-unsorted; decode computes the share with _column_product and sorts.  No check
-of decode's could fail on those, so none runs.  The check is one comparison
-with the payload: a client decodes only if its solution's keys are exactly
-its missing packets and each value is the payload's.  The clock sums each
-row's largest scaled delay as an int and divides by the scale once per row.
+run_simulation shares decode's work across clients: it multiplies each
+packet's column by its value once, makes the broadcast as the XOR of all
+those products and each client's share as the XOR of its held packets'
+products, and calls decode's solver, _solve, without a ClientView.
 """
 
 from __future__ import annotations

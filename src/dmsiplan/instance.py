@@ -172,7 +172,8 @@ def scaled_delays(delays: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return scale, tuple([d.numerator * (scale // q) for d, q in zip(delays, denominators)])
 
 
-def _parse_side_info(doc: object, where: str, n: int) -> frozenset[int]:
+def _parse_client(doc: object, where: str, n: int, packet_size: Fraction | None) -> ClientSpec:
+    """A client document: its held packets and a delay, or a bandwidth over packet_size."""
     if not isinstance(doc, dict):
         raise InstanceError(f"{where}: expected an object, got {doc!r}")
     unknown = set(doc) - {"has", "delay", "bandwidth"}
@@ -180,11 +181,10 @@ def _parse_side_info(doc: object, where: str, n: int) -> frozenset[int]:
         raise InstanceError(f"{where}: unknown keys {sorted(unknown)}")
     if "has" not in doc:
         raise InstanceError(f"{where}: missing 'has'")
-    raw_has = doc["has"]
-    if not isinstance(raw_has, list):
+    if not isinstance(doc["has"], list):
         raise InstanceError(f"{where}: 'has' must be a list")
     has: set[int] = set()
-    for x in raw_has:
+    for x in doc["has"]:
         if not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= n:
             raise InstanceError(f"{where}: packet index {x!r} outside [1, {n}]")
         if x - 1 in has:
@@ -192,7 +192,14 @@ def _parse_side_info(doc: object, where: str, n: int) -> frozenset[int]:
         has.add(x - 1)
     if ("delay" in doc) == ("bandwidth" in doc):
         raise InstanceError(f"{where}: exactly one of 'delay' or 'bandwidth' required")
-    return frozenset(has)
+    if "delay" in doc:
+        return ClientSpec(has, parse_rational(doc["delay"], f"{where}: delay"))
+    bandwidth = parse_rational(doc["bandwidth"], f"{where}: bandwidth")
+    if bandwidth <= 0:
+        raise InstanceError(f"{where}: bandwidth must be positive")
+    if packet_size is None:
+        raise InstanceError(f"{where}: 'bandwidth' given but no 'packet_size'")
+    return ClientSpec(has, packet_size / bandwidth)
 
 
 def parse_json(text: str) -> object:
@@ -245,20 +252,10 @@ def parse_instance(text: str) -> DmsiInstance:
     if "packet_size" in doc:
         packet_size = parse_rational(doc["packet_size"], "packet_size")
 
-    clients: list[ClientSpec] = []
-    for j, client_doc in enumerate(doc["clients"]):
-        where = f"client {j + 1}"
-        has = _parse_side_info(client_doc, where, n)
-        if "delay" in client_doc:
-            delay = parse_rational(client_doc["delay"], f"{where}: delay")
-        else:
-            bandwidth = parse_rational(client_doc["bandwidth"], f"{where}: bandwidth")
-            if bandwidth <= 0:
-                raise InstanceError(f"{where}: bandwidth must be positive")
-            if packet_size is None:
-                raise InstanceError(f"{where}: 'bandwidth' given but no 'packet_size'")
-            delay = packet_size / bandwidth
-        clients.append(ClientSpec(has, delay))
+    clients = [
+        _parse_client(client_doc, f"client {j + 1}", n, packet_size)
+        for j, client_doc in enumerate(doc["clients"])
+    ]
     instance = _unchecked(DmsiInstance, n=n, clients=tuple(clients))
     check_digits(instance, n)
     return instance

@@ -1,12 +1,13 @@
 """Shared fixtures: the six-packet worked example, its two reference
 matrices, the pinned GF(4) code, a client's view of a broadcast, scalar
-field arithmetic, and hypothesis strategies for random instances and
-exact-weight assignment matrices."""
+field arithmetic, the seeded corpus draw (the regression sweep's), and
+hypothesis strategies for random instances and exact-weight assignment
+matrices."""
 
 import json
-import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -19,6 +20,10 @@ from dmsiplan import (
     format_rational,
     parse_instance,
 )
+
+# the corpus draw lives in the script, which runs without pytest
+sys.path.append(str(Path(__file__).resolve().parents[1] / "scripts"))
+from regression_sweep import draw_instance as random_instance  # noqa: E402
 
 DEMO_DOC = {
     "n": 6,
@@ -158,19 +163,6 @@ def make_instance(n, has_sets, delays):
             for has, d in zip(has_sets, delays)
         ),
     )
-
-
-def random_instance(rng: random.Random, max_n=6, max_k=4, delay_range=(1, 16)):
-    """Corpus draw: n <= max_n packets, 1..max_k clients, integer delays."""
-    n = rng.randint(0, max_n)
-    k = rng.randint(1, max_k)
-    clients = []
-    for _ in range(k):
-        size = rng.randint(0, n)
-        has = frozenset(rng.sample(range(n), size))
-        delay = Fraction(rng.randint(*delay_range))
-        clients.append(ClientSpec(has=has, delay=delay))
-    return DmsiInstance(n=n, clients=tuple(clients))
 
 
 @st.composite

@@ -384,6 +384,21 @@ def test_malformed_recorded_delay_exits_2(tmp_path, capsys, command, key, value)
     assert shown.out == ""
 
 
+@pytest.mark.parametrize("rows", [5, [5], "abc", {"a": 1}])
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_code_rows_that_are_not_a_list_of_rows_exit_2(tmp_path, capsys, command, rows):
+    """The code's grid is checked as the assignment's is, and named: not
+    read as rows of one element, and no TypeError from Python."""
+    inst, out = make_plan(tmp_path, capsys)
+    doc = json.loads(out.read_text())
+    doc["code"]["rows"] = rows
+    tampered = write_json(tmp_path / "tampered.json", doc)
+    assert main([command, inst, tampered]) == 2
+    shown = capsys.readouterr()
+    assert shown.err == f"error: {tampered}: expected a list of code rows\n"
+    assert shown.out == ""
+
+
 def test_plan_beyond_the_largest_field_exits_2(tmp_path, capsys):
     """65,537 clients need q >= 65,537, one degree past GF(2^16)."""
     doc = {"n": 1, "clients": [{"has": [], "delay": 1}] * 65_537}

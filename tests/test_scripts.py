@@ -162,9 +162,10 @@ def test_bench_against_exits_1_when_a_run_is_not_correct(tmp_path):
     shutil.copy(root / "BENCHMARK.json", tmp_path)
     cli = tmp_path / "src" / "dmsiplan" / "cli.py"
     good = cli.read_text()
-    plan = "def cmd_plan(args: argparse.Namespace) -> int:\n"
-    assert plan in good
-    cli.write_text(good.replace(plan, plan + "    return 3\n"))
+    start = good.index("\ndef cmd_plan(") + 1
+    end = good.index("\n", start) + 1  # the signature is one line
+    assert good[start:end].endswith(":\n")
+    cli.write_text(good[:end] + "    return 3\n" + good[end:])
     git = ["git", "-C", str(tmp_path), "-c", "user.name=bench", "-c", "user.email=bench@localhost"]
     for command in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "plan exits 3"]):
         subprocess.run(git + command, check=True, stdout=subprocess.DEVNULL)
