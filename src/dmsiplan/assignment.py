@@ -221,7 +221,6 @@ def transform_to_optimal(
     steps: list[TransformStep] = []
     scaled_totals: list[int] = []
     as_fraction: dict[int, Fraction] = {}
-    new, set_field = object.__new__, object.__setattr__
 
     def snapshot(label: str) -> None:
         snap = tuple(map(tuple, rows))
@@ -229,14 +228,9 @@ def transform_to_optimal(
         scaled_totals.append(total)
         if total not in as_fraction:
             as_fraction[total] = Fraction(total, scale)
-        # built as _unchecked builds them, without its keyword dict: every entry is a 0/1 int
-        snap_matrix, step = new(AssignmentMatrix), new(TransformStep)
-        set_field(snap_matrix, "rows", snap)
-        set_field(snap_matrix, "k", k)
-        set_field(step, "label", label)
-        set_field(step, "matrix", snap_matrix)
-        set_field(step, "total", as_fraction[total])
-        steps.append(step)
+        snap_matrix = _unchecked(AssignmentMatrix, rows=snap, k=k)
+        steps.append(_unchecked(TransformStep, label=label, matrix=snap_matrix,
+                                total=as_fraction[total]))
 
     snapshot("initial")
     if matrix.column_weights() != instance.want_counts():

@@ -35,7 +35,6 @@ from .coding import (
     CodingMatrix,
     construct_code,
     decodability_check,
-    default_field_degree,
     run_simulation,
 )
 from .gf import Field
@@ -59,6 +58,8 @@ EXIT_CONSTRUCTION = 4
 # m* x (n + k) cells of assignment and code.  This bounds memory, not time:
 # construction grows about as n^2.6, and 5 clients holding nothing took
 # 11.5 s at n = 1,000, so a plan near the limit (n about 3,160) runs minutes.
+# Every command refuses an instance whose one row, n + k cells, passes it:
+# plan, verify and simulate each build n-cell values even for a plan of no rows.
 PLAN_CELL_BUDGET = 10**7
 
 
@@ -225,7 +226,7 @@ def _matrix_from_document(doc: object, instance: DmsiInstance, path: str) -> Ass
     """The assignment in a plan or matrix file; its total must be printable."""
     rows = _rows(doc.get("assignment") if isinstance(doc, dict) else doc, path, "0/1")
     try:
-        matrix = AssignmentMatrix(rows=tuple(tuple(r) for r in rows), k=instance.k)
+        matrix = AssignmentMatrix(rows=rows, k=instance.k)
         check_digits(instance, matrix.m)
     except ValueError as err:
         raise _CommandError(EXIT_VALIDATION, f"{path}: {err}")
@@ -276,16 +277,11 @@ def cmd_plan(args: argparse.Namespace, instance: DmsiInstance) -> int:
         raise _CommandError(
             EXIT_VALIDATION, f"plan needs {cells} cells, above the limit of {PLAN_CELL_BUDGET}"
         )
-    degree = default_field_degree(instance.k) if args.field_degree is None else args.field_degree
     try:
-        field = Field(degree)
-    except ValueError as err:
-        message = str(err)
-        if args.field_degree is None:  # the default degree: too many clients for any field
-            message += f" for {instance.k} clients; GF(2^16) is the largest field"
-        raise _CommandError(EXIT_VALIDATION, message)
-    try:
+        field = None if args.field_degree is None else Field(args.field_degree)
         bundle = build_plan(instance, field=field, seed=args.seed)
+    except ValueError as err:  # a field degree out of range, given or the default
+        raise _CommandError(EXIT_VALIDATION, str(err))
     except CodeConstructionError as err:
         raise _CommandError(EXIT_CONSTRUCTION, str(err))
     text = render_plan(bundle)
@@ -489,7 +485,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args, _read(args.instance, parse_instance))
+        instance = _read(args.instance, parse_instance)
+        row = instance.n + instance.k
+        if row > PLAN_CELL_BUDGET:
+            raise _CommandError(EXIT_VALIDATION, f"{args.instance}: a row needs {row} cells, "
+                                                 f"above the limit of {PLAN_CELL_BUDGET}")
+        return args.handler(args, instance)
     except _CommandError as err:
         print(f"error: {err.message}", file=sys.stderr)
         return err.code

@@ -263,7 +263,10 @@ def construct_code(
     assignment; raises CodeConstructionError after _ROW_ATTEMPTS draws of a row.
     """
     if field is None:
-        field = Field(default_field_degree(instance.k))
+        try:
+            field = Field(default_field_degree(instance.k))
+        except ValueError as err:  # too many clients for any field
+            raise ValueError(f"{err} for {instance.k} clients; GF(2^16) is the largest field")
     if not is_feasible(matrix, instance):
         raise ValueError("assignment is infeasible; no code can exist")
     if field.q < instance.k:

@@ -41,7 +41,7 @@ def _too_long(where: str) -> InstanceError:
 
 
 def parse_rational(value: object, where: str = "value") -> Fraction:
-    """Accept a JSON int or a "p" / "p/q" string; anything else is an error.
+    """Accept a nonnegative JSON int or a "p" / "p/q" string; else an error.
 
     A string holds ASCII digits 0-9 and at most one "/", with nothing around
     them but ASCII whitespace (space, tab, CR, LF), the four characters JSON
@@ -52,6 +52,8 @@ def parse_rational(value: object, where: str = "value") -> Fraction:
     if isinstance(value, bool):
         raise InstanceError(f"{where}: expected a rational, got {value!r}")
     if isinstance(value, int):
+        if value < 0:
+            raise InstanceError(f"{where}: must be nonnegative")
         return Fraction(value)
     if isinstance(value, str):
         match = _RATIONAL_RE.fullmatch(value.strip(_ASCII_SPACE))
@@ -78,10 +80,9 @@ def _unchecked(cls: type, **fields: object):
     """An instance of a frozen dataclass built without __post_init__, for a
     value whose fields the caller has already checked as __post_init__ would;
     each must be in its final form (a matrix's rows a tuple of tuples of valid
-    entries)."""
+    entries).  Each class it builds keeps a __dict__ (no __slots__)."""
     value = object.__new__(cls)
-    for name, field_value in fields.items():
-        object.__setattr__(value, name, field_value)
+    value.__dict__.update(fields)
     return value
 
 
@@ -192,14 +193,15 @@ def _parse_client(doc: object, where: str, n: int, packet_size: Fraction | None)
         has.add(x - 1)
     if ("delay" in doc) == ("bandwidth" in doc):
         raise InstanceError(f"{where}: exactly one of 'delay' or 'bandwidth' required")
-    if "delay" in doc:
-        return ClientSpec(has, parse_rational(doc["delay"], f"{where}: delay"))
+    if "delay" in doc:  # parse_rational refuses a negative: ClientSpec's check is done
+        delay = parse_rational(doc["delay"], f"{where}: delay")
+        return _unchecked(ClientSpec, has=frozenset(has), delay=delay)
     bandwidth = parse_rational(doc["bandwidth"], f"{where}: bandwidth")
-    if bandwidth <= 0:
+    if bandwidth == 0:
         raise InstanceError(f"{where}: bandwidth must be positive")
     if packet_size is None:
         raise InstanceError(f"{where}: 'bandwidth' given but no 'packet_size'")
-    return ClientSpec(has, packet_size / bandwidth)
+    return _unchecked(ClientSpec, has=frozenset(has), delay=packet_size / bandwidth)
 
 
 def parse_json(text: str) -> object:

@@ -370,6 +370,13 @@ def test_malformed_instance_exits_2(tmp_path, capsys):
         ("simulate", "per_packet_delay", 5),
         ("simulate", "closed_form_delay", [1]),
         ("verify", "total_delay", "\u0662\u0660"),  # 20 in Arabic-Indic digits
+        # a negative int is refused as "-20" is, by both commands
+        ("verify", "total_delay", -20),
+        ("verify", "closed_form_delay", -20),
+        ("verify", "per_packet_delay", [-8, 8, 2, 1, 1]),
+        ("simulate", "total_delay", -20),
+        ("simulate", "closed_form_delay", -20),
+        ("simulate", "per_packet_delay", [-8, 8, 2, 1, 1]),
     ],
 )
 def test_malformed_recorded_delay_exits_2(tmp_path, capsys, command, key, value):
@@ -428,6 +435,31 @@ def test_plan_over_the_cell_limit_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dmsiplan.cli, "build_plan", lambda *a, **kw: pytest.fail("built"))
     assert main(["plan", inst]) == 2
     assert "above the limit" in capsys.readouterr().err
+
+
+def test_plan_of_rows_past_the_cell_limit_exits_2(tmp_path, capsys, monkeypatch):
+    """One row of 11 cells is within a limit of 100, but the m* = 10 rows
+    that one client holding nothing needs are not."""
+    monkeypatch.setattr(dmsiplan.cli, "PLAN_CELL_BUDGET", 100)
+    monkeypatch.setattr(dmsiplan.cli, "build_plan", lambda *a, **kw: pytest.fail("built"))
+    inst = write_json(tmp_path / "instance.json", {"n": 10, "clients": [{"has": [], "delay": 1}]})
+    err = _exits_2_with_one_line(["plan", inst], capsys)
+    assert err == "error: plan needs 110 cells, above the limit of 100\n"
+
+
+@pytest.mark.parametrize("command", ["plan", "verify", "simulate"])
+def test_a_row_past_the_cell_limit_exits_2(tmp_path, capsys, monkeypatch, command):
+    """No client misses a packet, so a plan has no rows, yet every command
+    would build n-cell values: an instance whose one row, n + k cells, passes
+    the limit is refused as it is read."""
+    monkeypatch.setattr(dmsiplan.cli, "PLAN_CELL_BUDGET", 1000)
+    monkeypatch.setattr(dmsiplan.cli, "build_plan", lambda *a, **kw: pytest.fail("built"))
+    inst = write_json(tmp_path / "instance.json", {"n": 1001, "clients": []})
+    no_rows = {"assignment": [], "code": {"field_degree": 1, "rows": []}}
+    plan = write_json(tmp_path / "plan.json", no_rows)
+    argv = [command, inst] + ([] if command == "plan" else [plan])
+    err = _exits_2_with_one_line(argv, capsys)
+    assert err == f"error: {inst}: a row needs 1001 cells, above the limit of 1000\n"
 
 
 def test_missing_file_exits_2(tmp_path, capsys):

@@ -89,6 +89,16 @@ def test_default_field_degree():
     ]
 
 
+def test_default_field_past_the_largest_field_is_refused_by_name():
+    """65,537 clients need q >= 65,537, one degree past GF(2^16); a library
+    caller is told so, as the command line is."""
+    inst = make_instance(1, [set()] * 65_537, [1] * 65_537)
+    _, matrix = optimal_assignment(inst)
+    with pytest.raises(ValueError) as info:
+        construct_code(inst, matrix)
+    assert str(info.value).endswith("for 65537 clients; GF(2^16) is the largest field")
+
+
 def test_construction_warns_when_field_smaller_than_client_count():
     inst = make_instance(2, [set()] * 6, [6, 5, 4, 3, 2, 1])
     _, matrix = optimal_assignment(inst)

@@ -190,27 +190,36 @@ def test_has_lists_are_refused_by_their_first_bad_entry(case):
 @pytest.mark.parametrize("packet_size", [8, -8])
 @pytest.mark.parametrize("bandwidth", [0, -2])
 def test_a_nonpositive_bandwidth_is_refused_by_name(bandwidth, packet_size):
-    """A negative bandwidth is refused whatever the packet size's sign, so two
-    negatives cannot make a positive delay."""
+    """A zero bandwidth is refused by name, and a negative bandwidth or packet
+    size as any negative number is, naming its field, so two negatives cannot
+    make a positive delay."""
     client = f'{{"has": [1], "bandwidth": {bandwidth}}}'
     text = f'{{"n": 2, "packet_size": {packet_size}, "clients": [{client}]}}'
-    with pytest.raises(InstanceError, match="^client 1: bandwidth must be positive$"):
+    if packet_size < 0:
+        message = "packet_size: must be nonnegative"
+    elif bandwidth < 0:
+        message = "client 1: bandwidth: must be nonnegative"
+    else:
+        message = "client 1: bandwidth must be positive"
+    with pytest.raises(InstanceError, match=f"^{message}$"):
         parse_instance(text)
 
 
 @pytest.mark.parametrize(
-    "client, shown",
+    "client, packet_size, where",
     [
-        ('{"has": [1], "delay": -1}', "-1"),
-        ('{"has": [1], "bandwidth": 2}', "-4"),
-        ('{"has": [], "bandwidth": 3}', "-8/3"),
+        ('{"has": [1], "delay": -1}', 8, "client 1: delay"),
+        ('{"has": [1], "bandwidth": 2}', -8, "packet_size"),
+        ('{"has": [], "bandwidth": 3}', -8, "packet_size"),
     ],
 )
-def test_a_negative_delay_is_refused_as_the_constructor_refuses_it(client, shown):
-    """The parser builds clients without ClientSpec's checks, so it refuses a
-    negative delay itself, with the constructor's message."""
-    text = f'{{"n": 2, "packet_size": -8, "clients": [{client}]}}'
-    with pytest.raises(InstanceError, match=f"^delay must be nonnegative, got {shown}$"):
+def test_a_negative_delay_is_refused_as_the_constructor_refuses_it(client, packet_size, where):
+    """A negative delay is refused, as ClientSpec refuses it, but where the
+    document holds the negative number: parse_rational refuses a negative int
+    as it refuses "-1", naming the field, so the parser builds clients without
+    ClientSpec's checks and never names a delay the document does not hold."""
+    text = f'{{"n": 2, "packet_size": {packet_size}, "clients": [{client}]}}'
+    with pytest.raises(InstanceError, match=f"^{where}: must be nonnegative$"):
         parse_instance(text)
 
 

@@ -194,9 +194,8 @@ def test_pattern_guard_admits_twelve_clients_that_hold_nothing(monkeypatch):
 
 def _reference_row_patterns(want, delays):
     """_row_patterns as it stood before its rows came from one product: each
-    row, its columns, its other live columns and its delay built bit by bit
-    from the mask, the reference for the list and its order.  The other live
-    columns serve only reference_explore's rows-left bound."""
+    row, its columns and its delay built bit by bit from the mask, the
+    reference for the list and its order."""
     k = len(want)
     live = sum(1 << (k - 1 - j) for j in range(k) if want[j])
     patterns = []
@@ -204,8 +203,7 @@ def _reference_row_patterns(want, delays):
     while mask:
         bits = tuple((mask >> (k - 1 - j)) & 1 for j in range(k))
         cols = tuple(j for j in range(k) if bits[j])
-        others = tuple(j for j in range(k) if want[j] and not bits[j])
-        patterns.append((mask, bits, max(delays[j] for j in cols), cols, others))
+        patterns.append((mask, bits, max(delays[j] for j in cols), cols))
         mask = (mask - 1) & live
     return patterns
 
@@ -223,17 +221,14 @@ def test_row_patterns_equal_the_reference(case):
     """Zero and tied delays, zero-weight columns anywhere, and k = 0."""
     want, delays = case
     patterns = oracle._row_patterns(want, delays)
-    assert [(mask, *pattern) for mask, pattern in patterns.items()] == [
-        (mask, bits, delay, cols)
-        for mask, bits, delay, cols, _ in _reference_row_patterns(want, delays)
-    ]
+    reference = _reference_row_patterns(want, delays)
+    assert [(mask, *pattern) for mask, pattern in patterns.items()] == reference
     assert len(patterns) == 2 ** (len(want) - want.count(0)) - 1
 
 
-def reference_explore(want, delays, m_cap):
+def reference_explore(want, delays):
     """oracle._explore as it stood before it walked only the submasks of the
-    still-needed columns and before its row cap went, with no budget: (best
-    key, examined, nodes entered) over at most m_cap rows.
+    still-needed columns, with no budget: (best key, examined, nodes entered).
 
     A node steps over every pattern from its start index on, skips each that
     touches a finished column (its count bound is 0), stops where a
@@ -249,7 +244,7 @@ def reference_explore(want, delays, m_cap):
     # single-column mask -> (pattern index, column, delay)
     single = {
         mask: (t, cols[0], delay)
-        for t, (mask, _, delay, cols, _) in enumerate(patterns)
+        for t, (mask, _, delay, cols) in enumerate(patterns)
         if len(cols) == 1
     }
     best = None
@@ -269,20 +264,14 @@ def reference_explore(want, delays, m_cap):
         if best is None or key < best:
             best = key
 
-    def dfs(t, rows_left, total, rows_used, need):
+    def dfs(t, total, rows_used, need):
         nonlocal nodes
         nodes += 1
-        slack = rows_left - max(rem)
         for p in range(t, len(patterns)):
             if need & ~suffix_cover[p]:
                 break
-            _, _, delay, cols, others = patterns[p]
-            last = rows_left
-            for j in cols:
-                last = min(last, rem[j])
-            if last > slack:
-                for j in others:
-                    last = min(last, rows_left - rem[j])
+            _, _, delay, cols = patterns[p]
+            last = min(rem[j] for j in cols)
             if not last:
                 continue
             chosen.append((p, 0))
@@ -298,8 +287,7 @@ def reference_explore(want, delays, m_cap):
                 elif not still & ~cover:
                     alone = single.get(still)
                     if alone is None:
-                        dfs(p + 1, rows_left - count, total + count * delay,
-                            rows_used + count, still)
+                        dfs(p + 1, total + count * delay, rows_used + count, still)
                     else:
                         s, j, d = alone
                         chosen.append((s, rem[j]))
@@ -312,7 +300,7 @@ def reference_explore(want, delays, m_cap):
             chosen.pop()
 
     if suffix_cover[0]:
-        dfs(0, m_cap, 0, 0, suffix_cover[0])
+        dfs(0, 0, 0, suffix_cover[0])
     else:
         note_complete(0, 0)
     return best, examined, nodes
@@ -339,17 +327,17 @@ def walk_cases(draw):
 @settings(max_examples=150, deadline=None)
 def test_walk_equals_the_reference_in_result_and_work(instance):
     """The same result, the same candidates and the same nodes as the
-    reference over sum w_j rows, where its rows-left bound cuts nothing: the
-    walk runs at a budget of the reference's nodes plus candidates, W, in
-    W - 1 count steps, and refuses at W - 1.  A draw whose walk passes
-    WALK_CASE_BUDGET is rejected, since the reference would run unbounded."""
+    reference: the walk runs at a budget of the reference's nodes plus
+    candidates, W, in W - 1 count steps, and refuses at W - 1.  A draw whose
+    walk passes WALK_CASE_BUDGET is rejected, since the reference would run
+    unbounded."""
     want = instance.want_counts()
     scale, ints = instance.scaled_delays()
     try:
         result = brute_force_optimum(instance, budget=WALK_CASE_BUDGET)
     except BudgetExceededError:
         reject()
-    (total, used, rows), examined, nodes = reference_explore(want, ints, sum(want))
+    (total, used, rows), examined, nodes = reference_explore(want, ints)
     assert result.best_total == Fraction(total, scale)
     assert result.best_matrix.rows == rows
     assert result.matrices_examined == examined
@@ -584,65 +572,50 @@ def test_fractional_delays_match_naive(instance):
     assert result.best_matrix.rows == rows
 
 
-# (n, 0-based held sets, delays, m_cap, best_total, matrices_examined over at
-# most m_cap rows), taken from the search while it still summed Fractions and
-# capped its rows
+# (n, 0-based held sets, delays, best_total, candidates over m* to sum w_j
+# rows), taken from the search while it still capped its rows, the counts at
+# m_cap = sum w_j.  Each id is the one the pin has carried since then: it
+# names the row cap and the capped count of that search.
 PINNED_SEARCHES = [
-    (4, [[2], [], []], ["1/6", "4/11", "8"], 6, Fraction(32), 18),
-    (5, [[1], [1], [], []], ["28/3", "3/7", "4", "11"], 7, Fraction(55), 264),
-    (4, [[3], [1], [], [0, 2]], ["26/5", "1/4", "19/11", "1/11"], 6, Fraction(953, 55), 202),
-    (4, [[], [2], [2], [3]], ["3", "7", "28/3", "23/4"], 6, Fraction(31), 256),
-    (5, [[3], [], [4], []], ["5/7", "1/3", "28/3", "5/2"], 7, Fraction(239, 6), 264),
-    (5, [[0, 1, 2], [0, 3], [1, 2], [0, 1, 2]], ["13/12", "9", "10", "30/7"], 5, Fraction(30), 107),
-]
-
-# k = 5: deeper trees, where a node with one column left to fill sits under
-# parents with three and four; taken from the search while it still entered
-# such nodes
-PINNED_DEEP_SEARCHES = [
-    (5, [[3], [], [2, 3], [3, 4], [1, 3]], ["10", "7", "7", "4", "1/3"], 6, Fraction(47), 1328),
-    (5, [[], [], [1, 4], [4], []], ["4/5", "13/9", "16", "23/6", "9"], 7, Fraction(66), 3714),
+    (4, [[2], [], []], ["1/6", "4/11", "8"], Fraction(32), 59),
+    (5, [[1], [1], [], []], ["28/3", "3/7", "4", "11"], Fraction(55), 7443),
+    (4, [[3], [1], [], [0, 2]], ["26/5", "1/4", "19/11", "1/11"], Fraction(953, 55), 629),
+    (4, [[], [2], [2], [3]], ["3", "7", "28/3", "23/4"], Fraction(31), 1171),
+    (5, [[3], [], [4], []], ["5/7", "1/3", "28/3", "5/2"], Fraction(239, 6), 7443),
+    (5, [[0, 1, 2], [0, 3], [1, 2], [0, 1, 2]], ["13/12", "9", "10", "30/7"], Fraction(30), 296),
+    # k = 5: deeper trees, where a node with one column left to fill sits
+    # under parents with three and four
+    (5, [[3], [], [2, 3], [3, 4], [1, 3]], ["10", "7", "7", "4", "1/3"], Fraction(47), 119_952),
+    (5, [[], [], [1, 4], [4], []], ["4/5", "13/9", "16", "23/6", "9"], Fraction(66), 926_948),
     (
         4,
         [[], [3], [0, 1], [0, 3], [0, 2]],
         ["17/10", "19/8", "19/10", "1", "19/12"],
-        6,
         Fraction(353, 40),
-        1836,
+        6319,
     ),
+]
+PINNED_SEARCH_IDS = [
+    "4-has0-delays0-6-best_total0-18",
+    "5-has1-delays1-7-best_total1-264",
+    "4-has2-delays2-6-best_total2-202",
+    "4-has3-delays3-6-best_total3-256",
+    "5-has4-delays4-7-best_total4-264",
+    "5-has5-delays5-5-best_total5-107",
+    "5-has6-delays6-6-best_total6-1328",
+    "5-has7-delays7-7-best_total7-3714",
+    "4-has8-delays8-6-best_total8-1836",
 ]
 
 
-# the same searches' candidates over sum w_j rows, by their delays, taken
-# from the row-capped search at m_cap = sum w_j
-COMPLETE_SEARCHES = {
-    ("1/6", "4/11", "8"): 59,
-    ("28/3", "3/7", "4", "11"): 7443,
-    ("26/5", "1/4", "19/11", "1/11"): 629,
-    ("3", "7", "28/3", "23/4"): 1171,
-    ("5/7", "1/3", "28/3", "5/2"): 7443,
-    ("13/12", "9", "10", "30/7"): 296,
-    ("10", "7", "7", "4", "1/3"): 119_952,
-    ("4/5", "13/9", "16", "23/6", "9"): 926_948,
-    ("17/10", "19/8", "19/10", "1", "19/12"): 6319,
-}
-
-
 @pytest.mark.parametrize(
-    "n, has, delays, m_cap, best_total, examined", PINNED_SEARCHES + PINNED_DEEP_SEARCHES
+    "n, has, delays, best_total, examined", PINNED_SEARCHES, ids=PINNED_SEARCH_IDS
 )
-def test_pinned_fractional_searches(n, has, delays, m_cap, best_total, examined):
-    """The complete search against its pins, and the references against the
-    capped pins: only here does reference_explore run below sum w_j, where
-    its rows-left bound cuts."""
+def test_pinned_fractional_searches(n, has, delays, best_total, examined):
+    """The complete search against its pins and the count without a search."""
     instance = make_instance(n, has, [Fraction(d) for d in delays])
     want = instance.want_counts()
     result = brute_force_optimum(instance)
     assert result.best_total == best_total == closed_form_delay(instance)
     assert result.m_range == (max(want), sum(want))
-    assert result.matrices_examined == COMPLETE_SEARCHES[tuple(delays)]
-    assert quotiented_count(want, sum(want)) == result.matrices_examined
-    scale, ints = instance.scaled_delays()
-    (total, _, _), capped, _ = reference_explore(want, ints, m_cap)
-    assert Fraction(total, scale) == best_total
-    assert capped == quotiented_count(want, m_cap) == examined
+    assert result.matrices_examined == examined == quotiented_count(want, sum(want))
